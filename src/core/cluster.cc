@@ -98,15 +98,20 @@ DenseView BuildDenseView(const std::vector<EncodedLog>& logs,
 }
 
 // Cluster profile over the dense view: per-position frequency arrays.
+// After a batch of Add calls, UpdateWeights must run before Similarity:
+// the Eq. 2 weights depend only on the profile, not on the log scored,
+// so they are computed once per rebuild instead of once per comparison.
 class DenseProfile {
  public:
-  explicit DenseProfile(const DenseView& view) : view_(view) {
+  DenseProfile(const DenseView& view, bool use_position_importance)
+      : view_(view), use_position_importance_(use_position_importance) {
     offsets_.resize(view.num_positions + 1, 0);
     for (size_t k = 0; k < view.num_positions; ++k) {
       offsets_[k + 1] = offsets_[k] + view.cardinality[k];
     }
     freq_.resize(offsets_.back(), 0);
     distinct_.resize(view.num_positions, 0);
+    weights_.resize(view.num_positions, 0.0);
   }
 
   void Add(size_t member_index) {
@@ -124,34 +129,48 @@ class DenseProfile {
     size_ = 0;
   }
 
-  // Eq. 2 similarity of members[member_index] to this cluster.
-  double Similarity(size_t member_index, bool use_position_importance) const {
-    if (size_ == 0 || view_.num_positions == 0) return 0.0;
-    double weighted = 0.0;
-    double total_weight = 0.0;
-    const double inv_size = 1.0 / static_cast<double>(size_);
+  // w_i per position and their sum, accumulated in position order (the
+  // order ClusterProfile::Similarity sums them in).
+  void UpdateWeights() {
+    total_weight_ = 0.0;
     for (size_t k = 0; k < view_.num_positions; ++k) {
-      const uint32_t f = freq_[offsets_[k] + view_.at(member_index, k)];
-      const double fi = static_cast<double>(f) * inv_size;
       double wi = 1.0;
-      if (use_position_importance) {
+      if (use_position_importance_) {
         const uint32_t ni = distinct_[k];
         wi = ni <= 1 ? kConstantPositionWeight
                      : 1.0 / static_cast<double>(ni - 1);
       }
-      weighted += wi * fi;
-      total_weight += wi;
+      weights_[k] = wi;
+      total_weight_ += wi;
     }
-    return total_weight > 0.0 ? weighted / total_weight : 0.0;
+    inv_size_ = size_ == 0 ? 0.0 : 1.0 / static_cast<double>(size_);
+  }
+
+  // Eq. 2 similarity of members[member_index] to this cluster.
+  double Similarity(size_t member_index) const {
+    if (size_ == 0 || view_.num_positions == 0) return 0.0;
+    const uint32_t* values =
+        view_.values.data() + member_index * view_.num_positions;
+    double weighted = 0.0;
+    for (size_t k = 0; k < view_.num_positions; ++k) {
+      const double fi =
+          static_cast<double>(freq_[offsets_[k] + values[k]]) * inv_size_;
+      weighted += weights_[k] * fi;
+    }
+    return total_weight_ > 0.0 ? weighted / total_weight_ : 0.0;
   }
 
   uint32_t size() const { return size_; }
 
  private:
   const DenseView& view_;
+  bool use_position_importance_;
   std::vector<uint32_t> offsets_;
   std::vector<uint32_t> freq_;
   std::vector<uint32_t> distinct_;
+  std::vector<double> weights_;
+  double total_weight_ = 0.0;
+  double inv_size_ = 0.0;
   uint32_t size_ = 0;
 };
 
@@ -208,36 +227,39 @@ bool TryEarlyStop(const std::vector<uint32_t>& members,
 
 ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
                                        const std::vector<uint32_t>& members,
+                                       const PositionStats& parent_stats,
                                        double parent_saturation,
                                        const ClusterOptions& options,
                                        Rng* rng) {
   ClusterOutcome outcome;
   if (members.size() < 2) return outcome;  // nothing to split
-
-  const PositionStats parent_stats = ComputePositionStats(logs, members);
   if (parent_stats.fully_resolved()) return outcome;  // saturated already
 
   if (options.early_stop && TryEarlyStop(members, parent_stats, &outcome)) {
+    for (const auto& cluster : outcome.clusters) {
+      outcome.cluster_stats.push_back(ComputePositionStats(logs, cluster));
+    }
     return outcome;
   }
 
   const std::vector<uint32_t> active = ActivePositions(parent_stats);
   const DenseView view = BuildDenseView(logs, members, active);
+  const bool weighted = options.use_position_importance;
 
   // --- Seeding -------------------------------------------------------
   // First seed uniformly at random; second is the member farthest from
   // the first (K-Means++ principle), or random under the ablation.
   const size_t seed1 = rng->NextBelow(members.size());
-  DenseProfile seed_profile(view);
+  DenseProfile seed_profile(view, weighted);
   seed_profile.Add(seed1);
+  seed_profile.UpdateWeights();
 
   size_t seed2 = seed1;
   if (options.kmeanspp_seeding) {
     double best = 2.0;  // similarity in [0,1]; pick the minimum
     for (size_t i = 0; i < members.size(); ++i) {
       if (i == seed1) continue;
-      const double sim =
-          seed_profile.Similarity(i, options.use_position_importance);
+      const double sim = seed_profile.Similarity(i);
       if (sim < best) {
         best = sim;
         seed2 = i;
@@ -254,10 +276,11 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   uint32_t num_clusters = 2;
   std::vector<DenseProfile> profiles;
   profiles.reserve(8);
-  profiles.emplace_back(view);
-  profiles.emplace_back(view);
+  profiles.emplace_back(view, weighted);
+  profiles.emplace_back(view, weighted);
   profiles[0].Add(seed1);
   profiles[1].Add(seed2);
+  for (auto& p : profiles) p.UpdateWeights();
 
   std::vector<uint32_t> tie_buffer;
   auto assign_all = [&]() -> bool {
@@ -267,8 +290,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       tie_buffer.clear();
       for (uint32_t c = 0; c < num_clusters; ++c) {
         if (profiles[c].size() == 0) continue;
-        const double sim =
-            profiles[c].Similarity(i, options.use_position_importance);
+        const double sim = profiles[c].Similarity(i);
         if (sim > best + kTieEpsilon) {
           best = sim;
           tie_buffer.clear();
@@ -298,6 +320,19 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     for (size_t i = 0; i < members.size(); ++i) {
       profiles[assignment[i]].Add(i);
     }
+    for (auto& p : profiles) p.UpdateWeights();
+  };
+
+  // groups[c] = members assigned to cluster c; group_stats[c] is filled
+  // when the saturation check counts group c (num_logs == 0 until then).
+  std::vector<std::vector<uint32_t>> groups;
+  std::vector<PositionStats> group_stats;
+  auto partition = [&]() {
+    groups.assign(num_clusters, {});
+    group_stats.assign(num_clusters, PositionStats{});
+    for (size_t i = 0; i < members.size(); ++i) {
+      groups[assignment[i]].push_back(members[i]);
+    }
   };
 
   // --- Iterate: reassign, check saturation, expand -------------------
@@ -317,10 +352,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     if (!options.ensure_saturation_increase) break;
 
     // Find a cluster whose saturation does not improve on the parent.
-    std::vector<std::vector<uint32_t>> groups(num_clusters);
-    for (size_t i = 0; i < members.size(); ++i) {
-      groups[assignment[i]].push_back(members[i]);
-    }
+    partition();
     bool all_improved = true;
     for (uint32_t c = 0; c < num_clusters && all_improved; ++c) {
       if (groups[c].empty()) continue;
@@ -329,10 +361,11 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         all_improved = false;
         break;
       }
-      const double s =
-          ComputeSaturation(logs, groups[c], options.saturation);
+      group_stats[c] = ComputePositionStats(logs, groups[c]);
+      const double s = SaturationFromStats(group_stats[c], options.saturation);
       if (s <= parent_saturation + 1e-12) all_improved = false;
     }
+    // Breaking out leaves `groups` describing the final assignment.
     if (all_improved) break;
     if (num_clusters >= max_clusters || iterations_left <= 0) break;
 
@@ -344,31 +377,35 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       double best_sim = 0.0;
       for (uint32_t c = 0; c < num_clusters; ++c) {
         if (profiles[c].size() == 0) continue;
-        best_sim = std::max(
-            best_sim, profiles[c].Similarity(
-                          i, options.use_position_importance));
+        best_sim = std::max(best_sim, profiles[c].Similarity(i));
       }
       if (best_sim < worst_best) {
         worst_best = best_sim;
         farthest_idx = i;
       }
     }
-    profiles.emplace_back(view);
+    profiles.emplace_back(view, weighted);
     assignment[farthest_idx] = num_clusters;
     ++num_clusters;
     rebuild_profiles();
     iterations_left = std::max(iterations_left, 2);  // allow a settle round
   }
+  if (!options.ensure_saturation_increase) partition();
 
   // --- Materialize the partition --------------------------------------
-  std::vector<std::vector<uint32_t>> groups(num_clusters);
-  for (size_t i = 0; i < members.size(); ++i) {
-    groups[assignment[i]].push_back(members[i]);
-  }
-  for (auto& g : groups) {
-    if (!g.empty()) outcome.clusters.push_back(std::move(g));
+  for (uint32_t c = 0; c < num_clusters; ++c) {
+    if (groups[c].empty()) continue;
+    outcome.clusters.push_back(std::move(groups[c]));
+    outcome.cluster_stats.push_back(std::move(group_stats[c]));
   }
   outcome.split = outcome.clusters.size() >= 2;
+  if (!outcome.split) return outcome;
+  for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+    if (outcome.cluster_stats[c].num_logs == 0) {
+      outcome.cluster_stats[c] =
+          ComputePositionStats(logs, outcome.clusters[c]);
+    }
+  }
   return outcome;
 }
 

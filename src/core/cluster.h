@@ -46,6 +46,10 @@ struct ClusterOutcome {
   /// Partition of the input members (indices into the EncodedLog vector).
   /// Meaningful only when split == true; clusters are non-empty.
   std::vector<std::vector<uint32_t>> clusters;
+  /// cluster_stats[c] = ComputePositionStats over clusters[c], computed
+  /// once here so the caller can score and template the children without
+  /// recounting them.
+  std::vector<PositionStats> cluster_stats;
   /// false -> the node should become a leaf (no useful split exists).
   bool split = false;
 };
@@ -80,10 +84,12 @@ class ClusterProfile {
 };
 
 /// Runs the single clustering process for one node.
+/// `parent_stats` are ComputePositionStats(logs, members) and
 /// `parent_saturation` is the node's own score; kept clusters must beat it
 /// (unless ensure_saturation_increase is off).
 ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
                                        const std::vector<uint32_t>& members,
+                                       const PositionStats& parent_stats,
                                        double parent_saturation,
                                        const ClusterOptions& options,
                                        Rng* rng);

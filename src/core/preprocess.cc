@@ -24,13 +24,21 @@ void ProcessShard(const std::vector<std::string_view>& raw_logs, size_t begin,
                   size_t end, const VariableReplacer& replacer,
                   OrdinalEncoder* ordinal, bool deduplicate,
                   ShardResult* shard) {
+  // Token views alias either the raw log or `scratch`: the fused scan
+  // keeps only the variable-bearing token texts there, the two-pass path
+  // (user rules or regex builtins) the whole replaced log.
+  const bool fused = replacer.fused_fast_path();
   std::string scratch;
   std::vector<std::string_view> views;
   std::vector<uint64_t> encoded;
   for (size_t i = begin; i < end; ++i) {
-    replacer.ReplaceInto(raw_logs[i], &scratch);
     views.clear();
-    TokenizeDefaultInto(scratch, &views);
+    if (fused) {
+      TokenizeReplacedInto(raw_logs[i], &scratch, &views);
+    } else {
+      replacer.ReplaceInto(raw_logs[i], &scratch);
+      TokenizeDefaultInto(scratch, &views);
+    }
     encoded.clear();
     encoded.reserve(views.size());
     for (std::string_view tok : views) {

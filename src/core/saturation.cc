@@ -1,8 +1,8 @@
 #include "core/saturation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 namespace bytebrain {
 
@@ -27,6 +27,55 @@ inline bool IsConfirmedVariable(uint32_t distinct, uint32_t num_logs) {
          distinct >= num_logs / 2;
 }
 
+// Set of 64-bit tokens that only counts distinct insertions: open
+// addressing with linear probing at load factor <= 1/2, emptied in O(1)
+// by bumping a generation stamp. Reused across positions and calls, so
+// counting allocates nothing once the table has grown to the largest
+// group seen.
+class DistinctCounter {
+ public:
+  // Empties the set and sizes it for up to `max_distinct` keys.
+  void Reset(size_t max_distinct) {
+    size_t capacity = 16;
+    while (capacity < 2 * max_distinct) capacity <<= 1;
+    if (capacity > keys_.size()) {
+      keys_.assign(capacity, 0);
+      stamps_.assign(capacity, 0);
+      generation_ = 0;
+    }
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<int>(std::countr_zero(capacity));
+    size_ = 0;
+    if (++generation_ == 0) {  // stamps wrapped: forget them for real
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      generation_ = 1;
+    }
+  }
+
+  void Insert(uint64_t key) {
+    // Fibonacci hashing: ordinal-encoded tokens are small consecutive
+    // integers, so the key's high bits must be mixed in.
+    size_t slot = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (stamps_[slot] == generation_) {
+      if (keys_[slot] == key) return;
+      slot = (slot + 1) & mask_;
+    }
+    stamps_[slot] = generation_;
+    keys_[slot] = key;
+    ++size_;
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> stamps_;
+  uint32_t generation_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  size_t size_ = 0;
+};
+
 }  // namespace
 
 bool PositionStats::unresolved(size_t i) const {
@@ -45,11 +94,13 @@ PositionStats ComputePositionStats(const std::vector<EncodedLog>& logs,
   stats.num_positions = static_cast<uint32_t>(m);
   stats.distinct.resize(m, 0);
 
-  std::unordered_set<uint64_t> seen;
+  // Training clusters groups on several threads at once; each thread
+  // keeps its own counter.
+  thread_local DistinctCounter seen;
   for (size_t pos = 0; pos < m; ++pos) {
-    seen.clear();
+    seen.Reset(members.size());
     for (uint32_t idx : members) {
-      seen.insert(logs[idx].tokens[pos]);
+      seen.Insert(logs[idx].tokens[pos]);
       // The set cannot exceed the member count; stop early once it shows
       // the position is maximally distinct.
       if (seen.size() == members.size()) break;

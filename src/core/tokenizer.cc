@@ -110,8 +110,9 @@ constexpr std::array<bool, 256> kVarStart = BuildVarStartTable();
 
 // The fused replace+tokenize scan, parameterized over what consumes each
 // finished token: the online matcher wants interned ids, the sharded
-// ingest router wants a sequence hash. One loop, two sinks — the token
-// boundaries MUST stay bit-identical between them.
+// ingest router wants a sequence hash, preprocessing wants the texts.
+// One loop, three sinks — the token boundaries MUST stay bit-identical
+// between them.
 template <typename Sink>
 void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
                         Sink&& sink) {
@@ -120,8 +121,15 @@ void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
   size_t tok_begin = 0;
   bool in_token = false;
   // A "mixed" token contains at least one replaced variable; its text
-  // lives in *mixed_buf instead of being a pure slice of `raw`.
+  // lives in (*mixed_buf)[mixed_begin, end) instead of being a pure slice
+  // of `raw`. Mixed texts are appended, never overwritten, and together
+  // are no longer than `raw` (each variable shrinks to one '*'), so with
+  // the capacity reserved here no append reallocates and every text
+  // handed to the sink stays valid until the buffer is next reused.
   bool mixed = false;
+  size_t mixed_begin = 0;
+  mixed_buf->clear();
+  mixed_buf->reserve(n);
   // Builtin variables can only start where the replacer's scan would see
   // a left word boundary: at offset 0 or right after a non-word char.
   bool at_boundary = true;
@@ -129,12 +137,11 @@ void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
   const auto finish = [&](size_t end) {
     if (!in_token) return;
     const std::string_view text =
-        mixed ? std::string_view(*mixed_buf)
+        mixed ? std::string_view(*mixed_buf).substr(mixed_begin)
               : raw.substr(tok_begin, end - tok_begin);
     sink(text);
     in_token = false;
     mixed = false;
-    mixed_buf->clear();
   };
 
   while (i < n) {
@@ -147,9 +154,11 @@ void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
         if (!in_token) {
           in_token = true;
           mixed = true;
+          mixed_begin = mixed_buf->size();
         } else if (!mixed) {
           mixed = true;
-          mixed_buf->assign(raw.substr(tok_begin, i - tok_begin));
+          mixed_begin = mixed_buf->size();
+          mixed_buf->append(raw.substr(tok_begin, i - tok_begin));
         }
         mixed_buf->push_back('*');
         i += len;
@@ -203,6 +212,12 @@ void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
       ids->push_back(table.Lookup(text));
     }
   });
+}
+
+void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
+                          std::vector<std::string_view>* out) {
+  ScanReplacedTokens(raw, mixed_buf,
+                     [out](std::string_view text) { out->push_back(text); });
 }
 
 uint64_t HashReplacedTokens(std::string_view raw, std::string* mixed_buf) {

@@ -46,12 +46,22 @@ class TokenTable;
 /// in a single pass over `raw` — no replaced-text copy is materialized
 /// and each token is hashed and looked up once, at its end. Appends
 /// one interned id (TokenTable::kUnknownId for never-seen tokens) per
-/// token to `*ids`. `mixed_buf` is caller-owned scratch for the rare
-/// tokens that mix literal characters with a replaced variable.
+/// token to `*ids`. `mixed_buf` is caller-owned scratch for the tokens
+/// that contain a replaced variable.
 /// Only valid when the replacer reports fused_fast_path().
 void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
                              std::string* mixed_buf,
                              std::vector<uint32_t>* ids);
+
+/// Same fused scan, materializing the token texts: appends to `*out`
+/// exactly the tokens TokenizeDefaultInto would find in
+/// VariableReplacer::ReplaceInto's output, without building that output.
+/// Views alias `raw` or, for tokens containing a replaced variable,
+/// `*mixed_buf`; they stay valid until `mixed_buf` is reused or freed.
+/// This is preprocessing's path. Same precondition as
+/// TokenizeReplacedIdsInto: the replacer must report fused_fast_path().
+void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
+                          std::vector<std::string_view>* out);
 
 /// Same fused scan, reduced to a 64-bit hash of the replaced token
 /// sequence (an order-sensitive fold of HashBytesFast per token): the

@@ -54,27 +54,34 @@ std::vector<LocalNode> BuildGroupTree(const std::vector<EncodedLog>& logs,
   Rng rng(group_seed);
   std::vector<LocalNode> nodes;
 
+  // Each member set's PositionStats are counted once, when the set is
+  // formed, and then serve its saturation, its template tokens and its
+  // own clustering step.
   struct Work {
     int node_index;
     std::vector<uint32_t> members;
+    PositionStats stats;
     double saturation;
   };
   std::vector<Work> stack;
 
-  auto add_node = [&](int parent, const std::vector<uint32_t>& members)
-      -> std::pair<int, double> {
-    const PositionStats stats = ComputePositionStats(logs, members);
+  auto add_node = [&](int parent, const std::vector<uint32_t>& members,
+                      const PositionStats& stats, double saturation) {
     LocalNode node;
     node.parent = parent;
-    node.saturation = SaturationFromStats(stats, options.cluster.saturation);
+    node.saturation = saturation;
     node.tokens = TemplateTokensFor(logs, members, stats);
     node.support = SupportOf(logs, members);
     nodes.push_back(std::move(node));
-    return {static_cast<int>(nodes.size()) - 1, nodes.back().saturation};
+    return static_cast<int>(nodes.size()) - 1;
   };
 
-  auto [root_index, root_sat] = add_node(-1, root_members);
-  stack.push_back({root_index, std::move(root_members), root_sat});
+  PositionStats root_stats = ComputePositionStats(logs, root_members);
+  const double root_sat =
+      SaturationFromStats(root_stats, options.cluster.saturation);
+  const int root_index = add_node(-1, root_members, root_stats, root_sat);
+  stack.push_back(
+      {root_index, std::move(root_members), std::move(root_stats), root_sat});
 
   while (!stack.empty()) {
     Work work = std::move(stack.back());
@@ -83,21 +90,25 @@ std::vector<LocalNode> BuildGroupTree(const std::vector<EncodedLog>& logs,
     bool made_children = false;
     if (work.saturation < options.saturation_stop &&
         work.members.size() > 1) {
-      ClusterOutcome outcome = SingleClusteringProcess(
-          logs, work.members, work.saturation, options.cluster, &rng);
+      ClusterOutcome outcome =
+          SingleClusteringProcess(logs, work.members, work.stats,
+                                  work.saturation, options.cluster, &rng);
       if (outcome.split) {
-        for (auto& cluster : outcome.clusters) {
+        for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+          std::vector<uint32_t>& cluster = outcome.clusters[c];
+          PositionStats& stats = outcome.cluster_stats[c];
           // Guard against degenerate "splits" that return the parent set;
           // they would recurse forever.
           if (cluster.size() == work.members.size()) continue;
           const double child_sat =
-              ComputeSaturation(logs, cluster,
-                                options.cluster.saturation);
+              SaturationFromStats(stats, options.cluster.saturation);
           if (child_sat > work.saturation ||
               !options.cluster.ensure_saturation_increase) {
             // Real child: the tree edge strictly increases saturation.
-            auto [child_index, sat] = add_node(work.node_index, cluster);
-            stack.push_back({child_index, std::move(cluster), sat});
+            const int child_index =
+                add_node(work.node_index, cluster, stats, child_sat);
+            stack.push_back({child_index, std::move(cluster),
+                             std::move(stats), child_sat});
           } else {
             // Virtual partition (§4.4 cluster expansion, amortized): the
             // cluster did not resolve any new position yet — keep
@@ -105,8 +116,8 @@ std::vector<LocalNode> BuildGroupTree(const std::vector<EncodedLog>& logs,
             // descendants to the CURRENT node, so every stored edge
             // still strictly increases saturation. Progress is
             // guaranteed because the cluster is a proper subset.
-            stack.push_back(
-                {work.node_index, std::move(cluster), work.saturation});
+            stack.push_back({work.node_index, std::move(cluster),
+                             std::move(stats), work.saturation});
           }
           made_children = true;
         }
@@ -167,9 +178,25 @@ Result<TrainOutput> Trainer::Train(
   std::vector<InitialGroup> groups = InitialGrouping(pre.logs, options_.prefix_k);
 
   // Parallel phase: independent tree construction per initial group.
+  // Groups are dispatched largest first (members x token count, a proxy
+  // for clustering cost) so the biggest group starts at once instead of
+  // queueing behind small ones. Each tree lands in its own slot and uses
+  // its own per-group RNG, so the dispatch order cannot change the model.
+  std::vector<uint32_t> order(groups.size());
+  std::vector<uint64_t> cost(groups.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    order[g] = g;
+    cost[g] = static_cast<uint64_t>(groups[g].members.size()) *
+              groups[g].token_count;
+  }
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&cost](uint32_t a, uint32_t b) { return cost[a] > cost[b]; });
   std::vector<std::vector<LocalNode>> local_trees(groups.size());
-  ParallelFor(groups.size(), static_cast<size_t>(std::max(1, options_.num_threads)),
-              [&](size_t g) {
+  ParallelFor(groups.size(),
+              static_cast<size_t>(std::max(1, options_.num_threads)),
+              [&](size_t k) {
+                const uint32_t g = order[k];
                 local_trees[g] = BuildGroupTree(
                     pre.logs, std::move(groups[g].members), options_,
                     HashCombine(options_.seed, g));

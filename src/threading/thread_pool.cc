@@ -1,6 +1,7 @@
 #include "threading/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace bytebrain {
 
@@ -141,8 +142,18 @@ void ParallelForShards(size_t count, size_t num_threads,
 
 void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t)>& fn) {
-  ParallelForShards(count, num_threads, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+  if (count == 0) return;
+  const size_t workers = ShardParallelism(count, num_threads);
+  // Each worker claims the next unclaimed index, so a few expensive
+  // items (one huge initial group) cannot leave the others idle behind
+  // a fixed block. Callers that order items costliest first get
+  // longest-processing-time-first scheduling.
+  std::atomic<size_t> next{0};
+  ParallelForShards(workers, workers, [&](size_t, size_t) {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
   });
 }
 

@@ -56,9 +56,12 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Runs fn(i) for i in [0, count) using up to `num_threads` threads with
-/// contiguous static partitioning. `num_threads <= 1` runs inline, which
-/// is the "ByteBrain Sequential" configuration from the paper's Fig. 6.
+/// Runs fn(i) for i in [0, count) using up to `num_threads` threads
+/// (budgeted by ShardParallelism). Indices are claimed dynamically, one
+/// at a time in ascending order, from a shared counter, so skewed
+/// per-item costs balance across workers. `num_threads <= 1` runs inline,
+/// which is the "ByteBrain Sequential" configuration from the paper's
+/// Fig. 6; a nested call from inside a shard task also runs inline.
 void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -42,6 +42,16 @@ std::set<std::set<uint32_t>> Canon(
 
 const ClusterOptions kDefault;
 
+// One clustering step over `members`, given their own position stats as
+// the trainer does.
+ClusterOutcome Cluster(const std::vector<EncodedLog>& logs,
+                       const std::vector<uint32_t>& members, double parent,
+                       const ClusterOptions& options, Rng* rng) {
+  return SingleClusteringProcess(logs, members,
+                                 ComputePositionStats(logs, members), parent,
+                                 options, rng);
+}
+
 TEST(ClusterProfileTest, SimilarityFavorsMatchingTokens) {
   auto logs = MakeLogs({{"open", "a"}, {"open", "b"}, {"close", "c"}});
   std::vector<uint32_t> active = {0, 1};
@@ -87,7 +97,7 @@ TEST(ClusterTest, TwoLogsSplitIntoSingletons) {
   auto logs = MakeLogs({{"a", "x", "1"}, {"b", "y", "2"}});
   Rng rng(7);
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), 0.0, kDefault, &rng);
+      Cluster(logs, AllOf(logs), 0.0, kDefault, &rng);
   ASSERT_TRUE(outcome.split);
   EXPECT_EQ(Canon(outcome.clusters),
             (std::set<std::set<uint32_t>>{{0}, {1}}));
@@ -96,7 +106,7 @@ TEST(ClusterTest, TwoLogsSplitIntoSingletons) {
 TEST(ClusterTest, SingleMemberNeverSplits) {
   auto logs = MakeLogs({{"a", "b"}});
   Rng rng(7);
-  auto outcome = SingleClusteringProcess(logs, {0}, 0.0, kDefault, &rng);
+  auto outcome = Cluster(logs, {0}, 0.0, kDefault, &rng);
   EXPECT_FALSE(outcome.split);
 }
 
@@ -104,7 +114,7 @@ TEST(ClusterTest, FullyResolvedGroupDoesNotSplit) {
   auto logs = MakeLogs({{"a", "b"}, {"a", "b"}});
   Rng rng(7);
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), 1.0, kDefault, &rng);
+      Cluster(logs, AllOf(logs), 1.0, kDefault, &rng);
   EXPECT_FALSE(outcome.split);
 }
 
@@ -116,7 +126,7 @@ TEST(ClusterTest, EarlyStopSingleUnresolvedPositionBecomesLeaf) {
   Rng rng(7);
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng);
+      Cluster(logs, AllOf(logs), parent, kDefault, &rng);
   EXPECT_FALSE(outcome.split);
 }
 
@@ -127,7 +137,7 @@ TEST(ClusterTest, EarlyStopCompletelyDistinctSplitsToSingletons) {
   Rng rng(7);
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng);
+      Cluster(logs, AllOf(logs), parent, kDefault, &rng);
   ASSERT_TRUE(outcome.split);
   EXPECT_EQ(outcome.clusters.size(), 4u);
   for (const auto& c : outcome.clusters) EXPECT_EQ(c.size(), 1u);
@@ -143,7 +153,7 @@ TEST(ClusterTest, SeparatesTwoObviousStructures) {
   Rng rng(42);
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng);
+      Cluster(logs, AllOf(logs), parent, kDefault, &rng);
   ASSERT_TRUE(outcome.split);
   EXPECT_EQ(Canon(outcome.clusters),
             (std::set<std::set<uint32_t>>{{0, 1, 2}, {3, 4, 5}}));
@@ -159,7 +169,7 @@ TEST(ClusterTest, PartitionIsAlwaysComplete) {
     Rng rng(seed);
     const double parent = ComputeSaturation(logs, AllOf(logs), {});
     auto outcome =
-        SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng);
+        Cluster(logs, AllOf(logs), parent, kDefault, &rng);
     if (!outcome.split) continue;
     std::vector<uint32_t> all;
     for (const auto& c : outcome.clusters) {
@@ -178,7 +188,7 @@ TEST(ClusterTest, KeptClustersImproveSaturation) {
   Rng rng(3);
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
   auto outcome =
-      SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng);
+      Cluster(logs, AllOf(logs), parent, kDefault, &rng);
   ASSERT_TRUE(outcome.split);
   for (const auto& c : outcome.clusters) {
     EXPECT_GT(ComputeSaturation(logs, c, {}), parent);
@@ -199,7 +209,7 @@ TEST(ClusterTest, BalancedGroupingSpreadsTies) {
       opts.balanced_grouping = balanced;
       opts.early_stop = false;  // force the general path
       Rng rng(seed);
-      auto outcome = SingleClusteringProcess(logs, AllOf(logs), 0.0, &rng ? opts : opts, &rng);
+      auto outcome = Cluster(logs, AllOf(logs), 0.0, &rng ? opts : opts, &rng);
       if (!outcome.split) continue;
       size_t max_cluster = 0;
       for (const auto& c : outcome.clusters) {
@@ -224,7 +234,7 @@ TEST(ClusterTest, DisablingEarlyStopStillTerminates) {
   opts.early_stop = false;
   Rng rng(11);
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
-  auto outcome = SingleClusteringProcess(logs, AllOf(logs), parent, opts, &rng);
+  auto outcome = Cluster(logs, AllOf(logs), parent, opts, &rng);
   // Must return (terminate); exact partition is secondary.
   if (outcome.split) {
     size_t total = 0;
@@ -240,7 +250,7 @@ TEST(ClusterTest, WithoutEnsureSaturationAcceptsTwoWaySplit) {
   opts.ensure_saturation_increase = false;
   opts.early_stop = false;
   Rng rng(5);
-  auto outcome = SingleClusteringProcess(logs, AllOf(logs), 0.9, opts, &rng);
+  auto outcome = Cluster(logs, AllOf(logs), 0.9, opts, &rng);
   // The variant always accepts the k-means result even if saturation
   // would not improve.
   EXPECT_TRUE(outcome.split);
@@ -252,8 +262,8 @@ TEST(ClusterTest, DeterministicGivenSeed) {
   const double parent = ComputeSaturation(logs, AllOf(logs), {});
   Rng rng1(99);
   Rng rng2(99);
-  auto a = SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng1);
-  auto b = SingleClusteringProcess(logs, AllOf(logs), parent, kDefault, &rng2);
+  auto a = Cluster(logs, AllOf(logs), parent, kDefault, &rng1);
+  auto b = Cluster(logs, AllOf(logs), parent, kDefault, &rng2);
   EXPECT_EQ(a.split, b.split);
   EXPECT_EQ(Canon(a.clusters), Canon(b.clusters));
 }

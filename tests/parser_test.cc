@@ -348,5 +348,69 @@ TEST(ParserTest, WorksOnGeneratedDatasets) {
   }
 }
 
+// FNV-1a over raw bytes: a digest owned by the test, so it cannot drift
+// with the library's own hash functions.
+uint64_t Digest(const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ParserTest, GoldenOutputAtEveryThreadCount) {
+  // Training schedules initial groups across threads and reuses
+  // per-thread scratch; none of that may change a byte of the result.
+  // The digests were recorded from the sequential-block scheduler with
+  // per-node recounted statistics, on the three LogHub-2.0 specs with
+  // the most skewed initial groups (one group holding most of the work).
+  struct Golden {
+    const char* name;
+    uint64_t model;        // model().Serialize()
+    uint64_t assignments;  // training_assignments()
+    uint64_t matches;      // MatchAll ids
+  };
+  const Golden kGolden[] = {
+      {"Linux", 0x9402f3b08aa2bb61ULL, 0xef75ad1d070b6f2aULL,
+       0xfb22b472c9f241b0ULL},
+      {"BGL", 0xf869a252571043f4ULL, 0x702a346080017cdfULL,
+       0x9e05107ba3a1dfc5ULL},
+      {"Spark", 0x53032cbb7ac4c546ULL, 0x7623a66ae1293166ULL,
+       0xad44eb3eb8372200ULL},
+  };
+  for (const Golden& golden : kGolden) {
+    const DatasetSpec* spec = FindDatasetSpec(golden.name);
+    ASSERT_NE(spec, nullptr) << golden.name;
+    GenOptions gen;
+    gen.num_logs = 8000;
+    gen.num_templates = spec->loghub2_templates;
+    gen.seed_salt = 2;
+    Dataset ds = DatasetGenerator(*spec).Generate(gen);
+    std::vector<std::string> logs;
+    logs.reserve(ds.logs.size());
+    for (auto& l : ds.logs) logs.push_back(std::move(l.text));
+    for (int threads : {1, 2, 4}) {
+      ByteBrainOptions opts;
+      opts.trainer.num_threads = threads;
+      opts.trainer.preprocess.num_threads = threads;
+      ByteBrainParser parser(opts);
+      ASSERT_TRUE(parser.Train(logs).ok());
+      const std::string model = parser.model().Serialize();
+      const std::vector<TemplateId>& assigned = parser.training_assignments();
+      const std::vector<TemplateId> matched = parser.MatchAll(logs, threads);
+      EXPECT_EQ(Digest(model.data(), model.size()), golden.model)
+          << golden.name << " threads=" << threads;
+      EXPECT_EQ(Digest(assigned.data(), assigned.size() * sizeof(TemplateId)),
+                golden.assignments)
+          << golden.name << " threads=" << threads;
+      EXPECT_EQ(Digest(matched.data(), matched.size() * sizeof(TemplateId)),
+                golden.matches)
+          << golden.name << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bytebrain

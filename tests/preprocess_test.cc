@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "core/preprocess.h"
+#include "datagen/generator.h"
 
 namespace bytebrain {
 namespace {
@@ -105,6 +106,43 @@ TEST(PreprocessTest, ParallelMatchesSequential) {
     return m;
   };
   EXPECT_EQ(index(a), index(b));
+}
+
+TEST(PreprocessTest, FusedScanMatchesTwoPathReplacement) {
+  // The default replacer takes the fused replace+tokenize scan; a tenant
+  // rule that never matches forces the two-pass ReplaceInto +
+  // TokenizeDefaultInto path with the same replacements. The encoded
+  // logs must agree field for field, in order.
+  const VariableReplacer fused = VariableReplacer::Default();
+  VariableReplacer two_pass = VariableReplacer::Default();
+  ASSERT_TRUE(two_pass.AddRule("never", "NEVER_MATCHES_[0-9]{40}").ok());
+  ASSERT_TRUE(fused.fused_fast_path());
+  ASSERT_FALSE(two_pass.fused_fast_path());
+  for (const DatasetSpec& spec : LogHub2Specs()) {
+    GenOptions gen;
+    gen.num_logs = 300;
+    gen.num_templates = spec.loghub2_templates;
+    gen.include_preamble = true;
+    gen.seed_salt = 2;
+    std::vector<std::string> logs;
+    for (auto& l : DatasetGenerator(spec).Generate(gen).logs) {
+      logs.push_back(std::move(l.text));
+    }
+    for (int threads : {1, 4}) {
+      PreprocessOptions opts;
+      opts.num_threads = threads;
+      const PreprocessResult a = Preprocess(logs, fused, opts);
+      const PreprocessResult b = Preprocess(logs, two_pass, opts);
+      ASSERT_EQ(a.total_logs, b.total_logs);
+      ASSERT_EQ(a.logs.size(), b.logs.size()) << spec.name;
+      for (size_t i = 0; i < a.logs.size(); ++i) {
+        EXPECT_EQ(a.logs[i].tokens, b.logs[i].tokens) << spec.name;
+        EXPECT_EQ(a.logs[i].token_texts, b.logs[i].token_texts) << spec.name;
+        EXPECT_EQ(a.logs[i].count, b.logs[i].count) << spec.name;
+        EXPECT_EQ(a.logs[i].source_ids, b.logs[i].source_ids) << spec.name;
+      }
+    }
+  }
 }
 
 TEST(PreprocessTest, HashEncoderHasNoDictionary) {

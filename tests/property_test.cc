@@ -189,13 +189,24 @@ TEST_P(ClusterPropertyTest, OutcomeIsAlwaysAPartition) {
     if (members.size() < 2) continue;
     const double parent = ComputeSaturation(logs, members, {});
     Rng crng(trial * 7919 + GetParam());
-    auto outcome =
-        SingleClusteringProcess(logs, members, parent, {}, &crng);
+    auto outcome = SingleClusteringProcess(
+        logs, members, ComputePositionStats(logs, members), parent, {},
+        &crng);
     if (!outcome.split) continue;
+    ASSERT_EQ(outcome.cluster_stats.size(), outcome.clusters.size());
     std::vector<uint32_t> all;
-    for (const auto& c : outcome.clusters) {
-      ASSERT_FALSE(c.empty());
-      all.insert(all.end(), c.begin(), c.end());
+    for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+      // The stats handed back are exactly those of the cluster.
+      const PositionStats expect =
+          ComputePositionStats(logs, outcome.clusters[c]);
+      const PositionStats& got = outcome.cluster_stats[c];
+      ASSERT_EQ(got.distinct, expect.distinct);
+      ASSERT_EQ(got.num_logs, expect.num_logs);
+      ASSERT_EQ(got.num_constant, expect.num_constant);
+      ASSERT_EQ(got.num_variable, expect.num_variable);
+      const auto& cluster = outcome.clusters[c];
+      ASSERT_FALSE(cluster.empty());
+      all.insert(all.end(), cluster.begin(), cluster.end());
     }
     std::sort(all.begin(), all.end());
     std::vector<uint32_t> expected = members;

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "threading/thread_pool.h"
@@ -111,6 +113,71 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
   std::atomic<int> count{0};
   ParallelFor(3, 16, [&count](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
+  for (size_t n : {1, 2, 3}) {
+    std::vector<std::atomic<int>> hits(n);
+    ParallelFor(n, 16, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "count=" << n;
+  }
+}
+
+TEST(ParallelForTest, SlowItemDoesNotHoldBackTheRest) {
+  // Index 0 blocks until every other index has run. Under a fixed block
+  // split its block-mates would wait behind it; with dynamic claiming
+  // the other workers drain them. The deadline only bounds a failure.
+  constexpr size_t kCount = 64;
+  ASSERT_GE(ShardParallelism(kCount, 4), 2u);
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<size_t> others_done{0};
+  std::atomic<bool> drained{false};
+  ParallelFor(kCount, 4, [&](size_t i) {
+    hits[i].fetch_add(1);
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others_done.load() < kCount - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    drained = others_done.load() == kCount - 1;
+  });
+  EXPECT_TRUE(drained.load());
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, SkewedCostsRunEveryIndexOnce) {
+  constexpr size_t kCount = 257;
+  std::vector<std::atomic<int>> hits(kCount);
+  ParallelFor(kCount, 4, [&hits](size_t i) {
+    // A few items cost orders of magnitude more than the rest.
+    if (i % 64 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    hits[i].fetch_add(1);
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, NestedCallRunsInlineAndCoversEveryIndex) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 100;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread_inner{0};
+  ParallelFor(kOuter, 4, [&](size_t i) {
+    const std::thread::id outer = std::this_thread::get_id();
+    ParallelFor(kInner, 4, [&](size_t j) {
+      hits[i * kInner + j].fetch_add(1);
+      // Inside a pool worker's shard the nested loop must not fan out.
+      if (outer != caller && std::this_thread::get_id() != outer) {
+        off_thread_inner.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(off_thread_inner.load(), 0);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForShardsTest, ShardsArePartition) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tokenizer.h"
+#include "core/variable_replacer.h"
 #include "datagen/generator.h"
 #include "util/rng.h"
 
@@ -146,6 +147,62 @@ TEST(RegexTokenizerTest, DifferentialOnHandWrittenEdgeCases) {
     auto slow = tok->Tokenize(c);
     ASSERT_EQ(fast.size(), slow.size()) << c;
     for (size_t i = 0; i < fast.size(); ++i) EXPECT_EQ(fast[i], slow[i]) << c;
+  }
+}
+
+// Preprocessing's fused scan must yield exactly the token texts of the
+// two-pass path it replaces: ReplaceInto, then TokenizeDefaultInto.
+void ExpectFusedTextsMatchTwoPass(const std::string& raw,
+                                  std::string* mixed_buf) {
+  const VariableReplacer replacer = VariableReplacer::Default();
+  std::vector<std::string_view> fused;
+  TokenizeReplacedInto(raw, mixed_buf, &fused);
+  std::string replaced;
+  replacer.ReplaceInto(raw, &replaced);
+  std::vector<std::string_view> two_pass;
+  TokenizeDefaultInto(replaced, &two_pass);
+  // Compared after the call: every view must still be valid.
+  ASSERT_EQ(fused.size(), two_pass.size()) << raw;
+  for (size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_EQ(fused[i], two_pass[i]) << raw << " token " << i;
+  }
+}
+
+TEST(FusedTokenizerTest, TextsMatchTwoPassOnEdgeCases) {
+  ASSERT_TRUE(VariableReplacer::Default().fused_fast_path());
+  const char* cases[] = {
+      "",
+      "10.0.0.1",
+      // Mixed tokens: literal text around replaced variables, several
+      // per line so the buffer holds more than one at once.
+      "id=req10.0.0.1x peer=host-10.0.0.2:8080 at 2024-01-02T03:04:05",
+      "mixed-1a2b3c4d5e6f7a8b9c0d1a2b3c4d5e6f token  double  space",
+      "x0xdeadbeef 0xdeadbeef-tail pre_12:30:45_post",
+      // "://" between a scheme and a replaced host.
+      "GET http://10.1.2.3:80/index.html?user=7 HTTP/1.1",
+      "ftp://host/a://b",
+      // Escaped quotes around variables.
+      "say \\\"10.0.0.1\\\" and \\'0xff\\' done",
+      // Trailing and sentence-ending periods after variables.
+      "connected to 10.0.0.1.",
+      "finished at 12:30:45. Next run 3.14 stays.",
+      "uuid 123e4567-e89b-12d3-a456-426614174000.",
+  };
+  std::string mixed_buf;
+  for (const char* c : cases) ExpectFusedTextsMatchTwoPass(c, &mixed_buf);
+}
+
+TEST(FusedTokenizerTest, TextsMatchTwoPassOnLogHub2Corpora) {
+  std::string mixed_buf;
+  for (const DatasetSpec& spec : LogHub2Specs()) {
+    GenOptions opts;
+    opts.num_logs = 300;
+    opts.num_templates = spec.loghub2_templates;
+    opts.include_preamble = true;
+    opts.seed_salt = 2;
+    for (const auto& log : DatasetGenerator(spec).Generate(opts).logs) {
+      ExpectFusedTextsMatchTwoPass(log.text, &mixed_buf);
+    }
   }
 }
 
