@@ -349,12 +349,10 @@ BENCHMARK(BM_TopicIngestAsyncRetrain)->Arg(0)->Arg(1);
 
 // Sharded batch ingest on an adopt-heavy workload: every 32nd record is
 // a novel shape the trained model misses (the rest are duplicates of it
-// with different variable values), so the exclusive adopt/append section
-// dominates. Arg = num_ingest_shards; 1 is the plain path (adoption
-// under the exclusive lock invalidates the batch's prematch, so the
-// tail re-matches serially), >1 routes shapes to shards by content hash
-// — duplicates colocate and collapse into one match/adopt per shape —
-// and folds the shard-local temporaries once per batch.
+// with different variable values). Arg = num_ingest_shards: shapes are
+// routed to shards by content hash — duplicates colocate and collapse
+// into one match/adopt per shape — and the shard-local temporaries are
+// folded once per batch.
 void BM_TopicIngestSharded(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   constexpr size_t kBatch = 256;

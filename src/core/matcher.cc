@@ -232,23 +232,31 @@ TemplateId TemplateMatcher::MatchIds(const std::vector<uint32_t>& ids,
   }
 }
 
-TemplateId TemplateMatcher::Match(std::string_view raw_log,
-                                  MatchScratch* scratch) const {
+uint64_t TemplateMatcher::Tokenize(std::string_view raw_log,
+                                   MatchScratch* scratch) const {
   scratch->ids.clear();
   if (replacer_->fused_fast_path()) {
     // One pass over the raw text: replace + tokenize + hash + intern
     // lookup, with no replaced-text copy.
-    TokenizeReplacedIdsInto(raw_log, *table_, &scratch->replaced,
-                            &scratch->ids);
-  } else {
-    replacer_->ReplaceInto(raw_log, &scratch->replaced);
-    scratch->tokens.clear();
-    TokenizeDefaultInto(scratch->replaced, &scratch->tokens);
-    scratch->ids.reserve(scratch->tokens.size());
-    for (std::string_view tok : scratch->tokens) {
-      scratch->ids.push_back(table_->Lookup(tok));
-    }
+    return TokenizeReplacedIdsInto(raw_log, *table_, &scratch->replaced,
+                                   &scratch->ids);
   }
+  replacer_->ReplaceInto(raw_log, &scratch->replaced);
+  scratch->tokens.clear();
+  TokenizeDefaultInto(scratch->replaced, &scratch->tokens);
+  scratch->ids.reserve(scratch->tokens.size());
+  uint64_t shape = kTokenSeqFastSeed;
+  for (std::string_view tok : scratch->tokens) {
+    const uint64_t hash = TokenTable::HashOf(tok);
+    scratch->ids.push_back(table_->LookupHashed(hash, tok));
+    shape = CombineTokenHashFast(shape, hash);
+  }
+  return shape;
+}
+
+TemplateId TemplateMatcher::Match(std::string_view raw_log,
+                                  MatchScratch* scratch) const {
+  Tokenize(raw_log, scratch);
   return MatchIds(scratch->ids, scratch);
 }
 
@@ -268,7 +276,9 @@ std::vector<TemplateId> MatchAllImpl(const TemplateMatcher& matcher,
   ParallelForShards(raw_logs.size(),
                     static_cast<size_t>(std::max(1, num_threads)),
                     [&](size_t begin, size_t end) {
-                      TemplateMatcher::MatchScratch scratch;
+                      // Per-thread, like Match(): a short batch must not
+                      // pay the scratch's allocations on every call.
+                      thread_local TemplateMatcher::MatchScratch scratch;
                       for (size_t i = begin; i < end; ++i) {
                         out[i] = matcher.Match(raw_logs[i], &scratch);
                       }

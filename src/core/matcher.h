@@ -76,6 +76,16 @@ class TemplateMatcher {
   /// the calling thread.
   TemplateId Match(std::string_view raw_log, MatchScratch* scratch) const;
 
+  /// Match in two halves, for a caller that keys on a log's shape
+  /// before matching it: Tokenize leaves the log's token ids in
+  /// scratch->ids and returns the content hash of its replaced token
+  /// sequence (equal sequences hash equal under any model; the fused
+  /// and two-pass scans agree bit for bit), and MatchIds matches those
+  /// ids. Match == Tokenize then MatchIds. Locking: as Match.
+  uint64_t Tokenize(std::string_view raw_log, MatchScratch* scratch) const;
+  TemplateId MatchIds(const std::vector<uint32_t>& ids,
+                      MatchScratch* scratch) const;
+
   /// Match a batch across `num_threads` processing queues (§3 "the system
   /// distributes matching tasks across multiple processing queues").
   /// Locking: as Match; spawns shard tasks on the shared process pool but
@@ -145,8 +155,6 @@ class TemplateMatcher {
                          const std::vector<uint32_t>& ids,
                          std::vector<const std::vector<uint32_t>*>* lists) const;
   bool Matches(const Entry& e, const std::vector<uint32_t>& ids) const;
-  TemplateId MatchIds(const std::vector<uint32_t>& ids,
-                      MatchScratch* scratch) const;
 
   std::vector<Entry> entries_;
   // Indexed by token count; null where no template has that length.

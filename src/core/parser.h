@@ -97,6 +97,11 @@ class ByteBrainParser {
   /// Most precise matching template, or kInvalidTemplateId.
   TemplateId Match(std::string_view log) const;
 
+  /// The live matcher (null before the first training), for callers
+  /// that split a match into TemplateMatcher::Tokenize + MatchIds.
+  /// Valid, and safe to match with, under the same exclusion as Match.
+  const TemplateMatcher* matcher() const { return matcher_.get(); }
+
   /// Matches a batch across N queues (paper's online parallelism). The
   /// view overload serves callers whose logs live in borrowed buffers
   /// (mmap'd training windows, wire-request payloads).

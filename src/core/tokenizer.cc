@@ -200,35 +200,29 @@ void ScanReplacedTokens(std::string_view raw, std::string* mixed_buf,
   finish(n);
 }
 
-void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
-                             std::string* mixed_buf,
-                             std::vector<uint32_t>* ids) {
+uint64_t TokenizeReplacedIdsInto(std::string_view raw,
+                                 const TokenTable& table,
+                                 std::string* mixed_buf,
+                                 std::vector<uint32_t>* ids) {
+  uint64_t shape = kTokenSeqFastSeed;
   ScanReplacedTokens(raw, mixed_buf, [&](std::string_view text) {
+    const uint64_t hash = TokenTable::HashOf(text);
     // A lone replaced variable is the most common token shape; its id is
     // pinned to kWildcardId, no table probe needed.
     if (text.size() == 1 && text[0] == '*') {
       ids->push_back(TokenTable::kWildcardId);
     } else {
-      ids->push_back(table.Lookup(text));
+      ids->push_back(table.LookupHashed(hash, text));
     }
+    shape = CombineTokenHashFast(shape, hash);
   });
+  return shape;
 }
 
 void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
                           std::vector<std::string_view>* out) {
   ScanReplacedTokens(raw, mixed_buf,
                      [out](std::string_view text) { out->push_back(text); });
-}
-
-uint64_t HashReplacedTokens(std::string_view raw, std::string* mixed_buf) {
-  // Order-sensitive fold of the per-token fast hashes. These values
-  // only ever meet other HashReplacedTokens values (routing/dedup
-  // keys), so the cheap combine is fine.
-  uint64_t h = kTokenSeqFastSeed;
-  ScanReplacedTokens(raw, mixed_buf, [&h](std::string_view text) {
-    h = CombineTokenHashFast(h, text);
-  });
-  return h;
 }
 
 Result<RegexTokenizer> RegexTokenizer::Create(

@@ -46,12 +46,15 @@ class TokenTable;
 /// in a single pass over `raw` — no replaced-text copy is materialized
 /// and each token is hashed and looked up once, at its end. Appends
 /// one interned id (TokenTable::kUnknownId for never-seen tokens) per
-/// token to `*ids`. `mixed_buf` is caller-owned scratch for the tokens
-/// that contain a replaced variable.
+/// token to `*ids`, and returns the content hash of the token sequence
+/// (kTokenSeqFastSeed folded with CombineTokenHashFast over each
+/// token's TokenTable::HashOf). `mixed_buf` is caller-owned scratch for
+/// the tokens that contain a replaced variable.
 /// Only valid when the replacer reports fused_fast_path().
-void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
-                             std::string* mixed_buf,
-                             std::vector<uint32_t>* ids);
+uint64_t TokenizeReplacedIdsInto(std::string_view raw,
+                                 const TokenTable& table,
+                                 std::string* mixed_buf,
+                                 std::vector<uint32_t>* ids);
 
 /// Same fused scan, materializing the token texts: appends to `*out`
 /// exactly the tokens TokenizeDefaultInto would find in
@@ -62,14 +65,6 @@ void TokenizeReplacedIdsInto(std::string_view raw, const TokenTable& table,
 /// TokenizeReplacedIdsInto: the replacer must report fused_fast_path().
 void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
                           std::vector<std::string_view>* out);
-
-/// Same fused scan, reduced to a 64-bit hash of the replaced token
-/// sequence (an order-sensitive fold of HashBytesFast per token): the
-/// content key the sharded ingest path deduplicates and routes on.
-/// Equals hashing the tokens of ReplaceInto + TokenizeDefaultInto, but
-/// in one pass with no intermediate strings. Same precondition as
-/// TokenizeReplacedIdsInto: the replacer must report fused_fast_path().
-uint64_t HashReplacedTokens(std::string_view raw, std::string* mixed_buf);
 
 /// Tokenizer driven by a user-supplied delimiter regex: every match of
 /// `delimiter` is a separator. Used for tenant-specific tokenization

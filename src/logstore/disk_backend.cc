@@ -97,7 +97,7 @@ SegmentedDiskBackend::SealedSegment::~SealedSegment() {
 /// The off-lock sealed snapshot: shares ownership of the sealed set and
 /// pins each segment it reads for its own lifetime, so the text
 /// string_views it hands out stay valid regardless of what the backend
-/// (Clear, further seals) or the cache (eviction pressure from other
+/// (further seals) or the cache (eviction pressure from other
 /// topics) does after the snapshot.
 class SegmentedDiskBackend::View : public SealedRecordView {
  public:
@@ -1198,42 +1198,6 @@ Status SegmentedDiskBackend::AssignTemplates(
     dirty_tids_.push_back(idx);
   }
   return Status::OK();
-}
-
-Status SegmentedDiskBackend::Clear() {
-  CloseActiveFile();
-  const uint64_t total_segments = active_index_ + 1;
-  // Outstanding views keep their segments alive (open fds + pinned or
-  // re-pinnable cache entries) via the shared set; the directory
-  // entries can go away underneath them (POSIX keeps the bytes of an
-  // open-or-mapped unlinked file reachable).
-  sealed_ = std::make_shared<SealedSet>();
-  sealed_first_seqs_.clear();
-  sealed_records_ = 0;
-  std::vector<LogRecord>().swap(active_);
-  std::string().swap(write_buffer_);
-  active_offsets_.clear();
-  active_bytes_ = 0;
-  active_checksum_fold_ = kSegmentChecksumSeed;
-  dirty_tids_.clear();
-  text_bytes_ = 0;
-  metadata_.clear();
-  io_error_ = Status::OK();  // new files: the old failure no longer applies
-  for (uint64_t i = 0; i < total_segments; ++i) {
-    std::remove(SegmentPath(i).c_str());
-    std::remove(SegmentIndexPath(config_.directory, i).c_str());
-  }
-  active_index_ = 0;
-  wal_scratch_.clear();
-  wal_replayed_ = 0;
-  if (wal_ != nullptr) {
-    // Fresh store, fresh log: the rotation deletes the old file,
-    // restarts at index 0 / sequence 0, and clears the WAL's sticky
-    // error along with ours.
-    BB_RETURN_IF_ERROR(wal_->Rotate(0, 0));
-  }
-  BB_RETURN_IF_ERROR(WriteManifest());
-  return OpenActiveFile();
 }
 
 Status SegmentedDiskBackend::Checkpoint(std::string_view metadata) {

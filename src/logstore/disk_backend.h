@@ -98,7 +98,6 @@ class SegmentedDiskBackend : public StorageBackend {
   Status VerifySealedSegment(uint64_t segment_index, uint64_t expect_records,
                              uint64_t expect_checksum) const override;
   Status SealActive() override;
-  Status Clear() override;
   Status Flush() override;
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return metadata_; }
@@ -123,8 +122,8 @@ class SegmentedDiskBackend : public StorageBackend {
   /// (`postings`, `index_dirty` — mutated only under the topic lock;
   /// off-lock readers never touch either). The record bytes are mapped
   /// on demand through `entry` (segment_cache.h); the struct is shared
-  /// by the backend and every outstanding SealedRecordView, so Clear()
-  /// cannot retire the file under a concurrent training scan.
+  /// by the backend and every outstanding SealedRecordView, so the
+  /// backend cannot retire the file under a concurrent training scan.
   struct SealedSegment {
     ~SealedSegment();
     uint64_t first_seq = 0;

@@ -138,7 +138,6 @@ class FaultInjectingBackend : public StorageBackend {
       const std::function<void(uint64_t, TemplateId)>& fn) const override {
     return inner_->ScanTemplates(begin, end, ids, fn);
   }
-  Status Clear() override { return inner_->Clear(); }
   Status Flush() override;
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return inner_->metadata(); }

@@ -1,101 +1,8 @@
 #include "logstore/log_topic.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-
-#include "util/hashing.h"
 
 namespace bytebrain {
-
-namespace {
-
-// Single-file snapshot format (PersistTo/RecoverFrom), unchanged from
-// the pre-backend LogTopic. Layout per file:
-//   magic(8) count(8) { ts(8) tid(8) len(4) bytes(len) }* checksum(8)
-// The checksum is a running HashCombine over record hashes; cheap and
-// catches truncation/corruption for recovery.
-constexpr uint64_t kTopicMagic = 0x42425442'544f5049ULL;  // "BBTBTOPI"
-constexpr uint64_t kMetaMagic = 0x4242544d'45544131ULL;   // "BBTMETA1"
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutDouble(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    std::memcpy(v, data_ + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool ReadDouble(double* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool ReadBytes(std::string* out, size_t len) {
-    if (pos_ + len > size_) return false;
-    out->assign(data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-Status WriteFile(const std::string& path, const std::string& payload) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open for write: " + path);
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  const int closed = std::fclose(f);
-  if (written != payload.size() || closed != 0) {
-    return Status::IOError("short write: " + path);
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadFileFully(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open for read: " + path);
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
-}  // namespace
 
 LogTopic::LogTopic(std::string name, size_t segment_capacity)
     : name_(std::move(name)),
@@ -145,9 +52,9 @@ Status LogTopic::WaitDurable() {
   StorageBackend* store;
   {
     // store_ never changes after construction (the memory fallback is
-    // installed in the constructor; RecoverFrom clears, not replaces),
-    // so the pointer can be used after mu_ is released — which it MUST
-    // be: the wait below may block on the WAL's group-commit fsync.
+    // installed in the constructor), so the pointer can be used after
+    // mu_ is released — which it MUST be: the wait below may block on
+    // the WAL's group-commit fsync.
     std::lock_guard<std::mutex> lock(mu_);
     store = store_.get();
   }
@@ -355,66 +262,6 @@ uint64_t LogTopic::wal_replayed_records() const {
   return store_->wal_replayed_records();
 }
 
-Status LogTopic::PersistTo(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string payload;
-  PutU64(&payload, kTopicMagic);
-  PutU64(&payload, store_->size());
-  uint64_t checksum = kTopicMagic;
-  BB_RETURN_IF_ERROR(store_->Scan(
-      0, store_->size(), [&payload, &checksum](uint64_t, const LogRecord& rec) {
-        PutU64(&payload, rec.timestamp_us);
-        PutU64(&payload, rec.template_id);
-        PutU32(&payload, static_cast<uint32_t>(rec.text.size()));
-        payload.append(rec.text);
-        checksum = HashCombine(checksum, HashToken(rec.text) ^
-                                             Mix64(rec.timestamp_us) ^
-                                             rec.template_id);
-      }));
-  PutU64(&payload, checksum);
-  return WriteFile(path, payload);
-}
-
-Status LogTopic::RecoverFrom(const std::string& path) {
-  auto data = ReadFileFully(path);
-  if (!data.ok()) return data.status();
-  Reader reader(data->data(), data->size());
-  uint64_t magic = 0;
-  uint64_t count = 0;
-  if (!reader.ReadU64(&magic) || magic != kTopicMagic) {
-    return Status::Corruption("bad topic magic in " + path);
-  }
-  if (!reader.ReadU64(&count)) return Status::Corruption("truncated header");
-  std::vector<LogRecord> records;
-  records.reserve(count);
-  uint64_t checksum = kTopicMagic;
-  for (uint64_t i = 0; i < count; ++i) {
-    LogRecord rec;
-    uint32_t len = 0;
-    if (!reader.ReadU64(&rec.timestamp_us) ||
-        !reader.ReadU64(&rec.template_id) || !reader.ReadU32(&len) ||
-        !reader.ReadBytes(&rec.text, len)) {
-      return Status::Corruption("truncated record in " + path);
-    }
-    checksum = HashCombine(checksum, HashToken(rec.text) ^
-                                         Mix64(rec.timestamp_us) ^
-                                         rec.template_id);
-    records.push_back(std::move(rec));
-  }
-  uint64_t stored = 0;
-  if (!reader.ReadU64(&stored) || stored != checksum) {
-    return Status::Corruption("checksum mismatch in " + path);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  BB_RETURN_IF_ERROR(store_->Clear());
-  // One fail-soft batch: even on a disk error every record lands in
-  // the backend's memory mirror (the old contents are already gone —
-  // a partial load would be strictly worse than a non-durable one).
-  const Status appended = store_->AppendBatch(std::move(records));
-  if (!appended.ok() && storage_status_.ok()) storage_status_ = appended;
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // InternalTopic
 // ---------------------------------------------------------------------------
@@ -471,60 +318,6 @@ std::vector<TemplateMeta> InternalTopic::All() const {
 size_t InternalTopic::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-Status InternalTopic::PersistTo(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string payload;
-  PutU64(&payload, kMetaMagic);
-  PutU64(&payload, entries_.size());
-  uint64_t checksum = kMetaMagic;
-  for (const TemplateMeta& m : entries_) {
-    PutU64(&payload, m.id);
-    PutU64(&payload, m.parent_id);
-    PutDouble(&payload, m.saturation);
-    PutU64(&payload, m.support);
-    PutU32(&payload, static_cast<uint32_t>(m.template_text.size()));
-    payload.append(m.template_text);
-    checksum = HashCombine(checksum, HashToken(m.template_text) ^ m.id);
-  }
-  PutU64(&payload, checksum);
-  return WriteFile(path, payload);
-}
-
-Status InternalTopic::RecoverFrom(const std::string& path) {
-  auto data = ReadFileFully(path);
-  if (!data.ok()) return data.status();
-  Reader reader(data->data(), data->size());
-  uint64_t magic = 0;
-  uint64_t count = 0;
-  if (!reader.ReadU64(&magic) || magic != kMetaMagic) {
-    return Status::Corruption("bad internal-topic magic in " + path);
-  }
-  if (!reader.ReadU64(&count)) return Status::Corruption("truncated header");
-  std::vector<TemplateMeta> entries;
-  entries.reserve(count);
-  uint64_t checksum = kMetaMagic;
-  for (uint64_t i = 0; i < count; ++i) {
-    TemplateMeta m;
-    uint32_t len = 0;
-    if (!reader.ReadU64(&m.id) || !reader.ReadU64(&m.parent_id) ||
-        !reader.ReadDouble(&m.saturation) || !reader.ReadU64(&m.support) ||
-        !reader.ReadU32(&len) || !reader.ReadBytes(&m.template_text, len)) {
-      return Status::Corruption("truncated entry in " + path);
-    }
-    checksum = HashCombine(checksum, HashToken(m.template_text) ^ m.id);
-    entries.push_back(std::move(m));
-  }
-  uint64_t stored = 0;
-  if (!reader.ReadU64(&stored) || stored != checksum) {
-    return Status::Corruption("checksum mismatch in " + path);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_ = std::move(entries);
-  index_.clear();
-  for (size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].id] = i;
-  return Status::OK();
 }
 
 }  // namespace bytebrain

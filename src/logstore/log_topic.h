@@ -4,9 +4,7 @@
 // arrival order, indexed by sequence number, and never mutated (paper §3).
 // Record bytes live in a pluggable StorageBackend — in-memory segments
 // by default, or checksummed on-disk segment files with mmap'd sealed
-// scans and crash recovery (StorageConfig::Kind::kSegmentedDisk); either
-// way a topic can additionally be persisted to / recovered from a
-// single-file snapshot (PersistTo/RecoverFrom).
+// scans and crash recovery (StorageConfig::Kind::kSegmentedDisk).
 #pragma once
 
 #include <cstdint>
@@ -174,14 +172,6 @@ class LogTopic {
   uint64_t wal_fsyncs() const;
   uint64_t wal_replayed_records() const;
 
-  /// Serializes all records to `path` (binary, checksummed) — a
-  /// single-file snapshot independent of the backend.
-  Status PersistTo(const std::string& path) const;
-
-  /// Loads records from `path`, replacing current contents (and, for a
-  /// persistent backend, its on-disk state).
-  Status RecoverFrom(const std::string& path);
-
  private:
   std::string name_;
   std::unique_ptr<StorageBackend> store_;
@@ -208,9 +198,6 @@ class InternalTopic {
   std::vector<TemplateMeta> All() const;
 
   size_t size() const;
-
-  Status PersistTo(const std::string& path) const;
-  Status RecoverFrom(const std::string& path);
 
  private:
   std::vector<TemplateMeta> entries_;

@@ -203,14 +203,6 @@ Status MemoryBackend::ScanTemplates(
   return Status::OK();
 }
 
-Status MemoryBackend::Clear() {
-  segments_.clear();
-  count_ = 0;
-  text_bytes_ = 0;
-  metadata_.clear();
-  return Status::OK();
-}
-
 Status MemoryBackend::Checkpoint(std::string_view metadata) {
   metadata_.assign(metadata);
   return Status::OK();

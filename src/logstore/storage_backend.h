@@ -268,10 +268,6 @@ class StorageBackend {
     return Status::NotSupported("backend does not support explicit seals");
   }
 
-  /// Drops every record (and any persisted state) — the bulk-import
-  /// path of LogTopic::RecoverFrom.
-  virtual Status Clear() = 0;
-
   /// Pushes buffered appends to durable storage (disk: flush + fsync of
   /// the active segment). No-op for volatile backends.
   virtual Status Flush() = 0;
@@ -350,7 +346,6 @@ class MemoryBackend : public StorageBackend {
   Status ScanTemplates(
       uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
       const std::function<void(uint64_t, TemplateId)>& fn) const override;
-  Status Clear() override;
   Status Flush() override { return Status::OK(); }
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return metadata_; }

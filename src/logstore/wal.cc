@@ -204,9 +204,9 @@ Status WriteAheadLog::Rotate(uint64_t new_index, uint64_t new_base_seq) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_idle_.wait(lock, [&] { return !syncing_; });
   // Everything appended so far is durable through the sealed segment's
-  // own fsync (or discarded by Clear): release every waiter, then swap
-  // files. The monotone counters are NOT reset — a waiter parked on a
-  // pre-rotation target must see synced_ pass it, never restart below.
+  // own fsync: release every waiter, then swap files. The monotone
+  // counters are NOT reset — a waiter parked on a pre-rotation target
+  // must see synced_ pass it, never restart below.
   synced_ = appended_;
   cv_synced_.notify_all();
   if (fd_ >= 0) {
@@ -216,9 +216,8 @@ Status WriteAheadLog::Rotate(uint64_t new_index, uint64_t new_base_seq) {
   std::remove(PathFor(file_index_).c_str());
   file_index_ = new_index;
   file_bytes_ = 0;
-  // Rotation is only reached from a healthy seal or a full Clear();
-  // both start a fresh file, so the old sticky failure (if any —
-  // Clear's case) no longer applies.
+  // Rotation is only reached from a healthy seal, which starts a fresh
+  // file, so an old sticky failure no longer applies.
   error_ = Status::OK();
   return CreateFileLocked(new_base_seq);
 }

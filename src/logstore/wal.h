@@ -41,8 +41,7 @@
 // error — the owning backend degrades exactly like its segment append
 // path (fail-soft: acks continue from memory, TopicStats::storage_ok
 // flips false). Rotate() clears the sticky error: it is only reached
-// from a healthy seal or a full Clear(), both of which start a fresh
-// file.
+// from a healthy seal, which starts a fresh file.
 #pragma once
 
 #include <condition_variable>
@@ -90,10 +89,10 @@ class WriteAheadLog {
   /// modes: immediate OK.
   Status WaitDurable();
 
-  /// Checkpoint-on-seal (and Clear): everything logged so far is
-  /// durable in the sealed segment, so waiters are released, the old
-  /// file is deleted, and an empty wal-`new_index`.log begins. Clears
-  /// the sticky error (see the header comment).
+  /// Checkpoint-on-seal: everything logged so far is durable in the
+  /// sealed segment, so waiters are released, the old file is deleted,
+  /// and an empty wal-`new_index`.log begins. Clears the sticky error
+  /// (see the header comment).
   Status Rotate(uint64_t new_index, uint64_t new_base_seq);
 
   /// Observability (TopicStats::wal_*). group_commits counts durable

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <numeric>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -92,17 +93,16 @@ ManagedTopic::ManagedTopic(std::string name, TopicConfig config)
   for (int i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<IngestShard>());
   }
-  shard_count_.store(shards_.size(), std::memory_order_relaxed);
   for (const auto& [rule_name, pattern] : config_.variable_rules) {
     // Invalid tenant rules are skipped rather than poisoning the topic;
     // the compile error is surfaced through the parser's API when added
     // explicitly.
     (void)parser_.AddVariableRule(rule_name, pattern);
   }
-  if (topic_.size() > 0) RecoverFromStorage();
+  if (topic_.size() > 0) RestoreFromStorage();
 }
 
-void ManagedTopic::RecoverFromStorage() {
+void ManagedTopic::RestoreFromStorage() {
   // Volume stats are derivable from the recovered store; cycle counters
   // (trainings, adoption counts, ...) restart at zero — they describe
   // this process's lifetime.
@@ -189,404 +189,331 @@ ManagedTopic::~ManagedTopic() {
 
 Result<uint64_t> ManagedTopic::Ingest(std::string text,
                                       uint64_t timestamp_us) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto result =
-      IngestOneLocked(std::move(text), timestamp_us, kInvalidTemplateId);
-  lock.unlock();
-  // Group-commit durability wait, deliberately off-lock (the WAL commit
-  // thread coalesces concurrent waiters into one fsync; holding mu_
-  // here would serialize them). A failure went sticky into
-  // storage_status() inside WaitDurable — the ack still stands
-  // (fail-soft, same as an append IO error), so the result is ignored.
-  (void)topic_.WaitDurable();
-  MaybeFlushStorageCheckpoint();
-  return result;
-}
-
-Result<uint64_t> ManagedTopic::IngestOneLocked(std::string text,
-                                               uint64_t timestamp_us,
-                                               TemplateId prematched) {
-  LogRecord record;
-  record.timestamp_us = timestamp_us;
-  record.text = std::move(text);
-
-  // Online matching happens before the record lands so the template id
-  // is indexed together with the text (§3 "Online Matching"). A single
-  // MatchOrAdopt reports adoption directly — the old probe-then-adopt
-  // dance matched every record up to three times.
-  if (trained_) {
-    bool adopted = false;
-    if (prematched != kInvalidTemplateId) {
-      record.template_id = prematched;
-    } else {
-      record.template_id = parser_.MatchOrAdopt(record.text, &adopted);
-    }
-    ++stats_.matched_online;
-    if (adopted) {
-      // An adopted template (saturation 1.0) can shadow lower-saturation
-      // matches for later logs; ids prematched before it existed are no
-      // longer authoritative.
-      ++model_generation_;
-      PublishAdoptedLocked(record.template_id);
-    }
-  }
-
-  bytes_since_training_ += record.text.size();
-  ++records_since_training_;
-  stats_.ingested_bytes += record.text.size();
-  ++stats_.ingested_records;
-  const uint64_t seq = topic_.Append(std::move(record));
-
-  BB_RETURN_IF_ERROR(MaybeTrainLocked());
-  return seq;
+  return IngestPipeline(std::span<std::string>(&text, 1),
+                        std::span<const uint64_t>(&timestamp_us, 1));
 }
 
 namespace {
-// Materializes one batch text into an owned record string: owned
-// strings MOVE (the pre-view behaviour, no extra copy), borrowed views
-// copy exactly once — the only materialization the view ingest path
-// pays.
-std::string TakeText(std::string& text) { return std::move(text); }
-std::string TakeText(std::string_view text) { return std::string(text); }
+// The sequence numbers of `count` records appended from `first` on.
+Result<std::vector<uint64_t>> BatchSeqs(const Result<uint64_t>& first,
+                                        size_t count) {
+  BB_RETURN_IF_ERROR(first.status());
+  std::vector<uint64_t> seqs(count);
+  std::iota(seqs.begin(), seqs.end(), first.value());
+  return seqs;
+}
 }  // namespace
 
 Result<std::vector<uint64_t>> ManagedTopic::IngestBatch(
     std::vector<std::string> texts,
     const std::vector<uint64_t>& timestamps_us) {
-  if (!timestamps_us.empty() && timestamps_us.size() != texts.size()) {
-    return Status::InvalidArgument(
-        "timestamps_us must be empty or match texts in size");
-  }
-  if (texts.empty()) return std::vector<uint64_t>();
-  // Path choice off the atomic mirror: shards_ itself may be resized
-  // by a concurrent UpdateConfig and is only readable under mu_.
-  if (shard_count_.load(std::memory_order_relaxed) > 1) {
-    return IngestBatchSharded(std::move(texts), timestamps_us);
-  }
-  return IngestBatchUnsharded(std::move(texts), timestamps_us);
+  return BatchSeqs(IngestPipeline(std::span<std::string>(texts),
+                                  std::span<const uint64_t>(timestamps_us)),
+                   texts.size());
 }
 
 Result<std::vector<uint64_t>> ManagedTopic::IngestBatch(
     const std::vector<std::string_view>& texts,
     const std::vector<uint64_t>& timestamps_us) {
+  return BatchSeqs(IngestPipeline(std::span<const std::string_view>(texts),
+                                  std::span<const uint64_t>(timestamps_us)),
+                   texts.size());
+}
+
+namespace {
+// Materializes one batch text into an owned record string: owned
+// strings MOVE (no extra copy), borrowed views copy exactly once — the
+// only materialization the view ingest path pays.
+std::string TakeText(std::string& text) { return std::move(text); }
+std::string TakeText(std::string_view text) { return std::string(text); }
+}  // namespace
+
+template <typename Text>
+Result<uint64_t> ManagedTopic::IngestPipeline(
+    std::span<Text> texts, std::span<const uint64_t> timestamps_us) {
   if (!timestamps_us.empty() && timestamps_us.size() != texts.size()) {
     return Status::InvalidArgument(
         "timestamps_us must be empty or match texts in size");
   }
-  if (texts.empty()) return std::vector<uint64_t>();
-  if (shard_count_.load(std::memory_order_relaxed) > 1) {
-    return IngestBatchSharded(texts, timestamps_us);
-  }
-  return IngestBatchUnsharded(texts, timestamps_us);
-}
+  if (texts.empty()) return uint64_t{0};
 
-template <typename TextVec>
-Result<std::vector<uint64_t>> ManagedTopic::IngestBatchUnsharded(
-    TextVec texts, const std::vector<uint64_t>& timestamps_us) {
-  std::vector<uint64_t> seqs;
-  seqs.reserve(texts.size());
-
-  // Phase 1 (shared lock): shard-parallel matching against the current
-  // model. Queries and other batches' match phases proceed concurrently;
-  // only the adoption/append section below excludes them.
-  std::vector<TemplateId> prematched;
-  uint64_t generation = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    generation = model_generation_;
-    if (trained_) {
-      prematched = parser_.MatchAll(texts, config_.num_threads);
-    }
-  }
-
-  // Phase 2 (exclusive lock): adopt misses, append, count, train.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Prematched ids are only valid while the model that produced them is
-  // current: any training cycle or adoption — by this batch, a
-  // concurrent Ingest, or a concurrent batch — bumps model_generation_
-  // and can shadow lower-saturation matches. Affected records fall back
-  // to matching under the lock, keeping results identical to a
-  // sequential Ingest loop.
-  for (size_t i = 0; i < texts.size(); ++i) {
-    const bool prematch_valid =
-        !prematched.empty() && generation == model_generation_;
-    const TemplateId hint =
-        prematch_valid ? prematched[i] : kInvalidTemplateId;
-    auto seq = IngestOneLocked(TakeText(texts[i]),
-                               timestamps_us.empty() ? 0 : timestamps_us[i],
-                               hint);
-    BB_RETURN_IF_ERROR(seq.status());
-    seqs.push_back(seq.value());
-  }
-  lock.unlock();
-  // Off-lock group-commit wait: one amortized fsync covers this batch
-  // (and any concurrent ones). Failure degrades sticky, never fails the
-  // batch — see Ingest.
-  (void)topic_.WaitDurable();
-  MaybeFlushStorageCheckpoint();
-  return seqs;
-}
-
-template <typename TextVec>
-Result<std::vector<uint64_t>> ManagedTopic::IngestBatchSharded(
-    TextVec texts, const std::vector<uint64_t>& timestamps_us) {
-  // Resolved under the shared lock below: a live reshard (UpdateConfig)
-  // holds the exclusive lock to swap shards_, so the size read here and
-  // every shards_[i] touched by this batch's shard phase are from ONE
-  // consistent shard set. The later exclusive section revalidates via
-  // the generation (a reshard bumps it) before touching shard state.
-  size_t num_shards = 0;
-
-  // Batch-local dedup groups, one per distinct replaced token sequence.
-  // Grouping is what the content-hash routing buys: duplicates colocate,
-  // so every distinct shape is matched once per batch, not once per
-  // record — and a shard adopts each novel shape exactly once.
-  struct Group {
-    uint32_t rep = 0;       // index of the representative record
-    uint32_t members = 0;   // records sharing this shape
-    uint64_t bytes = 0;     // raw bytes routed (shard counter)
-    uint32_t shard = 0;
-    uint64_t hash = 0;      // content hash (dedup + routing + memo key)
-    TemplateId resolved = kInvalidTemplateId;  // shared-model id
-    TemplateId local = kInvalidTemplateId;     // shard-pending id
-  };
-  std::vector<Group> groups;
-  std::vector<uint32_t> record_group(texts.size(), 0);
+  std::vector<BatchGroup> groups;
+  std::vector<uint32_t> record_group;
   uint64_t gen0 = 0;
-
   {
+    // Shared phase: dedup, route, and resolve every distinct shape
+    // concurrently with queries and other batches' shared phases. A live
+    // reshard (UpdateConfig) holds the exclusive lock to swap shards_, so
+    // the size read here and every shards_[i] touched below are from ONE
+    // consistent shard set; the exclusive section revalidates via the
+    // generation (a reshard bumps it) before touching shard state.
     std::shared_lock<std::shared_mutex> lock(mu_);
-    if (!trained_) {
-      // No model to route against yet; the bootstrap window takes the
-      // plain path (which also runs the initial training at its exact
-      // sequential trigger point).
-      lock.unlock();
-      return IngestBatchUnsharded(std::move(texts), timestamps_us);
-    }
     gen0 = model_generation_;
-    num_shards = shards_.size();
-
-    // -- Dedup level 1: collapse byte-identical records on a raw-bytes
-    // fast hash (an order of magnitude cheaper than any scan; exact
-    // duplicate lines are the dominant redundancy in real streams —
-    // the paper's Fig. 4). Records with equal 64-bit hashes are treated
-    // as identical — the same trust the training path places in hashes
-    // when it deduplicates the window (paper Eq. 1; util/hashing.h).
-    struct RawGroup {
-      uint32_t rep = 0;       // first record with this raw text
-      uint32_t members = 0;
-      uint64_t bytes = 0;
-      uint32_t group = 0;     // content-group index, filled below
-    };
-    std::vector<RawGroup> raw_groups;
-    std::vector<uint32_t> record_raw(texts.size(), 0);
-    {
-      std::unordered_map<uint64_t, uint32_t> by_raw;
-      by_raw.reserve(texts.size());
-      for (uint32_t i = 0; i < texts.size(); ++i) {
-        const uint64_t h = HashBytesFast(texts[i]);
-        auto [it, inserted] =
-            by_raw.emplace(h, static_cast<uint32_t>(raw_groups.size()));
-        if (inserted) {
-          RawGroup rg;
-          rg.rep = i;
-          raw_groups.push_back(rg);
-        }
-        RawGroup& rg = raw_groups[it->second];
-        ++rg.members;
-        rg.bytes += texts[i].size();
-        record_raw[i] = it->second;
-      }
+    // No model to route against yet: the exclusive section appends the
+    // batch unassigned and the trigger check below bootstraps training.
+    if (trained_) {
+      GroupBatchLocked(texts, gen0, &groups, &record_group);
+      ResolveGroupsShared(texts, gen0, &groups);
     }
-
-    // -- Dedup level 2: content hash of the replaced token sequence,
-    // computed once per raw-distinct text. This is what both groups
-    // variable-value duplicates ("port 80" vs "port 443" → one shape)
-    // and routes the shape to its shard.
-    const VariableReplacer& replacer = parser_.replacer();
-    const bool fused = replacer.fused_fast_path();
-    std::vector<uint64_t> content(raw_groups.size());
-    ParallelForShards(
-        raw_groups.size(), config_.num_threads, [&](size_t begin, size_t end) {
-          std::string scratch;
-          std::vector<std::string_view> tokens;
-          for (size_t i = begin; i < end; ++i) {
-            const auto& text = texts[raw_groups[i].rep];
-            if (fused) {
-              content[i] = HashReplacedTokens(text, &scratch);
-              continue;
-            }
-            // Tenant-rule topics: same hash, two passes.
-            replacer.ReplaceInto(text, &scratch);
-            tokens.clear();
-            TokenizeDefaultInto(scratch, &tokens);
-            uint64_t h = kTokenSeqFastSeed;
-            for (std::string_view t : tokens) {
-              h = CombineTokenHashFast(h, t);
-            }
-            content[i] = h;
-          }
-        });
-
-    // -- Content groups: one per distinct shape.
-    std::unordered_map<uint64_t, uint32_t> by_hash;
-    by_hash.reserve(raw_groups.size());
-    for (uint32_t r = 0; r < raw_groups.size(); ++r) {
-      RawGroup& rg = raw_groups[r];
-      auto [it, inserted] =
-          by_hash.emplace(content[r], static_cast<uint32_t>(groups.size()));
-      if (inserted) {
-        Group g;
-        g.rep = rg.rep;
-        g.shard = static_cast<uint32_t>(content[r] % num_shards);
-        g.hash = content[r];
-        groups.push_back(g);
-      }
-      rg.group = it->second;
-      Group& g = groups[it->second];
-      g.members += rg.members;
-      g.bytes += rg.bytes;
-    }
-    for (uint32_t i = 0; i < texts.size(); ++i) {
-      record_group[i] = raw_groups[record_raw[i]].group;
-    }
-
-    // -- Shard phase: each distinct shape is resolved by its shard, in
-    // parallel, still only SHARED on mu_: the shard's cross-batch memo
-    // first (a hit stamped with the current generation skips the shared
-    // matcher entirely — repeat shapes are the steady state), then the
-    // shared-model prematch, then the shard's pending matcher, and a
-    // genuine miss adopts into the shard-local pending model. Reading
-    // model_generation_ here is safe: writes happen only under the
-    // exclusive lock.
-    std::vector<std::vector<uint32_t>> shard_worklist(num_shards);
-    for (uint32_t g = 0; g < groups.size(); ++g) {
-      shard_worklist[groups[g].shard].push_back(g);
-    }
-    ParallelForShards(
-        num_shards, config_.num_threads, [&](size_t begin, size_t end) {
-          std::string replaced_scratch;
-          std::vector<std::string_view> view_scratch;
-          for (size_t s = begin; s < end; ++s) {
-            if (shard_worklist[s].empty()) continue;
-            IngestShard& shard = *shards_[s];
-            std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-            for (uint32_t g : shard_worklist[s]) {
-              Group& group = groups[g];
-              shard.counters.records += group.members;
-              shard.counters.bytes += group.bytes;
-              const auto memo_it = shard.memo.find(group.hash);
-              if (memo_it != shard.memo.end() &&
-                  memo_it->second.gen == gen0) {
-                // The shape was resolved under THIS generation before:
-                // its verdict cannot have changed (any adoption or swap
-                // bumps the generation and stales the entry).
-                group.resolved = memo_it->second.id;
-                ++shard.counters.memo_hits;
-                continue;
-              }
-              const auto& rep = texts[group.rep];
-              group.resolved = parser_.Match(rep);
-              if (group.resolved != kInvalidTemplateId) {
-                shard.memo[group.hash] = {group.resolved, gen0};
-                ++shard.counters.matched_shared;
-                continue;
-              }
-              if (!shard.pending.empty()) {
-                if (shard.pending_matcher == nullptr) {
-                  shard.pending_matcher = std::make_unique<TemplateMatcher>(
-                      shard.pending, &parser_.replacer());
-                }
-                group.local = shard.pending_matcher->Match(rep);
-                if (group.local != kInvalidTemplateId) {
-                  ++shard.counters.matched_pending;
-                  continue;
-                }
-              }
-              // Novel shape: adopt into the shard's pending model with
-              // the exact replaced token sequence online adoption would
-              // have used (one replace+tokenize per DISTINCT shape).
-              replacer.ReplaceInto(rep, &replaced_scratch);
-              view_scratch.clear();
-              TokenizeDefaultInto(replaced_scratch, &view_scratch);
-              std::vector<std::string> tokens(view_scratch.begin(),
-                                              view_scratch.end());
-              group.local = shard.pending.AdoptTemporary(std::move(tokens));
-              if (shard.pending_matcher != nullptr) {
-                shard.pending_matcher->Insert(
-                    *shard.pending.node(group.local));
-              }
-              shard.reps.emplace_back(rep);
-              shard.gens.push_back(gen0);
-              shard.hashes.push_back(group.hash);
-              ++shard.counters.adopted;
-            }
-          }
-        });
   }
 
   // Exclusive section: fold pendings into the shared model, then append
   // every record in input order with its resolved id.
-  std::vector<uint64_t> seqs;
-  seqs.reserve(texts.size());
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // Anything that changed the model since the shared phase — a training
-  // swap, a single-record adoption, another batch's fold — invalidates
-  // the prematch verdicts AND can have dropped the pending ids (a
-  // training reset). Fold first (stale pendings re-match inside), then
-  // fall back to per-record matching under the lock, exactly like the
-  // unsharded path does on generation mismatch.
-  const bool stale = model_generation_ != gen0;
-  FoldShardPendingsLocked();
-  if (stale) {
-    for (size_t i = 0; i < texts.size(); ++i) {
-      auto seq = IngestOneLocked(TakeText(texts[i]),
-                                 timestamps_us.empty() ? 0 : timestamps_us[i],
-                                 kInvalidTemplateId);
-      BB_RETURN_IF_ERROR(seq.status());
-      seqs.push_back(seq.value());
+  if (trained_) {
+    // Anything that changed the model since the shared phase — a
+    // training swap, another batch's fold or adoption, a reshard —
+    // invalidates the prematch verdicts AND can have dropped the pending
+    // ids (a training reset). Fold first (stale pendings re-match
+    // inside), then re-resolve under the lock each group whose verdict
+    // is stale or missing (an unrouted batch of one the shared model
+    // missed): one MatchOrAdopt per distinct shape, adopting in group
+    // order exactly like online matching.
+    const bool stale = model_generation_ != gen0;
+    FoldShardPendingsLocked();
+    // The topic may have trained after the shared phase saw it
+    // untrained; the batch is grouped here then.
+    if (stale && groups.empty()) {
+      GroupBatchLocked(texts, model_generation_, &groups, &record_group);
     }
-    lock.unlock();
-    (void)topic_.WaitDurable();
-    MaybeFlushStorageCheckpoint();
-    return seqs;
+    for (BatchGroup& g : groups) {
+      if (!stale && (g.resolved != kInvalidTemplateId ||
+                     g.local != kInvalidTemplateId)) {
+        continue;
+      }
+      bool adopted = false;
+      g.resolved = parser_.MatchOrAdopt(texts[g.rep], &adopted);
+      if (adopted) {
+        // An adopted template (saturation 1.0) can shadow
+        // lower-saturation matches; ids resolved before it existed
+        // are no longer authoritative.
+        ++model_generation_;
+        PublishAdoptedLocked(g.resolved);
+      }
+    }
   }
-  // Lean append: every record already has a resolved id, so stats are
-  // bulked and the store is appended under ONE lock. The training
-  // triggers are evaluated once, after the batch — on the sharded path
-  // the batch is the unit of ingest, so the snapshot window simply lands
-  // on a batch boundary instead of mid-batch.
-  std::vector<LogRecord> records;
-  records.reserve(texts.size());
+  // Lean append: every record has its resolved id (or none, before the
+  // first training), so stats are bulked and the store is appended
+  // under ONE lock. The training triggers are evaluated once, after the
+  // batch: the batch is the unit of ingest, so a snapshot window lands
+  // on a batch boundary.
+  std::vector<LogRecord> records(texts.size());
   uint64_t batch_bytes = 0;
   for (size_t i = 0; i < texts.size(); ++i) {
-    const Group& g = groups[record_group[i]];
-    LogRecord record;
+    LogRecord& record = records[i];
     record.timestamp_us = timestamps_us.empty() ? 0 : timestamps_us[i];
     record.text = TakeText(texts[i]);
-    record.template_id = g.resolved != kInvalidTemplateId
-                             ? g.resolved
-                             : shards_[g.shard]->remap[g.local - 1];
+    if (!groups.empty()) {
+      const BatchGroup& g = groups[record_group[i]];
+      record.template_id = g.resolved != kInvalidTemplateId
+                               ? g.resolved
+                               : shards_[g.shard]->remap[g.local - 1];
+    }
     batch_bytes += record.text.size();
-    records.push_back(std::move(record));
   }
   const uint64_t first_seq = topic_.AppendBatch(std::move(records));
-  for (size_t i = 0; i < texts.size(); ++i) seqs.push_back(first_seq + i);
-  stats_.matched_online += texts.size();
+  if (trained_) stats_.matched_online += texts.size();
   stats_.ingested_records += texts.size();
   stats_.ingested_bytes += batch_bytes;
   bytes_since_training_ += batch_bytes;
   records_since_training_ += texts.size();
   BB_RETURN_IF_ERROR(MaybeTrainLocked());
   lock.unlock();
-  // Off-lock group-commit wait (see Ingest): sharded batches from
-  // concurrent callers coalesce into one WAL fsync here.
+  // Group-commit durability wait, deliberately off-lock: the WAL commit
+  // thread coalesces concurrent batches into one fsync, and holding mu_
+  // here would serialize them. A failure went sticky into
+  // storage_status() inside WaitDurable — the ack still stands
+  // (fail-soft, same as an append IO error), so the result is ignored.
   (void)topic_.WaitDurable();
   MaybeFlushStorageCheckpoint();
-  return seqs;
+  return first_seq;
+}
+
+template <typename Text>
+void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
+                                    std::vector<BatchGroup>* groups,
+                                    std::vector<uint32_t>* record_group) const {
+  if (texts.size() == 1) {
+    // A batch of one has nothing to deduplicate, and the memo would
+    // save it only the match's trie walk for a probe, an insert and two
+    // shard locks: it stays unrouted and is matched against the shared
+    // model directly; a miss adopts under the exclusive lock.
+    BatchGroup g;
+    g.members = 1;
+    g.bytes = texts[0].size();
+    g.routed = false;
+    g.resolved = parser_.Match(texts[0]);
+    groups->push_back(g);
+    record_group->assign(1, 0);
+    return;
+  }
+  // -- Dedup level 1: collapse byte-identical records on a raw-bytes
+  // fast hash (an order of magnitude cheaper than any scan; exact
+  // duplicate lines are the dominant redundancy in real streams — the
+  // paper's Fig. 4). Records with equal 64-bit hashes are treated as
+  // identical — the same trust the training path places in hashes when
+  // it deduplicates the window (paper Eq. 1; util/hashing.h).
+  struct RawGroup {
+    uint32_t rep = 0;       // first record with this raw text
+    uint32_t members = 0;
+    uint64_t bytes = 0;
+    uint64_t content = 0;   // content hash, filled below
+    TemplateId id = kInvalidTemplateId;  // prematch verdict
+    bool memo_hit = false;
+  };
+  std::vector<RawGroup> raw_groups;
+  std::vector<uint32_t> record_raw(texts.size(), 0);
+  {
+    std::unordered_map<uint64_t, uint32_t> by_raw;
+    by_raw.reserve(texts.size());
+    for (uint32_t i = 0; i < texts.size(); ++i) {
+      auto [it, inserted] = by_raw.emplace(
+          HashBytesFast(texts[i]), static_cast<uint32_t>(raw_groups.size()));
+      if (inserted) {
+        RawGroup rg;
+        rg.rep = i;
+        raw_groups.push_back(rg);
+      }
+      RawGroup& rg = raw_groups[it->second];
+      ++rg.members;
+      rg.bytes += texts[i].size();
+      record_raw[i] = it->second;
+    }
+  }
+
+  // -- Per raw-distinct text, in ONE parallel pass: the matcher's scan
+  // yields the token ids AND the content hash of the replaced token
+  // sequence (what groups variable-value duplicates — "port 80" vs
+  // "port 443" → one shape — and routes the shape to its shard); the
+  // shard's cross-batch memo is probed with it (a hit stamped with the
+  // current generation skips the match: repeat shapes are the steady
+  // state; any adoption or swap bumps the generation and stales the
+  // entry), and a memo miss matches the scanned ids.
+  const size_t num_shards = shards_.size();
+  const TemplateMatcher& matcher = *parser_.matcher();
+  ParallelForShards(
+      raw_groups.size(), config_.num_threads, [&](size_t begin, size_t end) {
+        TemplateMatcher::MatchScratch scratch;
+        for (size_t i = begin; i < end; ++i) {
+          RawGroup& rg = raw_groups[i];
+          rg.content = matcher.Tokenize(texts[rg.rep], &scratch);
+          const IngestShard& shard = *shards_[rg.content % num_shards];
+          {
+            std::shared_lock<std::shared_mutex> shard_lock(shard.mu);
+            const auto memo_it = shard.memo.find(rg.content);
+            rg.memo_hit =
+                memo_it != shard.memo.end() && memo_it->second.gen == gen0;
+            if (rg.memo_hit) rg.id = memo_it->second.id;
+          }
+          if (!rg.memo_hit) rg.id = matcher.MatchIds(scratch.ids, &scratch);
+        }
+      });
+
+  // -- Content groups: one per distinct shape.
+  std::vector<uint32_t> raw_group(raw_groups.size());
+  std::unordered_map<uint64_t, uint32_t> by_hash;
+  by_hash.reserve(raw_groups.size());
+  for (uint32_t r = 0; r < raw_groups.size(); ++r) {
+    const RawGroup& rg = raw_groups[r];
+    auto [it, inserted] =
+        by_hash.emplace(rg.content, static_cast<uint32_t>(groups->size()));
+    raw_group[r] = it->second;
+    if (inserted) {
+      BatchGroup g;
+      g.rep = rg.rep;
+      g.shard = static_cast<uint32_t>(rg.content % num_shards);
+      g.hash = rg.content;
+      g.resolved = rg.id;
+      g.memo_hit = rg.memo_hit;
+      groups->push_back(g);
+    }
+    BatchGroup& g = (*groups)[raw_group[r]];
+    g.members += rg.members;
+    g.bytes += rg.bytes;
+  }
+  record_group->resize(texts.size());
+  for (uint32_t i = 0; i < texts.size(); ++i) {
+    (*record_group)[i] = raw_group[record_raw[i]];
+  }
+}
+
+template <typename Text>
+void ManagedTopic::ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,
+                                       std::vector<BatchGroup>* groups) {
+  // The shard phase, with mu_ only SHARED and each shard under its own
+  // lock, shards in parallel: count every group, memoize its
+  // shared-model hit, or resolve a miss through the shard's pending
+  // matcher — and a genuine miss adopts into the shard-local pending
+  // model. A batch of one is unrouted and has no shard work.
+  if (!groups->front().routed) return;
+  const size_t num_shards = shards_.size();
+  std::vector<std::vector<uint32_t>> shard_worklist(num_shards);
+  for (uint32_t g = 0; g < groups->size(); ++g) {
+    shard_worklist[(*groups)[g].shard].push_back(g);
+  }
+  const VariableReplacer& replacer = parser_.replacer();
+  ParallelForShards(
+      num_shards, config_.num_threads, [&](size_t begin, size_t end) {
+        std::string replaced_scratch;
+        std::vector<std::string_view> view_scratch;
+        for (size_t s = begin; s < end; ++s) {
+          if (shard_worklist[s].empty()) continue;
+          IngestShard& shard = *shards_[s];
+          std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
+          for (uint32_t g : shard_worklist[s]) {
+            BatchGroup& group = (*groups)[g];
+            shard.counters.records += group.members;
+            shard.counters.bytes += group.bytes;
+            if (group.memo_hit) {
+              ++shard.counters.memo_hits;
+              continue;
+            }
+            if (group.resolved != kInvalidTemplateId) {
+              shard.Memoize(group.hash, group.resolved, gen0);
+              ++shard.counters.matched_shared;
+              continue;
+            }
+            const auto& rep = texts[group.rep];
+            if (!shard.pending.empty()) {
+              if (shard.pending_matcher == nullptr) {
+                shard.pending_matcher = std::make_unique<TemplateMatcher>(
+                    shard.pending, &parser_.replacer());
+              }
+              group.local = shard.pending_matcher->Match(rep);
+              if (group.local != kInvalidTemplateId) {
+                ++shard.counters.matched_pending;
+                continue;
+              }
+            }
+            // Novel shape: adopt into the shard's pending model with the
+            // exact replaced token sequence online adoption would have
+            // used (one replace+tokenize per DISTINCT shape).
+            replacer.ReplaceInto(rep, &replaced_scratch);
+            view_scratch.clear();
+            TokenizeDefaultInto(replaced_scratch, &view_scratch);
+            std::vector<std::string> tokens(view_scratch.begin(),
+                                            view_scratch.end());
+            group.local = shard.pending.AdoptTemporary(std::move(tokens));
+            if (shard.pending_matcher != nullptr) {
+              shard.pending_matcher->Insert(*shard.pending.node(group.local));
+            }
+            shard.reps.emplace_back(rep);
+            shard.gens.push_back(gen0);
+            shard.hashes.push_back(group.hash);
+            ++shard.counters.adopted;
+          }
+        }
+      });
 }
 
 void ManagedTopic::FoldShardPendingsLocked() {
+  // The exclusive lock already excludes every shard-phase writer, so
+  // the fold cursors can be read without the shard locks.
+  if (std::none_of(shards_.begin(), shards_.end(), [](const auto& shard) {
+        return shard->remap.size() < shard->pending.size();
+      })) {
+    return;
+  }
   // One generation snapshot for the whole fold: adoptions below do not
   // re-stale the remaining pendings, because shapes within and across
   // shards are pairwise distinct by construction (hash routing within a
@@ -623,7 +550,7 @@ void ManagedTopic::FoldShardPendingsLocked() {
         continue;
       }
       // Adopted against an older model: its shape may exist by now
-      // (another batch's fold, a single-record adoption) — re-match the
+      // (another batch's fold or re-resolve) — re-match the
       // raw representative, adopting only on a genuine miss.
       bool adopted = false;
       const TemplateId id = parser_.MatchOrAdopt(shard.reps[next], &adopted);
@@ -654,7 +581,7 @@ void ManagedTopic::FoldShardPendingsLocked() {
     if (fold_starts[si] >= shard.remap.size()) continue;
     std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
     for (size_t i = fold_starts[si]; i < shard.remap.size(); ++i) {
-      shard.memo[shard.hashes[i]] = {shard.remap[i], model_generation_};
+      shard.Memoize(shard.hashes[i], shard.remap[i], model_generation_);
     }
   }
 }
@@ -919,8 +846,8 @@ Status ManagedTopic::CommitTrainingLocked(
   // against the superseded model are no longer authoritative.
   ++model_generation_;
   // Shard pendings are temporaries, and the swap just superseded every
-  // temporary: drop them. In-flight sharded batches detect the bump and
-  // fall back to matching under the lock, so no pending id dangles.
+  // temporary: drop them. In-flight batches detect the bump and
+  // re-resolve their groups under the lock, so no pending id dangles.
   ResetShardsLocked();
   trained_ = true;
   ++stats_.trainings;
@@ -1222,11 +1149,6 @@ Status ManagedTopic::StorageStatus() const {
   return topic_.storage_status();
 }
 
-Status ManagedTopic::PersistTo(const std::string& path) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.PersistTo(path);
-}
-
 bool ManagedTopic::HasTemplate(TemplateId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return parser_.model().node(id) != nullptr;
@@ -1377,14 +1299,13 @@ Status ManagedTopic::UpdateConfig(const TopicConfigPatch& patch) {
     // Live reshard. Fold the current pendings first so every remap an
     // in-flight batch may reference is complete, then rebuild the shard
     // set and bump the generation: any batch that routed against the
-    // old shards detects the bump in its exclusive section and falls
-    // back to per-record matching — no pending id ever dangles.
+    // old shards detects the bump in its exclusive section and
+    // re-resolves its groups under the lock — no pending id dangles.
     FoldShardPendingsLocked();
     shards_.clear();
     for (int i = 0; i < *patch.num_ingest_shards; ++i) {
       shards_.push_back(std::make_unique<IngestShard>());
     }
-    shard_count_.store(shards_.size(), std::memory_order_relaxed);
     ++model_generation_;
   }
   return Status::OK();

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,20 +74,23 @@ struct TopicConfig {
   DurabilityMode durability = DurabilityMode::kNone;
   /// Threads for matching/training (paper: 1-5 cores per topic).
   int num_threads = 2;
-  /// Ingest shards for IngestBatch (clamped to [1, 64]). 1 keeps the
-  /// single exclusive adopt/append section per batch. With N > 1, batch
-  /// records are deduplicated and routed to N sub-shards by a stable
-  /// hash of their variable-replaced token sequence (duplicates
-  /// colocate); shards match misses against — and adopt novel shapes
-  /// into — shard-local pending models in parallel under the SHARED
-  /// topic lock, and the batch's exclusive section folds the pending
-  /// temporaries into the shared model before any record is appended, so
-  /// queries and training snapshots always see one coherent model.
-  /// Caveat: all records of a batch are matched against the batch-start
-  /// model plus their own shard's pendings, so a temporary adopted late
-  /// in a batch never shadows an earlier record's match the way a
-  /// strictly sequential replay could; the difference is confined to
-  /// temporaries and is reconciled at the next training cycle.
+  /// Ingest shards (clamped to [1, 64]). Every batch of two or more
+  /// records (Ingest is a batch of one, which skips dedup and the
+  /// shards) is deduplicated and routed to the shards by a stable hash
+  /// of its records' variable-replaced token sequences (duplicates
+  /// colocate); shards match misses against — and adopt
+  /// novel shapes into — shard-local pending models in parallel under
+  /// the SHARED topic lock, and the batch's exclusive section folds the
+  /// pending temporaries into the shared model before any record is
+  /// appended, so queries and training snapshots always see one
+  /// coherent model. Training triggers are checked once per batch.
+  /// Caveat, at any shard count: all records of a batch are matched
+  /// against the batch-start model plus their own shard's pendings, so
+  /// a temporary adopted late in a batch never shadows an earlier
+  /// record's match the way a strictly sequential replay could, and a
+  /// trigger crossed mid-batch fires at the batch's end; the difference
+  /// is confined to temporaries and is reconciled at the next training
+  /// cycle.
   int num_ingest_shards = 1;
   /// Run triggered (re)trainings on a background thread and swap the new
   /// model in atomically, so ingest is never blocked for the duration of
@@ -131,8 +135,8 @@ struct TopicConfigPatch {
   std::optional<int> num_threads;
   /// Applied as a live reshard: current shard pendings are folded into
   /// the shared model under the exclusive lock before the shard set is
-  /// rebuilt (in-flight batches detect the generation bump and fall
-  /// back to per-record matching, so no pending id dangles).
+  /// rebuilt (in-flight batches detect the generation bump and
+  /// re-resolve their groups under the lock, so no pending id dangles).
   std::optional<int> num_ingest_shards;
   std::optional<bool> async_training;
 };
@@ -148,7 +152,8 @@ struct TemplateGroup {
 
 /// Per-ingest-shard counters (cumulative since topic creation).
 struct ShardStats {
-  /// Records routed to this shard by the content hash.
+  /// Records routed to this shard by the content hash (a batch of one is
+  /// not routed).
   uint64_t records = 0;
   uint64_t bytes = 0;
   /// Distinct shapes this shard resolved via the shared-model prematch.
@@ -161,9 +166,9 @@ struct ShardStats {
   /// model (at most one per batch that routed novel shapes here).
   uint64_t merges = 0;
   /// Distinct shapes resolved by the shard's cross-batch memo (content
-  /// hash → template id, generation-stamped) without touching the
-  /// shared matcher at all — the steady-state fast path for repeat
-  /// shapes across batches.
+  /// hash → template id, generation-stamped) without matching against
+  /// the shared model — the steady-state fast path for repeat shapes
+  /// across batches.
   uint64_t memo_hits = 0;
 };
 
@@ -345,32 +350,29 @@ class ManagedTopic {
   ManagedTopic& operator=(const ManagedTopic&) = delete;
 
   /// Appends a record; assigns a template id online (adopting a temporary
-  /// template on a miss). Returns the record's sequence number.
-  /// Locking: takes `mu_` exclusive for the duration of one match+append.
+  /// template on a miss). Returns the record's sequence number. Exactly
+  /// IngestBatch with a batch of one, which skips dedup and the shards:
+  /// it is matched under the SHARED lock, and a miss adopts into the
+  /// shared model under the exclusive one.
+  Result<uint64_t> Ingest(std::string text, uint64_t timestamp_us = 0);
+
+  /// Batch ingestion: the batch is deduplicated and routed to the ingest
+  /// shards by content hash; each distinct text is resolved once — shard
+  /// memo or shared-model match, in parallel — and each novel shape is
+  /// adopted once into a shard-local pending model, all while the topic
+  /// lock is only SHARED.
+  /// One EXCLUSIVE section then folds the pendings into the shared
+  /// model, appends the batch, updates stats, and checks the training
+  /// triggers once. If a training swap, reshard or another batch's fold
+  /// landed in between, each distinct shape is re-resolved under the
+  /// lock instead (see the TopicConfig knob for the semantics caveat).
+  /// `timestamps_us` is optional; when non-empty it must have one entry
+  /// per text. Returns the records' sequence numbers in order.
+  /// Locking: shared for the match phase, exclusive for the rest.
   /// May train: only when a trigger fires AND the synchronous path
   /// applies (async_training off, or the initial training with
   /// sync_initial_training on); otherwise a trigger merely snapshots and
   /// schedules — this call never waits for a training run.
-  Result<uint64_t> Ingest(std::string text, uint64_t timestamp_us = 0);
-
-  /// Batch ingestion, the high-throughput path: matching runs
-  /// shard-parallel under a SHARED lock (concurrent with queries and
-  /// other batches' match phases), then a single EXCLUSIVE section
-  /// adopts misses, appends, updates stats, and checks the training
-  /// triggers — one lock handoff per batch instead of one per record.
-  /// If a training swap or an adoption lands mid-batch, the remaining
-  /// prematched ids are discarded and those records are re-matched under
-  /// the lock, so results are identical to calling Ingest in a loop.
-  /// `timestamps_us` is optional; when non-empty it must have one entry
-  /// per text. Returns the records' sequence numbers in order.
-  /// With `num_ingest_shards` > 1 the batch is deduplicated and routed
-  /// to sub-shards by content hash: misses adopt into shard-local
-  /// pending models in parallel while the topic lock is only SHARED,
-  /// and the exclusive section folds the pendings into the shared model
-  /// before appending (see the TopicConfig knob for the semantics
-  /// caveat).
-  /// Locking: shared for the match phase, exclusive for the rest; the
-  /// training-trigger rules of Ingest apply.
   Result<std::vector<uint64_t>> IngestBatch(
       std::vector<std::string> texts,
       const std::vector<uint64_t>& timestamps_us = {});
@@ -473,9 +475,6 @@ class ManagedTopic {
   /// Storage health: OK, or why the backend could not open / the first
   /// sticky append-IO error. Locking: shared.
   Status StorageStatus() const;
-  /// Single-file snapshot of all records (LogTopic::PersistTo).
-  /// Locking: shared for the duration of the write.
-  Status PersistTo(const std::string& path) const;
   /// True when the model currently knows `id` (a query for it resolves).
   /// Locking: shared.
   bool HasTemplate(TemplateId id) const;
@@ -543,7 +542,7 @@ class ManagedTopic {
   std::string SerializedModel() const;
 
  private:
-  /// One ingest sub-shard (TopicConfig::num_ingest_shards > 1). A shard
+  /// One ingest sub-shard (TopicConfig::num_ingest_shards). A shard
   /// owns the temporaries adopted for novel shapes routed to it since
   /// the last fold: a private TemplateModel whose OWN TokenTable means
   /// parallel shard adoption never touches the table the live matcher
@@ -566,7 +565,7 @@ class ManagedTopic {
     /// that routed the shape here. A pending adopted under an older
     /// generation is re-MATCHED at fold time instead of adopted
     /// verbatim — the shared model may have gained its shape meanwhile
-    /// (another batch's fold, a single-record adopt).
+    /// (another batch's fold or re-resolve).
     std::vector<std::string> reps;
     std::vector<uint64_t> gens;
     std::vector<uint64_t> hashes;
@@ -575,17 +574,26 @@ class ManagedTopic {
     std::vector<TemplateId> remap;
     /// Cross-batch memo: content hash → shared-model id, stamped with
     /// the model generation it was resolved under. A hit whose stamp
-    /// equals the batch-start generation skips the shared-matcher
-    /// prematch entirely (the PR-3 "remaining nicety"); entries go
-    /// stale on any generation bump and are refreshed on next resolve.
-    /// Written by the shard phase (shard.mu exclusive) and by folds
-    /// (topic lock exclusive); cleared with the pendings on training
-    /// commits.
+    /// equals the batch-start generation skips the shared-model match
+    /// of the scanned ids; entries go stale on any generation bump and
+    /// are refreshed on next resolve. Probed under shard.mu shared,
+    /// written by the shard phase (shard.mu exclusive) and by folds
+    /// (topic lock exclusive) through Memoize; cleared with the pendings
+    /// on training commits.
     struct MemoEntry {
       TemplateId id = kInvalidTemplateId;
       uint64_t gen = 0;
     };
     std::unordered_map<uint64_t, MemoEntry> memo;
+    /// The memo is only a cache, so it is dropped whole once it holds
+    /// kMaxMemoEntries: shapes that never repeat (an unreplaced unique
+    /// value) cannot grow it without bound on a topic that rarely
+    /// trains.
+    static constexpr size_t kMaxMemoEntries = size_t{1} << 16;
+    void Memoize(uint64_t hash, TemplateId id, uint64_t gen) {
+      if (memo.size() >= kMaxMemoEntries) memo.clear();
+      memo[hash] = {id, gen};
+    }
     ShardStats counters;
   };
 
@@ -619,7 +627,7 @@ class ManagedTopic {
   /// volume stats, restore + publish the checkpointed model, re-match
   /// records carrying ids the restored model does not know. Runs before
   /// the topic is visible to any other thread (no lock needed).
-  void RecoverFromStorage();
+  void RestoreFromStorage();
   /// Trigger check; requires the exclusive lock. Routes to the sync or
   /// async path; while a training is in flight, due triggers only count
   /// `coalesced_triggers` (the commit re-checks and schedules one
@@ -655,28 +663,54 @@ class ManagedTopic {
   Status CommitTrainingLocked(const TrainingRun& run, PreparedRetrain prepared,
                               const std::vector<TemplateId>& assignments,
                               double train_seconds);
-  /// Matches (or accepts a prematched id), appends, updates stats, and
-  /// checks training triggers for one record. Requires the exclusive
-  /// lock. `prematched` of kInvalidTemplateId means "match under the
-  /// lock".
-  Result<uint64_t> IngestOneLocked(std::string text, uint64_t timestamp_us,
-                                   TemplateId prematched);
-  /// The num_ingest_shards == 1 batch path (prematch under the shared
-  /// lock, one exclusive per-record adopt/append section) — also the
-  /// fallback the sharded path takes before the first training.
-  /// Templated over the text container (owned std::strings are moved
-  /// into records, borrowed std::string_views are materialized once);
-  /// both instantiations live in log_service.cc.
-  template <typename TextVec>
-  Result<std::vector<uint64_t>> IngestBatchUnsharded(
-      TextVec texts, const std::vector<uint64_t>& timestamps_us);
-  /// The num_ingest_shards > 1 batch path: dedup + route by content
-  /// hash, shard-parallel match/adopt under the shared lock, one
-  /// exclusive fold/append section. See ARCHITECTURE.md §4. Templated
-  /// like IngestBatchUnsharded.
-  template <typename TextVec>
-  Result<std::vector<uint64_t>> IngestBatchSharded(
-      TextVec texts, const std::vector<uint64_t>& timestamps_us);
+  /// Batch-local dedup group, one per distinct replaced token sequence:
+  /// duplicates colocate, so every distinct shape is matched once per
+  /// batch, not once per record — and a shard adopts each novel shape
+  /// exactly once.
+  struct BatchGroup {
+    /// Index of the representative record (the shape's first).
+    uint32_t rep = 0;
+    /// Records sharing this shape, and their raw bytes.
+    uint32_t members = 0;
+    uint64_t bytes = 0;
+    /// False for a batch of one, which is never hashed: it skips the
+    /// shards and resolves against the shared model alone.
+    bool routed = true;
+    uint32_t shard = 0;
+    /// Content hash: the dedup, routing and memo key.
+    uint64_t hash = 0;
+    /// Resolved from the shard's memo, not the shared matcher.
+    bool memo_hit = false;
+    /// Shared-model id, or the shard-pending id of an adopted shape.
+    TemplateId resolved = kInvalidTemplateId;
+    TemplateId local = kInvalidTemplateId;
+  };
+  /// The one ingest pipeline (Ingest and both IngestBatch overloads):
+  /// dedup + route by content hash, shard-parallel resolve under the
+  /// shared lock, one exclusive fold/append section; returns the first
+  /// record's sequence number. See ARCHITECTURE.md §4. Templated over
+  /// the text type (owned std::strings are moved into records, borrowed
+  /// std::string_views are materialized once); the instantiations live
+  /// in log_service.cc.
+  template <typename Text>
+  Result<uint64_t> IngestPipeline(std::span<Text> texts,
+                                  std::span<const uint64_t> timestamps_us);
+  /// Dedups `texts` into content groups routed over the current shards
+  /// and prematches each: the routed shard's memo, else the shared
+  /// model, both at generation `gen0`. A batch of one is a single
+  /// unrouted group, matched without hashing. record_group[i] is record
+  /// i's group. Requires `mu_` (shared suffices).
+  template <typename Text>
+  void GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
+                        std::vector<BatchGroup>* groups,
+                        std::vector<uint32_t>* record_group) const;
+  /// The shard phase: counts every routed group on its shard, memoizes
+  /// shared-model hits, and resolves misses through the shard's
+  /// pendings, adopting genuine misses into the shard-local pending
+  /// model. Requires `mu_` shared, taken at generation `gen0`.
+  template <typename Text>
+  void ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,
+                           std::vector<BatchGroup>* groups);
   /// Folds every shard's unfolded pending temporaries into the shared
   /// model, extending each shard's remap. Pendings adopted at the
   /// current model generation are adopted verbatim (their miss verdict
@@ -705,12 +739,6 @@ class ManagedTopic {
   /// Resized ONLY by UpdateConfig under the exclusive lock; every read
   /// of the vector itself must hold `mu_` (shared suffices).
   std::vector<std::unique_ptr<IngestShard>> shards_;
-  /// Lock-free mirror of shards_.size() for IngestBatch's path choice
-  /// (sharded vs plain). May be momentarily stale across a live
-  /// reshard — harmless: both paths are correct for any actual shard
-  /// count, and the sharded path re-reads the real size under the
-  /// shared lock before routing.
-  std::atomic<size_t> shard_count_{1};
   LogTopic topic_;
   InternalTopic internal_;
   ByteBrainParser parser_;

@@ -50,15 +50,9 @@ uint64_t HashTokenSequence(It begin, It end) {
 /// Fast 64-bit hash over bytes: 8-byte chunks, one multiply+rotate per
 /// chunk, avalanche finalizer. Several times faster than HashToken's
 /// byte-at-a-time FNV on typical tokens; use it where the value never
-/// has to agree with HashToken (e.g. the sharded ingest router's
-/// content keys, which only ever meet other HashBytesFast values).
+/// has to agree with HashToken (e.g. the ingest router's raw-bytes
+/// dedup keys, which only ever meet other HashBytesFast values).
 /// Deterministic across runs and processes, like everything here.
-/// Seed and per-token step of the fast token-sequence fold, shared by
-/// the fused scan (core/tokenizer.cc: HashReplacedTokens) and the
-/// two-pass tenant-rule path (service ingest router) so the two stay
-/// bit-identical by construction.
-inline constexpr uint64_t kTokenSeqFastSeed = 0x2545f4914f6cdd1dULL;
-inline uint64_t CombineTokenHashFast(uint64_t h, std::string_view token);
 
 inline uint64_t HashBytesFast(std::string_view bytes) {
   uint64_t h = 0x9e3779b97f4a7c15ULL ^ bytes.size();
@@ -77,8 +71,14 @@ inline uint64_t HashBytesFast(std::string_view bytes) {
   return Mix64(h);
 }
 
-inline uint64_t CombineTokenHashFast(uint64_t h, std::string_view token) {
-  return (h ^ HashBytesFast(token)) * 0x100000001b3ULL;
+/// Seed and per-token step of the token-sequence content hash, an
+/// order-sensitive fold of per-token hashes (TokenTable::HashOf), shared
+/// by the fused scan (core/tokenizer.cc: TokenizeReplacedIdsInto) and
+/// the two-pass tenant-rule path (TemplateMatcher::Tokenize) so the two
+/// stay bit-identical by construction.
+inline constexpr uint64_t kTokenSeqFastSeed = 0x2545f4914f6cdd1dULL;
+inline uint64_t CombineTokenHashFast(uint64_t h, uint64_t token_hash) {
+  return (h ^ token_hash) * 0x100000001b3ULL;
 }
 
 /// Per-record frame checksum for the segmented on-disk topic format

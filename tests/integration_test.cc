@@ -109,31 +109,6 @@ TEST(IntegrationTest, InternalTopicChainMatchesModelAncestry) {
   }
 }
 
-TEST(IntegrationTest, ServicePersistAndRecoverTopic) {
-  const std::string path = "/tmp/bb_integration_topic.bin";
-  TopicConfig config;
-  config.initial_train_records = 200;
-  ManagedTopic topic("t", config);
-  DatasetGenerator gen(*FindDatasetSpec("Apache"));
-  Dataset ds = gen.GenerateLogHub();
-  for (const auto& l : ds.logs) {
-    ASSERT_TRUE(topic.Ingest(l.text).ok());
-  }
-  ASSERT_TRUE(topic.trained());
-  ASSERT_TRUE(topic.PersistTo(path).ok());
-
-  LogTopic restored("restored");
-  ASSERT_TRUE(restored.RecoverFrom(path).ok());
-  ASSERT_EQ(restored.size(), topic.size());
-  // Template assignments survive persistence.
-  size_t assigned = 0;
-  for (uint64_t seq = 0; seq < restored.size(); ++seq) {
-    if (restored.Read(seq)->template_id != kInvalidTemplateId) ++assigned;
-  }
-  EXPECT_EQ(assigned, restored.size());
-  std::remove(path.c_str());
-}
-
 TEST(IntegrationTest, RetrainKeepsGroupingStable) {
   // Retraining on the same distribution must not fragment the grouping.
   DatasetGenerator gen(*FindDatasetSpec("Zookeeper"));

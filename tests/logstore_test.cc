@@ -1,18 +1,12 @@
 // Unit tests for the append-only log topic and internal template topic.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <thread>
 
 #include "logstore/log_topic.h"
 
 namespace bytebrain {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(LogTopicTest, AppendAndRead) {
   LogTopic topic("t");
@@ -90,54 +84,6 @@ TEST(LogTopicTest, TextBytesAccumulates) {
   EXPECT_EQ(topic.text_bytes(), 6u);
 }
 
-TEST(LogTopicTest, PersistRecoverRoundTrip) {
-  const std::string path = TempPath("bb_topic_roundtrip.bin");
-  LogTopic topic("t", 4);
-  for (int i = 0; i < 11; ++i) {
-    topic.Append(
-        {static_cast<uint64_t>(i * 10), "record " + std::to_string(i),
-         static_cast<TemplateId>(i % 3)});
-  }
-  ASSERT_TRUE(topic.PersistTo(path).ok());
-
-  LogTopic restored("t2", 4);
-  ASSERT_TRUE(restored.RecoverFrom(path).ok());
-  ASSERT_EQ(restored.size(), 11u);
-  for (int i = 0; i < 11; ++i) {
-    auto rec = restored.Read(i);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(rec->text, "record " + std::to_string(i));
-    EXPECT_EQ(rec->timestamp_us, static_cast<uint64_t>(i * 10));
-    EXPECT_EQ(rec->template_id, static_cast<TemplateId>(i % 3));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LogTopicTest, RecoverDetectsCorruption) {
-  const std::string path = TempPath("bb_topic_corrupt.bin");
-  LogTopic topic("t");
-  topic.Append({1, "payload-payload-payload", 7});
-  ASSERT_TRUE(topic.PersistTo(path).ok());
-
-  // Flip a byte in the middle of the file.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 24, SEEK_SET);
-  int c = std::fgetc(f);
-  std::fseek(f, 24, SEEK_SET);
-  std::fputc(c ^ 0xFF, f);
-  std::fclose(f);
-
-  LogTopic restored("t2");
-  EXPECT_TRUE(restored.RecoverFrom(path).IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(LogTopicTest, RecoverMissingFileIsIOError) {
-  LogTopic topic("t");
-  EXPECT_TRUE(topic.RecoverFrom("/nonexistent/dir/topic.bin").IsIOError());
-}
-
 TEST(LogTopicTest, ConcurrentAppendsAllLand) {
   LogTopic topic("t", 128);
   constexpr int kThreads = 8;
@@ -193,24 +139,6 @@ TEST(InternalTopicTest, AncestorChainDetectsCycle) {
   topic.Put({1, 2, 0.2, "x", 1});
   topic.Put({2, 1, 0.3, "y", 1});
   EXPECT_TRUE(topic.AncestorChain(1).status().IsCorruption());
-}
-
-TEST(InternalTopicTest, PersistRecoverRoundTrip) {
-  const std::string path = TempPath("bb_meta_roundtrip.bin");
-  InternalTopic topic;
-  topic.Put({1, 0, 0.25, "root *", 100});
-  topic.Put({2, 1, 1.0, "root leaf", 40});
-  ASSERT_TRUE(topic.PersistTo(path).ok());
-
-  InternalTopic restored;
-  ASSERT_TRUE(restored.RecoverFrom(path).ok());
-  ASSERT_EQ(restored.size(), 2u);
-  auto got = restored.Get(2);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->parent_id, 1u);
-  EXPECT_DOUBLE_EQ(got->saturation, 1.0);
-  EXPECT_EQ(got->support, 40u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

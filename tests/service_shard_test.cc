@@ -102,6 +102,9 @@ std::multiset<std::string> TemplateTexts(const ManagedTopic& topic) {
   return std::multiset<std::string>(texts.begin(), texts.end());
 }
 
+// Cases that hold at every shard count run at 1 and 4 shards.
+class ShardCountTest : public ::testing::TestWithParam<int> {};
+
 // The acceptance scenario: the same corpus pushed through 1 shard and 4
 // shards must end in the same state — identical template-text multiset
 // and identical grouping (GA of 1.0 between the two assignments, equal
@@ -174,7 +177,7 @@ TEST(ShardedIngestTest, AdoptedTemplateSetMatchesUnsharded) {
   EXPECT_EQ(GroupingAccuracy(plain, shard), 1.0);
 }
 
-// Duplicate colocation: all copies of a shape hash to one shard, so each
+// Duplicate colocation: all copies of a content hash to one shard, so each
 // novel shape is adopted by exactly one shard and re-sending the same
 // shapes adopts nothing new (the folded temporaries are now part of the
 // shared model and are hit by the prematch).
@@ -236,27 +239,104 @@ TEST(ShardedIngestTest, DuplicatesColocateAndFoldOnce) {
   EXPECT_EQ(adopted_after, static_cast<uint64_t>(kShapes));
 }
 
-// Shard counters are observability: the unsharded topic reports its
-// single shard with untouched counters (the plain path never routes).
-TEST(ShardedIngestTest, UnshardedTopicReportsIdleShard) {
-  ManagedTopic topic("plain", ShardConfig(1));
-  for (int i = 0; i < 250; ++i) {
-    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
+// A single-shard topic runs the same pipeline: every record of a
+// trained batch is routed through its one shard, and repeat shapes are
+// served from that shard's memo. Batches before the first training are
+// appended unrouted.
+TEST(ShardedIngestTest, SingleShardTopicRoutesThroughItsShard) {
+  ManagedTopic topic("single", ShardConfig(1));
+  std::vector<std::string> bootstrap;
+  for (int i = 0; i < 200; ++i) bootstrap.push_back(SshLog(i));
+  ASSERT_TRUE(topic.IngestBatch(std::move(bootstrap)).ok());
+  ASSERT_TRUE(topic.trained());
+  EXPECT_EQ(topic.stats().shards[0].records, 0u);
+
+  constexpr int kShapes = 6;
+  std::vector<std::string> batch;
+  for (int dup = 0; dup < 4; ++dup) {
+    for (int shape = 0; shape < kShapes; ++shape) {
+      batch.push_back(NovelLog(shape, dup));
+    }
   }
-  ASSERT_TRUE(
-      topic.IngestBatch(std::vector<std::string>{SshLog(1), SshLog(2)}).ok());
+  for (int i = 0; i < 16; ++i) batch.push_back(SshLog(i));
+  ASSERT_TRUE(topic.IngestBatch(batch).ok());
+  ASSERT_TRUE(topic.IngestBatch(batch).ok());
+
   const TopicStats stats = topic.stats();
   ASSERT_EQ(stats.shards.size(), 1u);
-  EXPECT_EQ(stats.shards[0].records, 0u);
-  EXPECT_EQ(stats.shard_merges, 0u);
+  const ShardStats& shard = stats.shards[0];
+  EXPECT_EQ(shard.records, 2 * batch.size());
+  EXPECT_EQ(shard.adopted, static_cast<uint64_t>(kShapes));
+  EXPECT_EQ(shard.merges, 1u);
+  EXPECT_EQ(stats.shard_merges, 1u);
+  // The fold memoized the adopted shapes; the repeat batch hits them.
+  EXPECT_GE(shard.memo_hits, static_cast<uint64_t>(kShapes));
+  for (uint64_t id : RecordAssignments(topic)) {
+    EXPECT_NE(id, kInvalidTemplateId);
+  }
 }
 
-// The fused content hash (one-pass scan) and the two-pass tenant-rule
-// fallback must agree bit-for-bit: both paths of the router produce the
-// same dedup/routing keys for the same shapes.
+// The shard memo is a cache, dropped whole once it holds 1 << 16
+// shapes. Streaming more distinct shapes than that through one shard
+// keeps every record on the shared template, and shapes memoized after
+// the drop hit again.
+TEST(ShardedIngestTest, MemoPastItsCapRefillsAndStaysResolvable) {
+  // Letters only, so the builtin replacer keeps every word: each record
+  // is its own shape, all matching "job * finished cleanly".
+  const auto log = [](int n) {
+    std::string word;
+    do {
+      word += static_cast<char>('a' + n % 26);
+      n /= 26;
+    } while (n > 0);
+    return "job " + word + " finished cleanly";
+  };
+  const auto batch_of = [&log](int begin, int end) {
+    std::vector<std::string> batch;
+    for (int n = begin; n < end; ++n) batch.push_back(log(n));
+    return batch;
+  };
+  ManagedTopic topic("memo", ShardConfig(1));
+  ASSERT_TRUE(topic.IngestBatch(batch_of(0, 200)).ok());
+  ASSERT_TRUE(topic.trained());
+
+  constexpr int kEnd = 200 + (1 << 16) + 4000;
+  for (int begin = 200; begin < kEnd; begin += 1000) {
+    ASSERT_TRUE(topic.IngestBatch(batch_of(begin, std::min(begin + 1000, kEnd)))
+                    .ok());
+  }
+  const ShardStats filled = topic.stats().shards[0];
+  EXPECT_EQ(filled.adopted, 0u);
+  EXPECT_EQ(filled.memo_hits, 0u);
+  EXPECT_EQ(filled.matched_shared, static_cast<uint64_t>(kEnd - 200));
+
+  // The last shapes went in after the drop: repeating them hits.
+  constexpr int kRepeat = 500;
+  ASSERT_TRUE(topic.IngestBatch(batch_of(kEnd - kRepeat, kEnd)).ok());
+  EXPECT_EQ(topic.stats().shards[0].memo_hits,
+            static_cast<uint64_t>(kRepeat));
+
+  const std::vector<uint64_t> ids = RecordAssignments(topic);
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kEnd + kRepeat));
+  EXPECT_NE(ids.front(), kInvalidTemplateId);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), ids.front()),
+            static_cast<std::ptrdiff_t>(ids.size()));
+}
+
+// The matcher's fused scan and its two-pass tenant-rule fallback must
+// agree bit for bit on the content hash and the token ids: both paths of
+// the router produce the same dedup/routing keys for the same shapes.
 TEST(ShardedIngestTest, FusedHashMatchesTwoPassHash) {
-  const VariableReplacer replacer = VariableReplacer::Default();
-  ASSERT_TRUE(replacer.fused_fast_path());
+  const VariableReplacer fused = VariableReplacer::Default();
+  VariableReplacer two_pass = VariableReplacer::Default();
+  // A rule no sample contains: the same tokens, without the fused scan.
+  ASSERT_TRUE(two_pass.AddRule("never", "zzqq[0-9]+").ok());
+  ASSERT_TRUE(fused.fused_fast_path());
+  ASSERT_FALSE(two_pass.fused_fast_path());
+  ByteBrainParser parser(ByteBrainOptions{});
+  ASSERT_TRUE(parser.Train({SshLog(1), SshLog(2), NovelLog(3, 1)}).ok());
+  const TemplateMatcher fused_matcher(parser.model(), &fused);
+  const TemplateMatcher two_pass_matcher(parser.model(), &two_pass);
   const std::vector<std::string> samples = {
       SshLog(3),
       NovelLog(7, 2),
@@ -264,19 +344,19 @@ TEST(ShardedIngestTest, FusedHashMatchesTwoPassHash) {
       "10.0.0.1",
       "mixed-1a2b3c4d5e6f7a8b9c0d1a2b3c4d5e6f token  double  space",
   };
-  std::string scratch;
+  TemplateMatcher::MatchScratch a;
+  TemplateMatcher::MatchScratch b;
   for (const std::string& s : samples) {
-    const uint64_t fused = HashReplacedTokens(s, &scratch);
-    std::string replaced;
-    replacer.ReplaceInto(s, &replaced);
-    std::vector<std::string_view> tokens;
-    TokenizeDefaultInto(replaced, &tokens);
-    uint64_t two_pass = kTokenSeqFastSeed;
-    for (std::string_view t : tokens) {
-      two_pass = CombineTokenHashFast(two_pass, t);
-    }
-    EXPECT_EQ(fused, two_pass) << s;
+    EXPECT_EQ(fused_matcher.Tokenize(s, &a), two_pass_matcher.Tokenize(s, &b))
+        << s;
+    EXPECT_EQ(a.ids, b.ids) << s;
   }
+  // Replaced variable values (the IP) share a shape; different shapes
+  // hash apart.
+  EXPECT_EQ(fused_matcher.Tokenize(NovelLog(3, 1), &a),
+            fused_matcher.Tokenize(NovelLog(3, 2), &b));
+  EXPECT_NE(fused_matcher.Tokenize(NovelLog(3, 1), &a),
+            fused_matcher.Tokenize(NovelLog(4, 1), &b));
 }
 
 // Topics with tenant variable rules cannot use the fused scan; the
@@ -332,8 +412,8 @@ TEST(ShardedIngestTest, TenantRuleTopicsDedupOnTwoPassHash) {
 // shared lock: a query must never observe a record whose template id it
 // cannot resolve (pendings are invisible until folded, and records are
 // appended only after the fold).
-TEST(ShardedIngestTest, MergeUnderConcurrentQueryStaysCoherent) {
-  ManagedTopic topic("sharded", ShardConfig(4));
+TEST_P(ShardCountTest, MergeUnderConcurrentQueryStaysCoherent) {
+  ManagedTopic topic("sharded", ShardConfig(GetParam()));
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
   }
@@ -413,9 +493,9 @@ class TrainingGate {
 // model, drops every temporary (including shard pendings), and re-matches
 // mid-training arrivals — no record may end up unassigned and no pending
 // id may dangle into the swapped model.
-TEST(ShardedIngestTest, ShardingComposesWithAsyncRetrain) {
+TEST_P(ShardCountTest, ShardingComposesWithAsyncRetrain) {
   TrainingGate gate;
-  TopicConfig config = ShardConfig(4);
+  TopicConfig config = ShardConfig(GetParam());
   config.async_training = true;
   config.train_interval_records = 300;  // retrain trigger after bootstrap
   config.on_async_training_start = gate.Hook();
@@ -475,10 +555,10 @@ TEST(ShardedIngestTest, ShardingComposesWithAsyncRetrain) {
 // against the shared model or folded into it) is served from the
 // shard's hash → id memo on later batches, skipping the shared-matcher
 // prematch entirely — while the end state stays identical to the
-// unsharded path.
-TEST(ShardedIngestTest, ShardMemoSkipsPrematchAcrossBatches) {
+// single-shard topic's.
+TEST_P(ShardCountTest, ShardMemoSkipsPrematchAcrossBatches) {
   ManagedTopic unsharded("plain", ShardConfig(1));
-  ManagedTopic sharded("sharded", ShardConfig(4));
+  ManagedTopic sharded("sharded", ShardConfig(GetParam()));
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(unsharded.Ingest(SshLog(i)).ok());
     ASSERT_TRUE(sharded.Ingest(SshLog(i)).ok());
@@ -526,7 +606,7 @@ TEST(ShardedIngestTest, ShardMemoSkipsPrematchAcrossBatches) {
   EXPECT_GE(memo_hits(sharded) - hits_after_first,
             static_cast<uint64_t>(2 * kShapes));
 
-  // End state identical to the unsharded path, memo or no memo.
+  // End state identical to the single-shard topic, memo or no memo.
   EXPECT_EQ(TemplateTexts(unsharded), TemplateTexts(sharded));
   const auto plain = RecordAssignments(unsharded);
   const auto shard = RecordAssignments(sharded);
@@ -557,12 +637,12 @@ TEST(ShardedIngestTest, ShardMemoSkipsPrematchAcrossBatches) {
   }
 }
 
-// Two sharded batches racing: both take the shared phase concurrently,
+// Two batches racing: both take the shared phase concurrently,
 // their exclusive sections serialize, and the second to fold must reuse
 // (not duplicate) the first's published temporaries. Deterministic
 // assertions on the end state only; TSAN checks the interleaving.
-TEST(ShardedIngestTest, ConcurrentBatchesDoNotDuplicateTemplates) {
-  ManagedTopic topic("sharded", ShardConfig(4));
+TEST_P(ShardCountTest, ConcurrentBatchesDoNotDuplicateTemplates) {
+  ManagedTopic topic("sharded", ShardConfig(GetParam()));
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
   }
@@ -597,6 +677,8 @@ TEST(ShardedIngestTest, ConcurrentBatchesDoNotDuplicateTemplates) {
     EXPECT_EQ(ids.size(), 1u) << text;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardCountTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace bytebrain
