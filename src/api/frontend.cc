@@ -6,8 +6,8 @@
 #include <iterator>
 #include <utility>
 
+#include "api/wire_schema.h"
 #include "logstore/segment_cache.h"
-#include "util/serde.h"
 
 namespace bytebrain {
 namespace api {
@@ -56,91 +56,52 @@ std::string FullTopicName(std::string_view tenant, std::string_view name) {
   return full;
 }
 
-/// The opaque Query continuation token: the resolved window, threshold,
-/// and group offset of the NEXT page. Snapshotting the window end in
-/// the cursor is what makes page N+1 read the same record range page 1
-/// did, even while ingest keeps appending.
+/// The opaque Query continuation token: the resolved window, threshold
+/// and time range, plus the resume key of the last group already
+/// served. Snapshotting the window end in the cursor is what makes page
+/// N+1 read the same record range page 1 did, even while ingest keeps
+/// appending; the resume key makes page N+1 seek past page N in the
+/// global group order instead of regrouping pages 1..N.
 struct QueryCursor {
   uint64_t begin_seq = 0;
   uint64_t end_seq = 0;
-  uint64_t offset = 0;
   double saturation = 0.0;
   bool include_sequence_numbers = true;
-  /// Resume key of the last group already served (tags 6-8, appended in
-  /// v8): page N+1 seeks past it in the global group order instead of
-  /// regrouping pages 1..N. Cursors minted before v8 decode with
-  /// has_resume_key = false and fall back to the positional offset —
-  /// same results, legacy cost.
+  /// Always true on a minted cursor. Tag 3 (a positional group offset)
+  /// is retired; a token without a resume key predates v8 and is
+  /// rejected — serving it from group 0 would repeat groups.
   bool has_resume_key = false;
   uint64_t resume_count = 0;
   TemplateId resume_template_id = kInvalidTemplateId;
-  /// Time-range predicate (tags 9-10, appended with the wire fields):
-  /// pinned in the cursor like the window, so every page filters the
-  /// same range. Pre-range cursors decode to the select-all defaults.
   uint64_t min_timestamp_us = 0;
   uint64_t max_timestamp_us = UINT64_MAX;
 
-  void EncodeTo(std::string* out) const {
-    FieldWriter w(out);
-    w.PutU64(1, begin_seq);
-    w.PutU64(2, end_seq);
-    w.PutU64(3, offset);
-    w.PutDouble(4, saturation);
-    w.PutBool(5, include_sequence_numbers);
-    w.PutBool(6, has_resume_key);
-    w.PutU64(7, resume_count);
-    w.PutU64(8, resume_template_id);
-    w.PutU64(9, min_timestamp_us);
-    w.PutU64(10, max_timestamp_us);
-  }
-
-  Status DecodeFrom(std::string_view bytes) {
-    FieldReader fields(bytes);
-    uint32_t tag = 0;
-    std::string_view p;
-    bool ok = true;
-    while (fields.Next(&tag, &p)) {
-      switch (tag) {
-        case 1:
-          ok = ok && FieldReader::U64(p, &begin_seq);
-          break;
-        case 2:
-          ok = ok && FieldReader::U64(p, &end_seq);
-          break;
-        case 3:
-          ok = ok && FieldReader::U64(p, &offset);
-          break;
-        case 4:
-          ok = ok && FieldReader::Double(p, &saturation);
-          break;
-        case 5:
-          ok = ok && FieldReader::Bool(p, &include_sequence_numbers);
-          break;
-        case 6:
-          ok = ok && FieldReader::Bool(p, &has_resume_key);
-          break;
-        case 7:
-          ok = ok && FieldReader::U64(p, &resume_count);
-          break;
-        case 8:
-          ok = ok && FieldReader::U64(p, &resume_template_id);
-          break;
-        case 9:
-          ok = ok && FieldReader::U64(p, &min_timestamp_us);
-          break;
-        case 10:
-          ok = ok && FieldReader::U64(p, &max_timestamp_us);
-          break;
-        default:
-          break;
-      }
-    }
-    if (!ok || fields.error()) {
-      return Status::InvalidArgument("malformed query cursor");
-    }
-    return Status::OK();
-  }
+  void EncodeTo(std::string* out) const;
+  Status DecodeFrom(std::string_view bytes);
 };
+
+using QueryCursorFields =
+    wire::Fields<wire::Scalar<1, &QueryCursor::begin_seq>,
+                 wire::Scalar<2, &QueryCursor::end_seq>,
+                 wire::Scalar<4, &QueryCursor::saturation>,
+                 wire::Scalar<5, &QueryCursor::include_sequence_numbers>,
+                 wire::Scalar<6, &QueryCursor::has_resume_key>,
+                 wire::Scalar<7, &QueryCursor::resume_count>,
+                 wire::Scalar<8, &QueryCursor::resume_template_id>,
+                 wire::Scalar<9, &QueryCursor::min_timestamp_us>,
+                 wire::Scalar<10, &QueryCursor::max_timestamp_us>>;
+
+void QueryCursor::EncodeTo(std::string* out) const {
+  QueryCursorFields::Encode(*this, out);
+}
+
+Status QueryCursor::DecodeFrom(std::string_view bytes) {
+  if (!QueryCursorFields::Decode(bytes, this, "query cursor").ok() ||
+      !has_resume_key) {
+    return Status::InvalidArgument("malformed query cursor");
+  }
+  return Status::OK();
+}
 
 /// Dispatch glue: decode the method's request, run it, encode one
 /// response envelope (payload encoded in place — see EncodeResponse)
@@ -550,7 +511,6 @@ Status ServiceFrontend::Query(std::string_view tenant, const QueryRequest& req,
     // Resolve the open end NOW: later pages read the same window even
     // if ingest has moved on.
     cursor.end_seq = std::min(req.end_seq, topic.value()->size());
-    cursor.offset = 0;
     cursor.saturation = req.saturation_threshold;
     cursor.include_sequence_numbers = req.include_sequence_numbers;
     cursor.min_timestamp_us = req.min_timestamp_us;
@@ -566,7 +526,6 @@ Status ServiceFrontend::Query(std::string_view tenant, const QueryRequest& req,
   page_req.end_seq = cursor.end_seq;
   page_req.collect_sequences = cursor.include_sequence_numbers;
   page_req.max_groups = req.max_groups;
-  page_req.offset = cursor.offset;
   page_req.has_resume_key = cursor.has_resume_key;
   page_req.resume_count = cursor.resume_count;
   page_req.resume_template_id = cursor.resume_template_id;
@@ -578,7 +537,6 @@ Status ServiceFrontend::Query(std::string_view tenant, const QueryRequest& req,
   resp->next_cursor.clear();
   if (page.value().has_more) {
     QueryCursor next = cursor;
-    next.offset = page.value().next_offset;
     next.has_resume_key = true;
     next.resume_count = page.value().last_count;
     next.resume_template_id = page.value().last_template_id;

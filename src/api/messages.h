@@ -11,14 +11,18 @@
 //    (kApiVersion). Everything after it — and every message body — is a
 //    sequence of tagged fields (util/serde.h FieldWriter/FieldReader):
 //    (u32 tag, u32 byte-length, payload).
+//  * Each field is declared ONCE, as a (tag, member, wire kind) row of
+//    its message's table in messages.cc (api/wire_schema.h); api_test
+//    pins every message's encoding to checked-in golden bytes.
 //  * Decoders SKIP unknown tags, so a newer peer may add fields under
 //    fresh tags without breaking older decoders (forward
 //    compatibility). A tag, once shipped, is frozen: never reuse a
 //    retired tag for a different meaning.
 //  * Absent fields decode to the struct's default member value.
 //  * Decoding NEVER crashes: truncated, oversized, or corrupted bytes
-//    surface as a Status (Corruption for broken framing,
-//    InvalidArgument for well-framed but meaningless values).
+//    surface as a Status (Corruption for broken framing or a wrong
+//    field width, InvalidArgument for well-framed but meaningless
+//    values such as version 0 or an out-of-range enum).
 //  * Status codes cross the wire as the numeric values of
 //    Status::Code; those enum values are therefore part of the wire
 //    format and frozen.
@@ -30,7 +34,6 @@
 #include <vector>
 
 #include "service/log_service.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace bytebrain {
@@ -39,11 +42,9 @@ namespace api {
 /// Wire version emitted by this build. Envelopes with a version of 0
 /// are rejected; other versions decode under the skip-unknown-fields
 /// rule in both directions. v2 added `request_id` and `auth_token` to
-/// the envelopes as NEW tags: a v1 client's envelopes still decode
-/// (absent fields default — no request id, empty token) and a v1
-/// client decoding a v2 response simply skips the echoed request id,
-/// so v1 peers interoperate with a v2 server whenever auth is
-/// disabled.
+/// the envelopes as NEW tags: v1 envelopes still decode (no request id,
+/// empty token) and a v1 client skips the echoed request id, so v1
+/// peers interoperate with a v2 server whenever auth is disabled.
 inline constexpr uint32_t kApiVersion = 2;
 
 /// Method selector carried by every request envelope. Values are wire
@@ -266,12 +267,10 @@ struct QueryRequest {
   uint64_t begin_seq = 0;
   uint64_t end_seq = UINT64_MAX;
   /// Page size: at most this many groups per response (0 = all).
-  /// Cost model: group counts come from the per-segment template
-  /// postings (no record scan for a fully sealed window), the cursor
-  /// carries a resume key that seeks page N+1's start directly, and
-  /// only the returned page's groups are materialized — per-page work
-  /// is O(distinct templates + page + the page's matching records),
-  /// independent of how many pages precede it.
+  /// Cost model: counts come from the per-segment template postings, the
+  /// cursor's resume key seeks page N+1's start, and only the page's
+  /// groups are materialized — per-page work is O(distinct templates +
+  /// page + its matching records), whatever pages precede it.
   uint32_t max_groups = 0;
   /// Opaque continuation token from the previous page's
   /// QueryResponse::next_cursor. When set it overrides the window /
@@ -477,55 +476,56 @@ struct DemoteResponse {
 /// back as Corruption (they indicate a framing bug or a newer peer).
 Status StatusFromWire(uint32_t code, std::string message);
 
+/// A message encoded straight into its envelope's payload field (the
+/// length is backpatched, no payload copy); a null `msg` omits it.
+struct InPlacePayload {
+  const void* msg = nullptr;
+  void (*encode)(const void* msg, std::string* out) = nullptr;
+  template <typename Msg>
+  static InPlacePayload Of(const Msg* msg) {
+    return {msg, [](const void* m, std::string* out) {
+              static_cast<const Msg*>(m)->EncodeTo(out);
+            }};
+  }
+};
+
+/// EncodeRequest / EncodeResponse's encoders (the envelope tables).
+void EncodeRequestEnvelope(ApiMethod method, std::string_view tenant,
+                           InPlacePayload payload, uint64_t request_id,
+                           std::string_view auth_token, std::string* out);
+void EncodeResponseEnvelope(const Status& status, uint64_t retry_after_us,
+                            InPlacePayload payload, uint64_t request_id,
+                            std::string* out);
+
 /// Client-side convenience: one encoded request envelope for `msg`,
-/// with the payload encoded in place (no intermediate payload string —
-/// the envelope's nested-field length is backpatched). Byte-identical
-/// to RequestEnvelope::EncodeTo over the same content. `request_id`
-/// and `auth_token` are the v2 envelope fields; their zero/empty
-/// defaults keep the output decodable by a v1 peer's semantics.
+/// payload encoded in place; byte-identical to RequestEnvelope::EncodeTo
+/// over the same content. Zero `request_id` / empty `auth_token` (the
+/// v2 fields) are omitted, as a v1 peer expects.
 template <typename Request>
 std::string EncodeRequest(ApiMethod method, std::string_view tenant,
                           const Request& msg, uint64_t request_id = 0,
                           std::string_view auth_token = {}) {
   std::string out;
-  ByteWriter(&out).PutU32(kApiVersion);
-  FieldWriter w(&out);
-  w.PutU32(1, static_cast<uint32_t>(method));
-  w.PutBytes(2, tenant);
-  const size_t body = w.Begin(3);
-  msg.EncodeTo(&out);
-  w.End(body);
-  if (request_id != 0) w.PutU64(4, request_id);
-  if (!auth_token.empty()) w.PutBytes(5, auth_token);
+  EncodeRequestEnvelope(method, tenant, InPlacePayload::Of(&msg), request_id,
+                        auth_token, &out);
   return out;
 }
 
 /// Server-side convenience: one encoded response envelope, payload
-/// encoded in place (emitted only on OK; pass nullptr for error-only
-/// responses). Decodes identically to ResponseEnvelope::EncodeTo
-/// output (an omitted payload field reads back as empty).
+/// encoded in place and only on OK (nullptr = error-only). Decodes like
+/// ResponseEnvelope::EncodeTo output (an omitted payload reads empty).
 template <typename Response>
 std::string EncodeResponse(const Status& status, uint64_t retry_after_us,
                            const Response* msg, uint64_t request_id = 0) {
   std::string out;
-  ByteWriter(&out).PutU32(kApiVersion);
-  FieldWriter w(&out);
-  w.PutU32(1, static_cast<uint32_t>(status.code()));
-  w.PutBytes(2, status.message());
-  w.PutU64(3, retry_after_us);
-  if (status.ok() && msg != nullptr) {
-    const size_t body = w.Begin(4);
-    msg->EncodeTo(&out);
-    w.End(body);
-  }
-  if (request_id != 0) w.PutU64(5, request_id);
+  EncodeResponseEnvelope(status, retry_after_us, InPlacePayload::Of(msg),
+                         request_id, &out);
   return out;
 }
 
 /// Client-side convenience: decodes a response envelope and, when the
-/// carried status is OK, the payload into `msg`. Returns the carried
-/// status (or a decode error). `request_id` receives the echoed
-/// correlation id (0 when the server sent none).
+/// carried status is OK, the payload into `msg`; returns the carried
+/// status or a decode error. `request_id` gets the echoed id (0 = none).
 template <typename Response>
 Status DecodeResponse(std::string_view bytes, Response* msg,
                       uint64_t* retry_after_us = nullptr,

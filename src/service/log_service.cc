@@ -252,7 +252,7 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
     // No model to route against yet: the exclusive section appends the
     // batch unassigned and the trigger check below bootstraps training.
     if (trained_) {
-      GroupBatchLocked(texts, gen0, &groups, &record_group);
+      GroupBatchLocked(texts, &groups, &record_group);
       ResolveGroupsShared(texts, gen0, &groups);
     }
   }
@@ -274,7 +274,7 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
     // The topic may have trained after the shared phase saw it
     // untrained; the batch is grouped here then.
     if (stale && groups.empty()) {
-      GroupBatchLocked(texts, model_generation_, &groups, &record_group);
+      GroupBatchLocked(texts, &groups, &record_group);
     }
     for (BatchGroup& g : groups) {
       if (!stale && (g.resolved != kInvalidTemplateId ||
@@ -330,14 +330,13 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
 }
 
 template <typename Text>
-void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
+void ManagedTopic::GroupBatchLocked(std::span<Text> texts,
                                     std::vector<BatchGroup>* groups,
                                     std::vector<uint32_t>* record_group) const {
   if (texts.size() == 1) {
-    // A batch of one has nothing to deduplicate, and the memo would
-    // save it only the match's trie walk for a probe, an insert and two
-    // shard locks: it stays unrouted and is matched against the shared
-    // model directly; a miss adopts under the exclusive lock.
+    // A batch of one has nothing to deduplicate: it stays unrouted and
+    // is matched against the shared model directly; a miss adopts under
+    // the exclusive lock.
     BatchGroup g;
     g.members = 1;
     g.bytes = texts[0].size();
@@ -359,7 +358,6 @@ void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
     uint64_t bytes = 0;
     uint64_t content = 0;   // content hash, filled below
     TemplateId id = kInvalidTemplateId;  // prematch verdict
-    bool memo_hit = false;
   };
   std::vector<RawGroup> raw_groups;
   std::vector<uint32_t> record_raw(texts.size(), 0);
@@ -384,11 +382,8 @@ void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
   // -- Per raw-distinct text, in ONE parallel pass: the matcher's scan
   // yields the token ids AND the content hash of the replaced token
   // sequence (what groups variable-value duplicates — "port 80" vs
-  // "port 443" → one shape — and routes the shape to its shard); the
-  // shard's cross-batch memo is probed with it (a hit stamped with the
-  // current generation skips the match: repeat shapes are the steady
-  // state; any adoption or swap bumps the generation and stales the
-  // entry), and a memo miss matches the scanned ids.
+  // "port 443" → one shape — and routes the shape to its shard), and
+  // the scanned ids are matched against the shared model.
   const size_t num_shards = shards_.size();
   const TemplateMatcher& matcher = *parser_.matcher();
   ParallelForShards(
@@ -397,15 +392,7 @@ void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
         for (size_t i = begin; i < end; ++i) {
           RawGroup& rg = raw_groups[i];
           rg.content = matcher.Tokenize(texts[rg.rep], &scratch);
-          const IngestShard& shard = *shards_[rg.content % num_shards];
-          {
-            std::shared_lock<std::shared_mutex> shard_lock(shard.mu);
-            const auto memo_it = shard.memo.find(rg.content);
-            rg.memo_hit =
-                memo_it != shard.memo.end() && memo_it->second.gen == gen0;
-            if (rg.memo_hit) rg.id = memo_it->second.id;
-          }
-          if (!rg.memo_hit) rg.id = matcher.MatchIds(scratch.ids, &scratch);
+          rg.id = matcher.MatchIds(scratch.ids, &scratch);
         }
       });
 
@@ -422,9 +409,7 @@ void ManagedTopic::GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
       BatchGroup g;
       g.rep = rg.rep;
       g.shard = static_cast<uint32_t>(rg.content % num_shards);
-      g.hash = rg.content;
       g.resolved = rg.id;
-      g.memo_hit = rg.memo_hit;
       groups->push_back(g);
     }
     BatchGroup& g = (*groups)[raw_group[r]];
@@ -441,10 +426,10 @@ template <typename Text>
 void ManagedTopic::ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,
                                        std::vector<BatchGroup>* groups) {
   // The shard phase, with mu_ only SHARED and each shard under its own
-  // lock, shards in parallel: count every group, memoize its
-  // shared-model hit, or resolve a miss through the shard's pending
-  // matcher — and a genuine miss adopts into the shard-local pending
-  // model. A batch of one is unrouted and has no shard work.
+  // lock, shards in parallel: count every group and resolve each
+  // shared-model miss through the shard's pending matcher — and a
+  // genuine miss adopts into the shard-local pending model. A batch of
+  // one is unrouted and has no shard work.
   if (!groups->front().routed) return;
   const size_t num_shards = shards_.size();
   std::vector<std::vector<uint32_t>> shard_worklist(num_shards);
@@ -464,12 +449,7 @@ void ManagedTopic::ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,
             BatchGroup& group = (*groups)[g];
             shard.counters.records += group.members;
             shard.counters.bytes += group.bytes;
-            if (group.memo_hit) {
-              ++shard.counters.memo_hits;
-              continue;
-            }
             if (group.resolved != kInvalidTemplateId) {
-              shard.Memoize(group.hash, group.resolved, gen0);
               ++shard.counters.matched_shared;
               continue;
             }
@@ -499,7 +479,6 @@ void ManagedTopic::ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,
             }
             shard.reps.emplace_back(rep);
             shard.gens.push_back(gen0);
-            shard.hashes.push_back(group.hash);
             ++shard.counters.adopted;
           }
         }
@@ -521,15 +500,11 @@ void ManagedTopic::FoldShardPendingsLocked() {
   // at the end — staleness checks test equality, not counts.
   const uint64_t fold_gen = model_generation_;
   bool adopted_any = false;
-  // Fold cursor per shard before this fold; entries the fold resolves
-  // below are memoized afterwards with the POST-fold generation.
-  std::vector<size_t> fold_starts(shards_.size(), 0);
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    IngestShard& shard = *shards_[si];
+  for (const std::unique_ptr<IngestShard>& shard_ptr : shards_) {
+    IngestShard& shard = *shard_ptr;
     std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
     const size_t total = shard.pending.size();
     size_t next = shard.remap.size();
-    fold_starts[si] = next;
     if (next >= total) continue;
     ++shard.counters.merges;
     ++stats_.shard_merges;
@@ -571,19 +546,6 @@ void ManagedTopic::FoldShardPendingsLocked() {
     }
   }
   if (adopted_any) ++model_generation_;
-  // Memoize the fold results under the final generation: the next
-  // batch that routes one of these shapes here resolves it from the
-  // memo without touching the shared matcher. (A fold that adopted
-  // nothing left the generation unchanged — the stamps are current
-  // either way.)
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    IngestShard& shard = *shards_[si];
-    if (fold_starts[si] >= shard.remap.size()) continue;
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-    for (size_t i = fold_starts[si]; i < shard.remap.size(); ++i) {
-      shard.Memoize(shard.hashes[i], shard.remap[i], model_generation_);
-    }
-  }
 }
 
 void ManagedTopic::PublishAdoptedLocked(TemplateId id) {
@@ -605,12 +567,7 @@ void ManagedTopic::ResetShardsLocked() {
     shard.pending_matcher.reset();
     shard.reps.clear();
     shard.gens.clear();
-    shard.hashes.clear();
     shard.remap.clear();
-    // Memo entries reference superseded ids AND a superseded
-    // generation; dropping them beats letting every lookup miss on the
-    // stamp.
-    shard.memo.clear();
   }
 }
 
@@ -991,15 +948,13 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
 
   // Page start: the resume key seeks directly to the first group after
   // the previous page's last — O(log groups), and exact for a pinned
-  // window. The positional offset is the fallback for legacy cursors.
-  size_t start;
+  // window. Without a resume key the page starts at the first group.
+  size_t start = 0;
   if (req.has_resume_key) {
     const Key key{req.resume_count, req.resume_template_id};
     start = static_cast<size_t>(
         std::upper_bound(order.begin(), order.end(), key, before) -
         order.begin());
-  } else {
-    start = std::min<size_t>(req.offset, order.size());
   }
   size_t stop = order.size();
   if (req.max_groups > 0) {
@@ -1041,7 +996,6 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
   }
 
   page.has_more = stop < order.size();
-  page.next_offset = stop;
   if (!page.groups.empty()) {
     page.last_count = page.groups.back().count;
     page.last_template_id = page.groups.back().template_id;

@@ -165,10 +165,7 @@ struct ShardStats {
   /// Fold operations that moved this shard's pendings into the shared
   /// model (at most one per batch that routed novel shapes here).
   uint64_t merges = 0;
-  /// Distinct shapes resolved by the shard's cross-batch memo (content
-  /// hash → template id, generation-stamped) without matching against
-  /// the shared model — the steady-state fast path for repeat shapes
-  /// across batches.
+  /// Retired, always 0 (wire tag 7 stays reserved).
   uint64_t memo_hits = 0;
 };
 
@@ -281,13 +278,11 @@ struct QueryPageRequest {
   bool collect_sequences = true;
   /// Groups per page; 0 = everything.
   uint64_t max_groups = 0;
-  /// Groups to skip — the legacy positional cursor. Only consulted when
-  /// has_resume_key is false (pre-v8 cursors in flight at upgrade).
-  uint64_t offset = 0;
   /// Resume AFTER the group with this (count, template_id) in the
   /// global order (count desc, id asc) — carried from the previous
   /// page's QueryPage, so page N+1 seeks its start instead of
   /// recomputing pages 1..N, and stays exact for a pinned window.
+  /// Without a resume key the page starts at the first group.
   bool has_resume_key = false;
   uint64_t resume_count = 0;
   TemplateId resume_template_id = kInvalidTemplateId;
@@ -303,10 +298,8 @@ struct QueryPageRequest {
 struct QueryPage {
   std::vector<TemplateGroup> groups;
   /// True when groups exist past this page; the fields below are then
-  /// the next page's request: the resume key of the last group on this
-  /// page plus the positional offset for legacy consumers.
+  /// the next page's resume key: the last group on this page.
   bool has_more = false;
-  uint64_t next_offset = 0;
   uint64_t last_count = 0;
   TemplateId last_template_id = kInvalidTemplateId;
   /// Distinct groups in the whole window (not just this page).
@@ -357,10 +350,10 @@ class ManagedTopic {
   Result<uint64_t> Ingest(std::string text, uint64_t timestamp_us = 0);
 
   /// Batch ingestion: the batch is deduplicated and routed to the ingest
-  /// shards by content hash; each distinct text is resolved once — shard
-  /// memo or shared-model match, in parallel — and each novel shape is
-  /// adopted once into a shard-local pending model, all while the topic
-  /// lock is only SHARED.
+  /// shards by content hash; each distinct text is matched once against
+  /// the shared model, in parallel, and each novel shape is adopted once
+  /// into a shard-local pending model, all while the topic lock is only
+  /// SHARED.
   /// One EXCLUSIVE section then folds the pendings into the shared
   /// model, appends the batch, updates stats, and checks the training
   /// triggers once. If a training swap, reshard or another batch's fold
@@ -561,39 +554,15 @@ class ManagedTopic {
     TemplateModel pending;
     std::unique_ptr<TemplateMatcher> pending_matcher;
     /// Per pending node (index = local id - 1): the raw representative
-    /// text, the model generation at adopt time, and the content hash
-    /// that routed the shape here. A pending adopted under an older
-    /// generation is re-MATCHED at fold time instead of adopted
-    /// verbatim — the shared model may have gained its shape meanwhile
-    /// (another batch's fold or re-resolve).
+    /// text and the model generation at adopt time. A pending adopted
+    /// under an older generation is re-MATCHED at fold time instead of
+    /// adopted verbatim — the shared model may have gained its shape
+    /// meanwhile (another batch's fold or re-resolve).
     std::vector<std::string> reps;
     std::vector<uint64_t> gens;
-    std::vector<uint64_t> hashes;
     /// Shared-model ids of folded pendings (index = local id - 1); its
     /// size is the fold cursor — nodes beyond it await the next fold.
     std::vector<TemplateId> remap;
-    /// Cross-batch memo: content hash → shared-model id, stamped with
-    /// the model generation it was resolved under. A hit whose stamp
-    /// equals the batch-start generation skips the shared-model match
-    /// of the scanned ids; entries go stale on any generation bump and
-    /// are refreshed on next resolve. Probed under shard.mu shared,
-    /// written by the shard phase (shard.mu exclusive) and by folds
-    /// (topic lock exclusive) through Memoize; cleared with the pendings
-    /// on training commits.
-    struct MemoEntry {
-      TemplateId id = kInvalidTemplateId;
-      uint64_t gen = 0;
-    };
-    std::unordered_map<uint64_t, MemoEntry> memo;
-    /// The memo is only a cache, so it is dropped whole once it holds
-    /// kMaxMemoEntries: shapes that never repeat (an unreplaced unique
-    /// value) cannot grow it without bound on a topic that rarely
-    /// trains.
-    static constexpr size_t kMaxMemoEntries = size_t{1} << 16;
-    void Memoize(uint64_t hash, TemplateId id, uint64_t gen) {
-      if (memo.size() >= kMaxMemoEntries) memo.clear();
-      memo[hash] = {id, gen};
-    }
     ShardStats counters;
   };
 
@@ -676,11 +645,8 @@ class ManagedTopic {
     /// False for a batch of one, which is never hashed: it skips the
     /// shards and resolves against the shared model alone.
     bool routed = true;
+    /// Routed shard: content hash % shard count.
     uint32_t shard = 0;
-    /// Content hash: the dedup, routing and memo key.
-    uint64_t hash = 0;
-    /// Resolved from the shard's memo, not the shared matcher.
-    bool memo_hit = false;
     /// Shared-model id, or the shard-pending id of an adopted shape.
     TemplateId resolved = kInvalidTemplateId;
     TemplateId local = kInvalidTemplateId;
@@ -696,17 +662,16 @@ class ManagedTopic {
   Result<uint64_t> IngestPipeline(std::span<Text> texts,
                                   std::span<const uint64_t> timestamps_us);
   /// Dedups `texts` into content groups routed over the current shards
-  /// and prematches each: the routed shard's memo, else the shared
-  /// model, both at generation `gen0`. A batch of one is a single
-  /// unrouted group, matched without hashing. record_group[i] is record
-  /// i's group. Requires `mu_` (shared suffices).
+  /// and prematches each against the shared model. A batch of one is a
+  /// single unrouted group, matched without hashing. record_group[i] is
+  /// record i's group. Requires `mu_` (shared suffices).
   template <typename Text>
-  void GroupBatchLocked(std::span<Text> texts, uint64_t gen0,
+  void GroupBatchLocked(std::span<Text> texts,
                         std::vector<BatchGroup>* groups,
                         std::vector<uint32_t>* record_group) const;
-  /// The shard phase: counts every routed group on its shard, memoizes
-  /// shared-model hits, and resolves misses through the shard's
-  /// pendings, adopting genuine misses into the shard-local pending
+  /// The shard phase: counts every routed group on its shard and
+  /// resolves shared-model misses through the shard's pendings,
+  /// adopting genuine misses into the shard-local pending
   /// model. Requires `mu_` shared, taken at generation `gen0`.
   template <typename Text>
   void ResolveGroupsShared(std::span<Text> texts, uint64_t gen0,

@@ -314,7 +314,6 @@ TEST(QueryIndexTest, PagedQueryVisitsEachRecordOnceAcrossAllPages) {
     req.has_resume_key = true;
     req.resume_count = page->last_count;
     req.resume_template_id = page->last_template_id;
-    req.offset = page->next_offset;
   }
 
   // Correctness: page concatenation == the unpaged result, in order.
@@ -383,7 +382,6 @@ TEST(QueryIndexTest, ResumeKeySurvivesConcurrentIngest) {
     req.has_resume_key = true;
     req.resume_count = page->last_count;
     req.resume_template_id = page->last_template_id;
-    req.offset = page->next_offset;
     // Ingest between pages: the pinned window must hide these.
     ASSERT_TRUE(topic.Ingest("kind0 n late").ok());
   }

@@ -240,9 +240,9 @@ TEST(ShardedIngestTest, DuplicatesColocateAndFoldOnce) {
 }
 
 // A single-shard topic runs the same pipeline: every record of a
-// trained batch is routed through its one shard, and repeat shapes are
-// served from that shard's memo. Batches before the first training are
-// appended unrouted.
+// trained batch is routed through its one shard, and repeat shapes
+// match the shared model once their temporaries are folded. Batches
+// before the first training are appended unrouted.
 TEST(ShardedIngestTest, SingleShardTopicRoutesThroughItsShard) {
   ManagedTopic topic("single", ShardConfig(1));
   std::vector<std::string> bootstrap;
@@ -260,6 +260,8 @@ TEST(ShardedIngestTest, SingleShardTopicRoutesThroughItsShard) {
   }
   for (int i = 0; i < 16; ++i) batch.push_back(SshLog(i));
   ASSERT_TRUE(topic.IngestBatch(batch).ok());
+  // The first batch matches only its trained shapes; the novel ones adopt.
+  const uint64_t first_shared = topic.stats().shards[0].matched_shared;
   ASSERT_TRUE(topic.IngestBatch(batch).ok());
 
   const TopicStats stats = topic.stats();
@@ -269,58 +271,13 @@ TEST(ShardedIngestTest, SingleShardTopicRoutesThroughItsShard) {
   EXPECT_EQ(shard.adopted, static_cast<uint64_t>(kShapes));
   EXPECT_EQ(shard.merges, 1u);
   EXPECT_EQ(stats.shard_merges, 1u);
-  // The fold memoized the adopted shapes; the repeat batch hits them.
-  EXPECT_GE(shard.memo_hits, static_cast<uint64_t>(kShapes));
+  // The fold made the adopted shapes shared: the repeat batch matches
+  // every distinct shape, trained and folded, against the shared model.
+  EXPECT_EQ(shard.matched_shared, 2 * first_shared + kShapes);
+  EXPECT_EQ(shard.memo_hits, 0u);
   for (uint64_t id : RecordAssignments(topic)) {
     EXPECT_NE(id, kInvalidTemplateId);
   }
-}
-
-// The shard memo is a cache, dropped whole once it holds 1 << 16
-// shapes. Streaming more distinct shapes than that through one shard
-// keeps every record on the shared template, and shapes memoized after
-// the drop hit again.
-TEST(ShardedIngestTest, MemoPastItsCapRefillsAndStaysResolvable) {
-  // Letters only, so the builtin replacer keeps every word: each record
-  // is its own shape, all matching "job * finished cleanly".
-  const auto log = [](int n) {
-    std::string word;
-    do {
-      word += static_cast<char>('a' + n % 26);
-      n /= 26;
-    } while (n > 0);
-    return "job " + word + " finished cleanly";
-  };
-  const auto batch_of = [&log](int begin, int end) {
-    std::vector<std::string> batch;
-    for (int n = begin; n < end; ++n) batch.push_back(log(n));
-    return batch;
-  };
-  ManagedTopic topic("memo", ShardConfig(1));
-  ASSERT_TRUE(topic.IngestBatch(batch_of(0, 200)).ok());
-  ASSERT_TRUE(topic.trained());
-
-  constexpr int kEnd = 200 + (1 << 16) + 4000;
-  for (int begin = 200; begin < kEnd; begin += 1000) {
-    ASSERT_TRUE(topic.IngestBatch(batch_of(begin, std::min(begin + 1000, kEnd)))
-                    .ok());
-  }
-  const ShardStats filled = topic.stats().shards[0];
-  EXPECT_EQ(filled.adopted, 0u);
-  EXPECT_EQ(filled.memo_hits, 0u);
-  EXPECT_EQ(filled.matched_shared, static_cast<uint64_t>(kEnd - 200));
-
-  // The last shapes went in after the drop: repeating them hits.
-  constexpr int kRepeat = 500;
-  ASSERT_TRUE(topic.IngestBatch(batch_of(kEnd - kRepeat, kEnd)).ok());
-  EXPECT_EQ(topic.stats().shards[0].memo_hits,
-            static_cast<uint64_t>(kRepeat));
-
-  const std::vector<uint64_t> ids = RecordAssignments(topic);
-  ASSERT_EQ(ids.size(), static_cast<size_t>(kEnd + kRepeat));
-  EXPECT_NE(ids.front(), kInvalidTemplateId);
-  EXPECT_EQ(std::count(ids.begin(), ids.end(), ids.front()),
-            static_cast<std::ptrdiff_t>(ids.size()));
 }
 
 // The matcher's fused scan and its two-pass tenant-rule fallback must
@@ -551,21 +508,34 @@ TEST_P(ShardCountTest, ShardingComposesWithAsyncRetrain) {
   }
 }
 
-// Cross-batch shape memo: a shape resolved once by a shard (matched
-// against the shared model or folded into it) is served from the
-// shard's hash → id memo on later batches, skipping the shared-matcher
-// prematch entirely — while the end state stays identical to the
-// single-shard topic's.
-TEST_P(ShardCountTest, ShardMemoSkipsPrematchAcrossBatches) {
+// Letters only, so the builtin replacer keeps every word: each record
+// is its own shape, all matching the trained "job * finished cleanly".
+std::string JobLog(int n) {
+  std::string word;
+  do {
+    word += static_cast<char>('a' + n % 26);
+    n /= 26;
+  } while (n > 0);
+  return "job " + word + " finished cleanly";
+}
+
+// Repeat shapes across batches: a shape folded into the shared model by
+// one batch is a plain shared-model match on every later batch, many
+// distinct shapes matching one trained template adopt nothing, and the
+// end state stays identical to the single-shard topic's.
+TEST_P(ShardCountTest, RepeatShapesMatchSharedAcrossBatches) {
   ManagedTopic unsharded("plain", ShardConfig(1));
   ManagedTopic sharded("sharded", ShardConfig(GetParam()));
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(unsharded.Ingest(SshLog(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(SshLog(i)).ok());
+    for (const std::string& text : {SshLog(i), JobLog(i)}) {
+      ASSERT_TRUE(unsharded.Ingest(text).ok());
+      ASSERT_TRUE(sharded.Ingest(text).ok());
+    }
   }
   ASSERT_TRUE(sharded.trained());
 
   constexpr int kShapes = 12;
+  constexpr int kJobs = 300;
   auto make_batch = [] {
     std::vector<std::string> batch;
     for (int dup = 0; dup < 8; ++dup) {
@@ -573,65 +543,71 @@ TEST_P(ShardCountTest, ShardMemoSkipsPrematchAcrossBatches) {
         batch.push_back(NovelLog(shape, dup));
       }
     }
-    // Repeat trained shapes too: their memo entries come from the
-    // matched-shared path rather than a fold.
+    // Trained shapes too: SSH lines and unseen job words.
     for (int i = 0; i < 16; ++i) batch.push_back(SshLog(i));
+    for (int j = 0; j < kJobs; ++j) batch.push_back(JobLog(1000 + j));
     return batch;
   };
+  auto sum = [](const ManagedTopic& topic, uint64_t ShardStats::*counter) {
+    uint64_t total = 0;
+    for (const ShardStats& s : topic.stats().shards) total += s.*counter;
+    return total;
+  };
 
-  // Batch 1: novel shapes adopt + fold (fold memoizes the new ids
-  // under the post-fold generation); trained shapes memoize on match.
+  // Batch 1: novel shapes adopt + fold; trained shapes match shared.
   ASSERT_TRUE(unsharded.IngestBatch(make_batch()).ok());
   ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  auto memo_hits = [](const ManagedTopic& topic) {
-    uint64_t hits = 0;
-    for (const ShardStats& s : topic.stats().shards) hits += s.memo_hits;
-    return hits;
-  };
-  const uint64_t hits_after_first = memo_hits(sharded);
+  const uint64_t first_shared = sum(sharded, &ShardStats::matched_shared);
+  EXPECT_GE(first_shared, static_cast<uint64_t>(kJobs));
 
-  // Batches 2 and 3 re-route the same shapes to the same shards (the
-  // content hash is stable): every distinct shape is a memo hit — the
-  // generation has not moved since the fold — and nothing re-adopts.
+  // Batches 2 and 3: every distinct shape — trained or folded — is a
+  // shared-model match, and nothing re-adopts.
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(unsharded.IngestBatch(make_batch()).ok());
     ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
   }
-  const TopicStats stats = sharded.stats();
-  uint64_t adopted = 0;
-  for (const ShardStats& s : stats.shards) adopted += s.adopted;
-  EXPECT_EQ(adopted, static_cast<uint64_t>(kShapes));
-  // Each repeat batch resolves kShapes novel + trained shapes from the
-  // memo: two full repeat rounds = at least 2 * kShapes hits.
-  EXPECT_GE(memo_hits(sharded) - hits_after_first,
-            static_cast<uint64_t>(2 * kShapes));
+  EXPECT_EQ(sum(sharded, &ShardStats::adopted),
+            static_cast<uint64_t>(kShapes));
+  EXPECT_EQ(sum(sharded, &ShardStats::matched_shared),
+            first_shared + 2 * (first_shared + kShapes));
+  EXPECT_EQ(sum(sharded, &ShardStats::memo_hits), 0u);
 
-  // End state identical to the single-shard topic, memo or no memo.
+  // End state identical to the single-shard topic.
   EXPECT_EQ(TemplateTexts(unsharded), TemplateTexts(sharded));
   const auto plain = RecordAssignments(unsharded);
   const auto shard = RecordAssignments(sharded);
   ASSERT_EQ(plain.size(), shard.size());
   EXPECT_EQ(GroupingAccuracy(plain, shard), 1.0);
-  // All copies of a shape across all three batches share ONE id.
+  // All copies of a shape across all three batches share ONE id, and
+  // every job word shares the trained job template's.
   std::map<std::string, std::set<TemplateId>> ids_by_text;
+  std::set<TemplateId> job_ids;
   ASSERT_TRUE(sharded
-                  .ScanRecords(200, sharded.size(),
+                  .ScanRecords(400, sharded.size(),
                                [&](uint64_t, const LogRecord& rec) {
                                  ids_by_text[rec.text].insert(rec.template_id);
+                                 if (rec.text.rfind("job ", 0) == 0) {
+                                   job_ids.insert(rec.template_id);
+                                 }
                                })
                   .ok());
   for (const auto& [text, ids] : ids_by_text) {
     EXPECT_EQ(ids.size(), 1u) << text;
   }
+  EXPECT_EQ(job_ids.size(), 1u);
+  EXPECT_EQ(job_ids.count(kInvalidTemplateId), 0u);
 
-  // A training commit invalidates the memo (ids + generation are
-  // superseded): the next batch must re-resolve, not serve stale ids.
+  // A training commit supersedes every temporary: the next batch's
+  // shapes are all in the retrained model, so each distinct one is a
+  // shared-model match and none adopts.
   ASSERT_TRUE(sharded.TrainNow().ok());
-  const uint64_t hits_before_post = memo_hits(sharded);
+  const uint64_t shared_before_post =
+      sum(sharded, &ShardStats::matched_shared);
   ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  EXPECT_EQ(memo_hits(sharded), hits_before_post);  // all misses, re-memoized
-  ASSERT_TRUE(sharded.IngestBatch(make_batch()).ok());
-  EXPECT_GT(memo_hits(sharded), hits_before_post);  // memo warm again
+  EXPECT_EQ(sum(sharded, &ShardStats::matched_shared) - shared_before_post,
+            first_shared + kShapes);
+  EXPECT_EQ(sum(sharded, &ShardStats::adopted),
+            static_cast<uint64_t>(kShapes));
   for (uint64_t id : RecordAssignments(sharded)) {
     EXPECT_NE(id, kInvalidTemplateId);
   }
