@@ -293,11 +293,13 @@ void BM_FrontendDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontendDispatch)->Arg(256)->Arg(1024);
 
-// Ingest throughput while retrains land mid-stream: Arg(1) runs them on
-// the background thread (atomic swap), Arg(0) inline under the ingest
-// lock — the delta is the latency the async design removes from the
-// ingest path. Counters report completed trainings, how many ran async,
-// and how many trigger firings were coalesced into follow-up runs.
+// Ingest throughput while retrains land mid-stream. Both arms train on
+// the topic's training thread; Arg(1) (async_training on) lets the
+// tripping ingest return at once, Arg(0) makes it wait for the commit —
+// the delta is the training time the async setting removes from the
+// ingest path. Counters report completed trainings, how many no ingest
+// waited for, and how many trigger firings were coalesced into
+// follow-up runs.
 void BM_TopicIngestAsyncRetrain(benchmark::State& state) {
   const auto& logs = SampleLogs();
   const bool async = state.range(0) != 0;
@@ -330,8 +332,8 @@ void BM_TopicIngestAsyncRetrain(benchmark::State& state) {
     trainings += stats.trainings;
     async_trainings += stats.async_trainings;
     coalesced += stats.coalesced_triggers;
-    // Destruction (training-pool join — async arm only) stays untimed so
-    // the sync-vs-async delta measures the ingest path, not thread setup.
+    // Destruction (training-pool join) stays untimed so the delta
+    // between the arms measures the ingest path, not thread teardown.
     topic.reset();
     state.ResumeTiming();
   }

@@ -186,6 +186,7 @@ using VariableRule = std::pair<std::string, std::string>;
 using VariableRuleFields =
     Fields<Bytes<1, &VariableRule::first>, Bytes<2, &VariableRule::second>>;
 
+// Tag 8 (sync_initial_training) is retired: skipped on decode.
 using TopicConfigFields = Fields<
     Scalar<1, &TopicConfig::train_volume_bytes>,
     Scalar<2, &TopicConfig::train_interval_records>,
@@ -194,7 +195,6 @@ using TopicConfigFields = Fields<
     Scalar<5, &TopicConfig::num_threads>,
     Scalar<6, &TopicConfig::num_ingest_shards>,
     Scalar<7, &TopicConfig::async_training>,
-    Scalar<8, &TopicConfig::sync_initial_training>,
     Enum<9, StorageConfig::Kind::kSegmentedDisk, &TopicConfig::storage,
          &StorageConfig::kind>,
     Bytes<10, &TopicConfig::storage, &StorageConfig::directory>,

@@ -117,16 +117,8 @@ void ManagedTopic::RestoreFromStorage() {
     // An unreadable model snapshot is not fatal: the records survived,
     // and the initial-training trigger below re-learns from them.
     if (model.ok()) {
-      PreparedRetrain prepared;
-      prepared.model = std::move(model).value();
-      prepared.matcher = std::make_unique<TemplateMatcher>(
-          prepared.model, &parser_.replacer());
-      parser_.CommitRetrain(std::move(prepared));
-      trained_ = true;
+      InstallModelLocked({std::move(model).value(), nullptr});
       restored = true;
-      stats_.num_templates = parser_.model().size();
-      stats_.model_bytes = parser_.ModelBytes();
-      parser_.model().ExportTo(&internal_);
     }
   }
   if (!restored) {
@@ -159,6 +151,19 @@ void ManagedTopic::RestoreFromStorage() {
     }
     (void)topic_.AssignTemplate(seq, id);
   }
+}
+
+void ManagedTopic::InstallModelLocked(PreparedRetrain prepared) {
+  if (prepared.matcher == nullptr) {
+    prepared.matcher = std::make_unique<TemplateMatcher>(prepared.model,
+                                                         &parser_.replacer());
+  }
+  parser_.CommitRetrain(std::move(prepared));
+  ++model_generation_;
+  trained_ = true;
+  stats_.num_templates = parser_.model().size();
+  stats_.model_bytes = parser_.ModelBytes();
+  parser_.model().ExportTo(&internal_);
 }
 
 ManagedTopic::~ManagedTopic() {
@@ -317,7 +322,9 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
   stats_.ingested_bytes += batch_bytes;
   bytes_since_training_ += batch_bytes;
   records_since_training_ += texts.size();
-  BB_RETURN_IF_ERROR(MaybeTrainLocked());
+  // The records are stored: a training failure is counted, never
+  // reported as a failed ingest.
+  const bool await_training = MaybeTrainLocked();
   lock.unlock();
   // Group-commit durability wait, deliberately off-lock: the WAL commit
   // thread coalesces concurrent batches into one fsync, and holding mu_
@@ -325,6 +332,7 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
   // storage_status() inside WaitDurable — the ack still stands
   // (fail-soft, same as an append IO error), so the result is ignored.
   (void)topic_.WaitDurable();
+  if (await_training) WaitForPendingTraining();
   MaybeFlushStorageCheckpoint();
   return first_seq;
 }
@@ -571,37 +579,41 @@ void ManagedTopic::ResetShardsLocked() {
   }
 }
 
-Status ManagedTopic::MaybeTrainLocked() {
+bool ManagedTopic::MaybeTrainLocked() {
   const bool first_training_due =
       !trained_ && records_since_training_ >= config_.initial_train_records;
   const bool retrain_due =
       trained_ && (bytes_since_training_ >= config_.train_volume_bytes ||
                    records_since_training_ >= config_.train_interval_records);
-  if (!first_training_due && !retrain_due) return Status::OK();
+  if (!first_training_due && !retrain_due) return false;
+  const bool awaited = first_training_due || !config_.async_training;
   if (training_in_flight_) {
     // Coalesce: the running cycle's commit re-checks the (still
     // accumulating) counters and schedules one follow-up for the whole
     // backlog instead of queueing a run per trigger.
     ++stats_.coalesced_triggers;
-    return Status::OK();
+    return awaited;
   }
-  const bool synchronous =
-      !config_.async_training ||
-      (first_training_due && config_.sync_initial_training);
-  if (synchronous) return TrainSyncLocked();
-  return ScheduleAsyncTrainingLocked();
+  // A failure is counted inside; the trigger stays due and retries.
+  (void)ScheduleTrainingLocked(awaited, /*outcome=*/nullptr);
+  return awaited;
 }
 
 Status ManagedTopic::TrainNow() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Manual training is synchronous by contract: let an in-flight
-  // background cycle commit first (its counters/window would otherwise
-  // race ours), then train inline.
-  train_done_cv_.wait(lock, [this] { return !training_in_flight_; });
-  const Status trained = TrainSyncLocked();
-  lock.unlock();
+  std::optional<Status> outcome;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    // Let an in-flight cycle commit first (its counters/window would
+    // otherwise race ours), then wait for our own commit; an empty
+    // topic schedules nothing and leaves the flag clear.
+    train_done_cv_.wait(lock, [this] { return !training_in_flight_; });
+    BB_RETURN_IF_ERROR(ScheduleTrainingLocked(/*awaited=*/true, &outcome));
+    train_done_cv_.wait(lock, [this, &outcome] {
+      return outcome.has_value() || !training_in_flight_;
+    });
+  }
   MaybeFlushStorageCheckpoint();
-  return trained;
+  return outcome.value_or(Status::OK());
 }
 
 void ManagedTopic::WaitForPendingTraining() const {
@@ -639,7 +651,6 @@ Status ManagedTopic::SnapshotTrainingLocked(TrainingRun* run) {
   stats_.last_snapshot_mapped_records = run->tail_begin - run->window_begin;
   run->base = parser_.SnapshotModel();
   run->num_threads = config_.num_threads;
-  run->start_hook = config_.on_async_training_start;
   run->snapshot_size = total;
   // The trigger counters measure "volume since the last training
   // SNAPSHOT" — records arriving while this snapshot trains count toward
@@ -652,14 +663,11 @@ Status ManagedTopic::SnapshotTrainingLocked(TrainingRun* run) {
 }
 
 Result<PreparedRetrain> ManagedTopic::PrepareTrainingGuarded(
-    TrainingRun* run, std::vector<TemplateId>* assignments,
-    bool invoke_hook) const {
+    TrainingRun* run, std::vector<TemplateId>* assignments) const {
   try {
     // Read ONLY the run's snapshot (hook, thread count): this executes
     // off-lock and config_ may be reassigned by UpdateConfig meanwhile.
-    if (invoke_hook && run->start_hook) {
-      run->start_hook();
-    }
+    if (run->start_hook) run->start_hook();
     // Materialize the window as VIEWS: the sealed part points straight
     // into the mmap'd segments (held alive by run->sealed), the tail
     // part into the snapshot's copies — the window itself is never
@@ -688,39 +696,29 @@ Result<PreparedRetrain> ManagedTopic::PrepareTrainingGuarded(
   }
 }
 
-Status ManagedTopic::TrainSyncLocked() {
+Status ManagedTopic::ScheduleTrainingLocked(bool awaited,
+                                            std::optional<Status>* outcome) {
   TrainingRun run;
-  BB_RETURN_IF_ERROR(SnapshotTrainingLocked(&run));
-  if (run.snapshot_size == 0) return Status::OK();
-  Timer timer;
-  std::vector<TemplateId> assignments;
-  auto prepared =
-      PrepareTrainingGuarded(&run, &assignments, /*invoke_hook=*/false);
-  if (!prepared.ok()) {
-    training_in_flight_ = false;
+  const Status snapshot = SnapshotTrainingLocked(&run);
+  if (!snapshot.ok()) {
     ++stats_.failed_trainings;
-    train_done_cv_.notify_all();
-    return prepared.status();
+    return snapshot;
   }
-  return CommitTrainingLocked(run, std::move(prepared).value(), assignments,
-                              timer.ElapsedSeconds());
-}
-
-Status ManagedTopic::ScheduleAsyncTrainingLocked() {
-  TrainingRun run;
-  BB_RETURN_IF_ERROR(SnapshotTrainingLocked(&run));
   if (run.snapshot_size == 0) return Status::OK();
+  run.awaited = awaited;
+  if (!awaited) run.start_hook = config_.on_async_training_start;
+  run.outcome = outcome;
   try {
     if (train_pool_ == nullptr) train_pool_ = std::make_unique<ThreadPool>(1);
     // shared_ptr because std::function requires a copyable callable; the
     // run itself is never actually copied. Schedule (not Submit) as a
-    // last-resort backstop: RunAsyncTraining converts every foreseeable
-    // throw into failed-training stats itself, and anything that still
-    // escapes is captured by the task's future instead of terminating
-    // the worker.
+    // last-resort backstop: RunTraining converts every foreseeable throw
+    // into failed-training stats itself, and anything that still escapes
+    // is captured by the task's future instead of terminating the
+    // worker.
     auto shared_run = std::make_shared<TrainingRun>(std::move(run));
     (void)train_pool_->Schedule(
-        [this, shared_run] { RunAsyncTraining(std::move(*shared_run)); });
+        [this, shared_run] { RunTraining(std::move(*shared_run)); });
   } catch (const std::exception& e) {
     // Thread creation (pid/rlimit exhaustion) or allocation failed; the
     // snapshot set training_in_flight_, which MUST not leak out set or
@@ -729,16 +727,14 @@ Status ManagedTopic::ScheduleAsyncTrainingLocked() {
     ++stats_.failed_trainings;
     train_done_cv_.notify_all();
     return Status::ResourceExhausted(
-        std::string("cannot schedule background training: ") + e.what());
+        std::string("cannot schedule training: ") + e.what());
   }
   return Status::OK();
 }
 
-void ManagedTopic::RunAsyncTraining(TrainingRun run) {
-  // The timer covers the whole background run — including the
-  // instrumentation hook, which tests use to stretch the window — so
-  // last_training_seconds is the duration ingest would have stalled for
-  // under the synchronous design.
+void ManagedTopic::RunTraining(TrainingRun run) {
+  // The timer covers the whole run — including the instrumentation
+  // hook, which tests use to stretch the window.
   Timer timer;
 
   // The expensive part runs with NO topic lock held: ingest keeps
@@ -746,13 +742,13 @@ void ManagedTopic::RunAsyncTraining(TrainingRun run) {
   // snapshot owns every input (window copies, cloned model); the only
   // shared state touched is the replacer, which is const after setup.
   // A throw from the user hook (or an allocation failure in training)
-  // must not escape a detached thread: it becomes a failed training.
+  // must not escape the training thread: it becomes a failed training.
   std::vector<TemplateId> assignments;
-  auto prepared =
-      PrepareTrainingGuarded(&run, &assignments, /*invoke_hook=*/true);
+  auto prepared = PrepareTrainingGuarded(&run, &assignments);
   const double train_seconds = timer.ElapsedSeconds();
 
   std::unique_lock<std::shared_mutex> lock(mu_);
+  Status outcome = prepared.status();
   try {
     if (!prepared.ok()) {
       // Model untouched; clear the in-flight state the commit would have.
@@ -761,12 +757,12 @@ void ManagedTopic::RunAsyncTraining(TrainingRun run) {
     } else {
       Timer swap_timer;
       // Once CommitTrainingLocked runs, the swap has happened: the cycle
-      // counts as an (async) training regardless of the cannot-really-fail
-      // re-assignment statuses inside.
-      (void)CommitTrainingLocked(run, std::move(prepared).value(), assignments,
-                                 train_seconds);
+      // counts as a training regardless of the cannot-really-fail
+      // re-assignment statuses inside (TrainNow still reports them).
+      outcome = CommitTrainingLocked(run, std::move(prepared).value(),
+                                     assignments, train_seconds);
       stats_.last_swap_seconds = swap_timer.ElapsedSeconds();
-      ++stats_.async_trainings;
+      if (!run.awaited) ++stats_.async_trainings;
     }
     // Triggers that fired while we trained were coalesced; if their volume
     // is still due, run ONE follow-up cycle for the whole backlog. The
@@ -778,7 +774,9 @@ void ManagedTopic::RunAsyncTraining(TrainingRun run) {
     // the exception vanish into the discarded task future.
     training_in_flight_ = false;
     ++stats_.failed_trainings;
+    outcome = Status::Aborted("training commit threw");
   }
+  if (run.outcome != nullptr) *run.outcome = outcome;
   // Waiters re-check under the lock: if a follow-up was scheduled,
   // training_in_flight_ is set again and they keep sleeping.
   train_done_cv_.notify_all();
@@ -797,27 +795,25 @@ Status ManagedTopic::CommitTrainingLocked(
   training_in_flight_ = false;
   train_done_cv_.notify_all();
 
-  // (a) O(1) atomic swap: the new model/matcher become THE model.
-  parser_.CommitRetrain(std::move(prepared));
-  // (b) Generation bump: ids prematched (IngestBatch) or assigned online
-  // against the superseded model are no longer authoritative.
-  ++model_generation_;
-  // Shard pendings are temporaries, and the swap just superseded every
-  // temporary: drop them. In-flight batches detect the bump and
+  // (a) Install: the O(1) model/matcher swap, a generation bump (ids
+  // prematched by IngestBatch or assigned online against the superseded
+  // model are no longer authoritative), and the metadata export (§3),
+  // which overwrites per id so entries for dropped temporaries are
+  // refreshed by their successors.
+  InstallModelLocked(std::move(prepared));
+  // (b) Shard pendings are temporaries, and the swap just superseded
+  // every temporary: drop them. In-flight batches detect the bump and
   // re-resolve their groups under the lock, so no pending id dangles.
   ResetShardsLocked();
-  trained_ = true;
   ++stats_.trainings;
   stats_.last_training_seconds = train_seconds;
-  stats_.model_bytes = parser_.ModelBytes();
-  stats_.num_templates = parser_.model().size();
 
   // From here on the swap is live, so assignment-path IO errors (a
   // disk backend's sealed-segment pwrite can fail) must NOT abort the
-  // remaining steps — skipping (d)'s reconciliation or (e)'s metadata
-  // export would leave records pointing at the dropped model. Carry
-  // the first error to the end instead; affected records keep stale
-  // ids until the next training or restart recovery re-matches them.
+  // remaining steps — skipping (d)'s reconciliation would leave records
+  // pointing at the dropped model. Carry the first error to the end
+  // instead; affected records keep stale ids until the next training or
+  // restart recovery re-matches them.
   Status first_error;
   auto keep_first = [&first_error](Status status) {
     if (!status.ok() && first_error.ok()) first_error = std::move(status);
@@ -834,9 +830,9 @@ Status ManagedTopic::CommitTrainingLocked(
   // the superseded model (including temporaries the swap just dropped).
   // Re-match them against the new model in arrival order — adopting
   // misses exactly as online matching would have — so no assignment is
-  // lost and the end state equals a synchronous training at the trigger
-  // point. Matching is ~ns-scale per record, so this section stays far
-  // below training cost.
+  // lost and the end state equals a training that stalled ingest at the
+  // trigger point. Matching is ~ns-scale per record, so this section
+  // stays far below training cost.
   const uint64_t now = topic_.size();
   if (now > run.snapshot_size) {
     std::vector<std::string> tail;
@@ -847,16 +843,12 @@ Status ManagedTopic::CommitTrainingLocked(
     for (uint64_t i = 0; i < tail.size(); ++i) {
       bool adopted = false;
       const TemplateId id = parser_.MatchOrAdopt(tail[i], &adopted);
-      if (adopted) ++stats_.adopted_templates;
+      if (adopted) PublishAdoptedLocked(id);
       keep_first(topic_.AssignTemplate(run.snapshot_size + i, id));
     }
   }
 
-  // (e) Publish node metadata (§3); overwrites per id, so entries for
-  // dropped temporaries are refreshed by their successors.
-  parser_.model().ExportTo(&internal_);
-
-  // (f) Durability: STAGE the committed model for a manifest
+  // (e) Durability: STAGE the committed model for a manifest
   // checkpoint. The serialize is an O(model) copy; the expensive part
   // (drain + fsyncs + manifest rename) runs in
   // MaybeFlushStorageCheckpoint once the caller releases the exclusive
@@ -1168,16 +1160,7 @@ Status ManagedTopic::ApplyReplicatedModel(const std::string& blob) {
   auto model = TemplateModel::Deserialize(blob);
   BB_RETURN_IF_ERROR(model.status());
   std::unique_lock<std::shared_mutex> lock(mu_);
-  PreparedRetrain prepared;
-  prepared.model = std::move(model).value();
-  prepared.matcher = std::make_unique<TemplateMatcher>(prepared.model,
-                                                       &parser_.replacer());
-  parser_.CommitRetrain(std::move(prepared));
-  trained_ = true;
-  ++model_generation_;
-  stats_.num_templates = parser_.model().size();
-  stats_.model_bytes = parser_.ModelBytes();
-  parser_.model().ExportTo(&internal_);
+  InstallModelLocked({std::move(model).value(), nullptr});
   return Status::OK();
 }
 

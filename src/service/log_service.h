@@ -13,7 +13,8 @@
 // the lock, a background thread trains on the snapshot, and only the
 // final O(1) model/matcher swap — plus re-assignment of records that
 // arrived mid-training — re-enters the exclusive section. Ingest latency
-// is therefore independent of training cost.
+// is therefore independent of training cost. It is the only training
+// path: TrainNow and the first training wait for their commit.
 #pragma once
 
 #include <atomic>
@@ -92,22 +93,19 @@ struct TopicConfig {
   /// is confined to temporaries and is reconciled at the next training
   /// cycle.
   int num_ingest_shards = 1;
-  /// Run triggered (re)trainings on a background thread and swap the new
-  /// model in atomically, so ingest is never blocked for the duration of
-  /// a training run. Disable for strictly sequential trigger semantics
-  /// (training completes inside the Ingest call that tripped it).
+  /// Every training runs on the topic's training thread. On, the ingest
+  /// that trips a retrain returns at once, so ingest never waits for a
+  /// training run; off, it waits for the commit (strictly sequential
+  /// trigger semantics). The ingest that trips the FIRST training always
+  /// waits: its window is bounded by `initial_train_records`, and a
+  /// deterministic "trained right after record N" bootstrap is what
+  /// early queries and most callers expect.
   bool async_training = true;
-  /// Build the FIRST model synchronously at its trigger point even when
-  /// `async_training` is on: the initial window is small (bootstrap
-  /// cost is bounded by `initial_train_records`) and a deterministic
-  /// "trained right after record N" bootstrap is what early queries and
-  /// most callers expect. Set to false to push it to the background too.
-  bool sync_initial_training = true;
   /// Test/ops instrumentation: invoked on the training thread right
-  /// before a background training run starts (snapshot already taken, no
-  /// topic lock held). Blocking here prolongs the training window
-  /// without blocking ingest — the async concurrency tests use it to
-  /// hold a training in flight deterministically.
+  /// before a training run that no caller waits for starts (snapshot
+  /// already taken, no topic lock held). Blocking here prolongs the
+  /// training window without blocking ingest — the async concurrency
+  /// tests use it to hold a training in flight deterministically.
   std::function<void()> on_async_training_start;
   ByteBrainOptions parser_options;
   /// Tenant-defined variable-replacement rules (§4.1.2): name -> pattern,
@@ -173,28 +171,29 @@ struct ShardStats {
 struct TopicStats {
   uint64_t ingested_records = 0;
   uint64_t ingested_bytes = 0;
-  /// Completed training cycles (synchronous + asynchronous).
+  /// Completed training cycles (waited for or not).
   uint64_t trainings = 0;
   uint64_t matched_online = 0;
   /// Temporary templates created for unmatched logs — online at ingest
-  /// plus any re-adopted while committing an async training (records
-  /// that arrived mid-training and miss the new model).
+  /// plus any re-adopted while committing a training (records that
+  /// arrived mid-training and miss the new model).
   uint64_t adopted_templates = 0;
   uint64_t model_bytes = 0;
   double last_training_seconds = 0.0;
   size_t num_templates = 0;
   // --- async retraining ---
-  /// Trainings that ran on the background thread (subset of `trainings`).
+  /// Completed cycles no caller waited for (subset of `trainings`).
   uint64_t async_trainings = 0;
-  /// 1 while a snapshot is training in the background, else 0.
+  /// 1 while a snapshot is training on the training thread, else 0.
   uint64_t pending_trainings = 0;
   /// Trigger evaluations absorbed by an already-in-flight training; the
   /// backlog is handled by one coalesced follow-up run at commit time.
   uint64_t coalesced_triggers = 0;
-  /// Training runs that ended in an error (model left unchanged).
+  /// Training cycles that could not be scheduled or ended in an error
+  /// (model left unchanged). Never fails the ingest that tripped them.
   uint64_t failed_trainings = 0;
-  /// Exclusive-lock time of the last async commit (swap + re-assign) —
-  /// the only part of an async training ingest ever waits on.
+  /// Exclusive-lock time of the last commit (swap + re-assign) — the
+  /// only part of a training an ingest it did not trip ever waits on.
   double last_swap_seconds = 0.0;
   // --- sharded ingest ---
   /// One entry per ingest shard (size == effective num_ingest_shards).
@@ -362,10 +361,10 @@ class ManagedTopic {
   /// `timestamps_us` is optional; when non-empty it must have one entry
   /// per text. Returns the records' sequence numbers in order.
   /// Locking: shared for the match phase, exclusive for the rest.
-  /// May train: only when a trigger fires AND the synchronous path
-  /// applies (async_training off, or the initial training with
-  /// sync_initial_training on); otherwise a trigger merely snapshots and
-  /// schedules — this call never waits for a training run.
+  /// A due trigger schedules a training cycle; this call waits for its
+  /// commit (lock released) only for the first training or with
+  /// async_training off. A training failure is counted in
+  /// failed_trainings, never returned: the records are already stored.
   Result<std::vector<uint64_t>> IngestBatch(
       std::vector<std::string> texts,
       const std::vector<uint64_t>& timestamps_us = {});
@@ -381,16 +380,16 @@ class ManagedTopic {
       const std::vector<std::string_view>& texts,
       const std::vector<uint64_t>& timestamps_us = {});
 
-  /// Forces a synchronous training cycle over the most recent records:
-  /// waits for any in-flight background training to commit first, then
-  /// trains under the exclusive lock and returns once the new model is
-  /// live. Resets the volume/record trigger counters exactly like a
-  /// triggered training (both paths share one snapshot routine).
-  /// Locking: exclusive; blocks ingest and queries until done.
+  /// Trains on the most recent records and returns the cycle's outcome
+  /// once the new model is live: waits for any in-flight cycle, then
+  /// schedules its own and waits for its commit. Resets the trigger
+  /// counters exactly like a triggered training. Locking: exclusive only
+  /// for the snapshot and the commit; ingest and queries run while it
+  /// trains, and records arriving meanwhile are re-matched at commit.
   Status TrainNow();
 
-  /// Blocks until no background training is in flight, including
-  /// coalesced follow-up runs scheduled at commit time. Does not prevent
+  /// Blocks until no training is in flight, including coalesced
+  /// follow-up runs scheduled at commit time. Does not prevent
   /// later ingests from triggering new trainings. Locking: shared (only
   /// to read the flag); never blocks ingest.
   void WaitForPendingTraining() const;
@@ -588,7 +587,12 @@ class ManagedTopic {
     /// while a run is in flight — a training uses the configuration as
     /// of its snapshot, never the live struct.
     int num_threads = 2;
+    /// A caller waits for this cycle's commit: no start hook, and it
+    /// does not count as an async training.
+    bool awaited = false;
     std::function<void()> start_hook;
+    /// TrainNow's outcome slot, filled under the lock when the cycle ends.
+    std::optional<Status>* outcome = nullptr;
     uint64_t window_size() const { return snapshot_size - window_begin; }
   };
 
@@ -597,11 +601,16 @@ class ManagedTopic {
   /// records carrying ids the restored model does not know. Runs before
   /// the topic is visible to any other thread (no lock needed).
   void RestoreFromStorage();
-  /// Trigger check; requires the exclusive lock. Routes to the sync or
-  /// async path; while a training is in flight, due triggers only count
+  /// Makes `prepared` the live model (building its matcher if absent):
+  /// swap, generation bump, model stats, metadata export. Shared by
+  /// training commits, recovery and replication. Requires the lock.
+  void InstallModelLocked(PreparedRetrain prepared);
+  /// Trigger check; requires the exclusive lock. Schedules a cycle when
+  /// one is due; while a training is in flight, due triggers only count
   /// `coalesced_triggers` (the commit re-checks and schedules one
-  /// follow-up for the whole backlog).
-  Status MaybeTrainLocked();
+  /// follow-up for the whole backlog). True when the caller must wait
+  /// for the in-flight cycle (first training, or async_training off).
+  bool MaybeTrainLocked();
   /// Copies the training window and clones the model; resets the
   /// volume/record counters (the ONE place they reset, shared by
   /// triggered and manual trainings) and marks a training in flight.
@@ -613,22 +622,18 @@ class ManagedTopic {
   /// into a Status — nothing may escape with `training_in_flight_` set.
   /// Runs lock-free state only; callable with or without the lock.
   Result<PreparedRetrain> PrepareTrainingGuarded(
-      TrainingRun* run, std::vector<TemplateId>* assignments,
-      bool invoke_hook) const;
-  /// Snapshot + train + commit inline; requires the exclusive lock and
-  /// holds it for the full training (the pre-async behaviour).
-  Status TrainSyncLocked();
+      TrainingRun* run, std::vector<TemplateId>* assignments) const;
   /// Snapshot + submit to the training thread; requires the exclusive
-  /// lock but returns without training.
-  Status ScheduleAsyncTrainingLocked();
-  /// Background-thread body: train off-lock, then take the exclusive
-  /// lock for the commit and a possible coalesced follow-up.
-  void RunAsyncTraining(TrainingRun run);
-  /// Publishes a prepared training: O(1) model/matcher swap, generation
-  /// bump, training-window re-assignment, re-match-or-adopt of records
-  /// that arrived mid-training, stats, metadata export. Requires the
-  /// exclusive lock; clears the in-flight flag up front so any return
-  /// path leaves the topic schedulable.
+  /// lock but returns without training. A failure (snapshot scan,
+  /// thread creation) is counted in failed_trainings and returned.
+  Status ScheduleTrainingLocked(bool awaited, std::optional<Status>* outcome);
+  /// Training-thread body, the only path that trains: train off-lock,
+  /// then lock for the commit and a possible coalesced follow-up.
+  void RunTraining(TrainingRun run);
+  /// Publishes a prepared training: InstallModelLocked, window
+  /// re-assignment, re-match-or-adopt of mid-training arrivals, stats.
+  /// Requires the exclusive lock; clears the in-flight flag up front so
+  /// any return path leaves the topic schedulable.
   Status CommitTrainingLocked(const TrainingRun& run, PreparedRetrain prepared,
                               const std::vector<TemplateId>& assignments,
                               double train_seconds);
@@ -735,7 +740,7 @@ class ManagedTopic {
   /// Set by LogService::DeleteTopic: the destructor removes the storage
   /// directory instead of checkpointing into it.
   std::atomic<bool> purge_storage_{false};
-  /// Single-thread pool for background training, created on first use;
+  /// Single-thread pool every training runs on, created on first use;
   /// one thread because cycles are serialized by design (coalescing).
   /// Destroyed first in ~ManagedTopic, which drains the queue while all
   /// other members are still alive.
@@ -743,9 +748,8 @@ class ManagedTopic {
   /// Signals training completion to TrainNow / WaitForPendingTraining.
   mutable std::condition_variable_any train_done_cv_;
   /// Readers (Query, stats, the batch match phase) take shared; anything
-  /// touching parser/model/topic state takes exclusive. A background
-  /// training holds NO lock while it trains — only its snapshot and
-  /// commit sections do.
+  /// touching parser/model/topic state takes exclusive. A training holds
+  /// NO lock while it trains — only its snapshot and commit sections do.
   mutable std::shared_mutex mu_;
 };
 

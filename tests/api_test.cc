@@ -138,7 +138,6 @@ TEST(ApiMessagesTest, CreateTopicRoundTripCarriesConfig) {
   req.config.num_threads = 5;
   req.config.num_ingest_shards = 6;
   req.config.async_training = false;
-  req.config.sync_initial_training = false;
   req.config.storage.kind = StorageConfig::Kind::kSegmentedDisk;
   req.config.storage.directory = "/tmp/x";
   req.config.storage.segment_data_bytes = 777;
@@ -156,7 +155,6 @@ TEST(ApiMessagesTest, CreateTopicRoundTripCarriesConfig) {
   EXPECT_EQ(got.config.num_threads, 5);
   EXPECT_EQ(got.config.num_ingest_shards, 6);
   EXPECT_FALSE(got.config.async_training);
-  EXPECT_FALSE(got.config.sync_initial_training);
   EXPECT_EQ(got.config.storage.kind, StorageConfig::Kind::kSegmentedDisk);
   EXPECT_EQ(got.config.storage.directory, "/tmp/x");
   EXPECT_EQ(got.config.storage.segment_data_bytes, 777u);
@@ -466,7 +464,6 @@ TopicConfig FullTopicConfig() {
   c.num_threads = 3;
   c.num_ingest_shards = 5;
   c.async_training = false;
-  c.sync_initial_training = false;
   c.storage.kind = StorageConfig::Kind::kSegmentedDisk;
   c.storage.directory = "data/events";
   c.storage.segment_data_bytes = 4096;
@@ -546,15 +543,15 @@ struct Golden<CreateTopicRequest> : BodyMessage {
     return m;
   }
   static constexpr std::string_view kHex =
-      "01000000060000006576656e7473020000000101000001000000080000006f00"
+      "01000000060000006576656e747302000000f500000001000000080000006f00"
       "0000000000000200000008000000de0000000000000003000000080000004d01"
       "0000000000000400000008000000bc0100000000000005000000040000000300"
-      "0000060000000400000005000000070000000400000000000000080000000400"
-      "0000000000000900000004000000010000000a0000000b000000646174612f65"
-      "76656e74730b0000000800000000100000000000000c00000008000000780300"
-      "00000000000d0000001e0000000100000003000000686578020000000b000000"
-      "30785b302d39612d665d2b0d0000001800000001000000020000006964020000"
-      "00060000005b302d395d2b0e0000000400000002000000";
+      "0000060000000400000005000000070000000400000000000000090000000400"
+      "0000010000000a0000000b000000646174612f6576656e74730b000000080000"
+      "0000100000000000000c0000000800000078030000000000000d0000001e0000"
+      "000100000003000000686578020000000b00000030785b302d39612d665d2b0d"
+      "000000180000000100000002000000696402000000060000005b302d395d2b0e"
+      "0000000400000002000000";
 };
 
 template <>
@@ -905,16 +902,16 @@ struct Golden<ReplPullResponse> : BodyMessage {
       "00000000000700000008000000eeffc000000000000800000008000000080000"
       "0000000000090000000800000009000000000000000a000000080000000a0000"
       "00000000000b000000080000000b000000000000000c00000004000000010000"
-      "000d0000000101000001000000080000006f0000000000000002000000080000"
+      "000d000000f500000001000000080000006f0000000000000002000000080000"
       "00de0000000000000003000000080000004d0100000000000004000000080000"
       "00bc010000000000000500000004000000030000000600000004000000050000"
-      "0007000000040000000000000008000000040000000000000009000000040000"
-      "00010000000a0000000b000000646174612f6576656e74730b00000008000000"
-      "00100000000000000c0000000800000078030000000000000d0000001e000000"
-      "0100000003000000686578020000000b00000030785b302d39612d665d2b0d00"
-      "0000180000000100000002000000696402000000060000005b302d395d2b0e00"
-      "000004000000020000000e00000004000000010000000f0000000b0000006d6f"
-      "64656c2d627974657310000000080000001000000000000000";
+      "000700000004000000000000000900000004000000010000000a0000000b0000"
+      "00646174612f6576656e74730b0000000800000000100000000000000c000000"
+      "0800000078030000000000000d0000001e000000010000000300000068657802"
+      "0000000b00000030785b302d39612d665d2b0d00000018000000010000000200"
+      "0000696402000000060000005b302d395d2b0e00000004000000020000000e00"
+      "000004000000010000000f0000000b0000006d6f64656c2d6279746573100000"
+      "00080000001000000000000000";
 };
 
 template <>
@@ -1026,6 +1023,25 @@ TYPED_TEST(WireGoldenTest, TruncatedAndCorruptedBytesNeverCrash) {
     Msg victim;
     (void)victim.DecodeFrom(mutated);
   }
+}
+
+// TopicConfig tag 8 (the first-training knob) is retired. Bytes from a
+// peer that still writes it — CreateTopicRequest's golden encoding
+// before the retirement — decode OK with every other field intact.
+TEST(ApiMessagesTest, RetiredTopicConfigTagIsSkipped) {
+  constexpr std::string_view kWithTag8 =
+      "01000000060000006576656e7473020000000101000001000000080000006f00"
+      "0000000000000200000008000000de0000000000000003000000080000004d01"
+      "0000000000000400000008000000bc0100000000000005000000040000000300"
+      "0000060000000400000005000000070000000400000000000000080000000400"
+      "0000000000000900000004000000010000000a0000000b000000646174612f65"
+      "76656e74730b0000000800000000100000000000000c00000008000000780300"
+      "00000000000d0000001e0000000100000003000000686578020000000b000000"
+      "30785b302d39612d665d2b0d0000001800000001000000020000006964020000"
+      "00060000005b302d395d2b0e0000000400000002000000";
+  CreateTopicRequest decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(Unhex(kWithTag8)).ok());
+  EXPECT_EQ(Hex(Encode(decoded)), Golden<CreateTopicRequest>::kHex);
 }
 
 TEST(ApiFrontendTest, DispatchOnGarbageNeverCrashes) {
@@ -1712,7 +1728,7 @@ TEST(ApiFrontendTest, DeleteTopicDrainsInFlightTraining) {
   create.name = "t";
   create.config = SmallConfig();
   create.config.async_training = true;
-  create.config.sync_initial_training = false;
+  create.config.train_interval_records = 50;
   create.config.on_async_training_start = [&] {
     training_started.store(true);
     std::unique_lock<std::mutex> lock(gate_mu);
@@ -1721,8 +1737,12 @@ TEST(ApiFrontendTest, DeleteTopicDrainsInFlightTraining) {
   CreateTopicResponse created;
   ASSERT_TRUE(frontend.CreateTopic("acme", create, &created).ok());
 
+  // The first batch trips the initial training, which the ingest waits
+  // for (no hook); the second trips a retrain, which parks at the gate.
   std::vector<std::string> texts;
   for (int i = 0; i < 60; ++i) texts.push_back(SshLog(i));
+  ASSERT_TRUE(IngestTexts(frontend, "acme", "t", texts).ok());
+  EXPECT_FALSE(training_started.load());
   ASSERT_TRUE(IngestTexts(frontend, "acme", "t", texts).ok());
   while (!training_started.load()) std::this_thread::yield();
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -355,22 +356,72 @@ TEST(AsyncTrainingTest, ShutdownWithTrainingPendingDrains) {
   EXPECT_EQ(gate.StartCount(), 1);
 }
 
-// First training pushed to the background (sync_initial_training off):
-// records ingested before the first model exists are assigned at commit.
-TEST(AsyncTrainingTest, AsyncInitialTrainingAssignsBacklog) {
-  TopicConfig config = AsyncConfig();
-  config.sync_initial_training = false;
+// Two threads ingest across the initial trigger. With one record per
+// call, the call that appends record initial_train_records - 1 trips
+// the first training and returns only once the model is live; records
+// the other thread appends meanwhile are assigned at the commit.
+TEST(AsyncTrainingTest, ConcurrentIngestAcrossInitialTraining) {
+  const TopicConfig config = AsyncConfig();
   ManagedTopic topic("t", config);
-  for (int i = 0; i < 80; ++i) {
-    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
-  }
-  topic.WaitForPendingTraining();
-  EXPECT_TRUE(topic.trained());
-  EXPECT_GE(topic.stats().async_trainings, 1u);
+  const uint64_t tripping_seq = config.initial_train_records - 1;
+  std::atomic<int> failures{0};
+  std::atomic<int> tripping_calls{0};
+  auto ingester = [&](bool ssh) {
+    for (int i = 0; i < 60; ++i) {
+      auto seq = topic.Ingest(ssh ? SshLog(i) : DiskLog(i));
+      if (!seq.ok()) {
+        failures.fetch_add(1);
+      } else if (seq.value() == tripping_seq) {
+        tripping_calls.fetch_add(1);
+        if (!topic.trained()) failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(ingester, true);
+  std::thread b(ingester, false);
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(tripping_calls.load(), 1);
+  ASSERT_EQ(topic.size(), 120u);
   for (uint64_t seq = 0; seq < topic.size(); ++seq) {
     EXPECT_NE(topic.ReadRecord(seq)->template_id, kInvalidTemplateId)
         << "seq " << seq;
   }
+}
+
+// A cycle nobody waits for fails (its start hook throws): the ingest
+// that tripped it still succeeds, the failure is counted, and the next
+// trigger trains normally.
+TEST(AsyncTrainingTest, FailedTrainingNeverFailsTheIngest) {
+  std::atomic<int> hook_calls{0};
+  TopicConfig config = AsyncConfig();
+  config.on_async_training_start = [&hook_calls] {
+    if (hook_calls.fetch_add(1) == 0) throw std::runtime_error("hook failed");
+  };
+  ManagedTopic topic("t", config);
+  // Record 50 trips the initial training (waited, no hook), record 150
+  // the first retrain, whose hook throws.
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
+  }
+  topic.WaitForPendingTraining();
+  TopicStats stats = topic.stats();
+  EXPECT_EQ(stats.failed_trainings, 1u);
+  EXPECT_EQ(stats.pending_trainings, 0u);
+  EXPECT_EQ(stats.trainings, 1u);
+
+  // The failed cycle's snapshot reset the counters: a full interval
+  // later the next retrain runs and commits.
+  for (int i = 150; i < 250; ++i) {
+    ASSERT_TRUE(topic.Ingest(SshLog(i)).ok());
+  }
+  topic.WaitForPendingTraining();
+  stats = topic.stats();
+  EXPECT_EQ(stats.failed_trainings, 1u);
+  EXPECT_EQ(stats.trainings, 2u);
+  EXPECT_EQ(stats.async_trainings, 1u);
+  EXPECT_EQ(hook_calls.load(), 2);
 }
 
 // Queries must run (shared lock) while a training is in flight, and see
