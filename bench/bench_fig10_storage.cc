@@ -1,15 +1,18 @@
 // Fig. 10: the token->id dictionary an ordinal encoder would have to
 // persist, per dataset, as a function of log volume — the storage that
 // hash encoding eliminates entirely. Plus the topic-storage series:
-// LogTopic append/scan throughput and on-disk footprint, in-memory
-// backend vs the segmented disk backend (mmap'd sealed scans).
+// storage-backend append/scan throughput and on-disk footprint,
+// in-memory backend vs the segmented disk backend (mmap'd sealed scans).
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <memory>
 
 #include "bench/bench_common.h"
 #include "core/preprocess.h"
-#include "logstore/log_topic.h"
+#include "logstore/storage_backend.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -38,23 +41,27 @@ StorageSeries RunStorageSeries(const Dataset& ds, bool disk) {
   }
   StorageSeries out;
   {
-    LogTopic topic(ds.name, cfg);
+    std::unique_ptr<StorageBackend> store = CreateStorageBackend(cfg);
+    if (!store->Open().ok()) {
+      std::fprintf(stderr, "cannot open storage for %s\n", ds.name.c_str());
+      std::exit(1);
+    }
     Timer append_timer;
     uint64_t ts = 0;
     for (const auto& l : ds.logs) {
-      topic.Append({ts++, l.text, 0});
+      (void)store->Append({ts++, l.text, 0});
     }
     out.append_mps = static_cast<double>(ds.logs.size()) /
                      append_timer.ElapsedSeconds() / 1e6;
     Timer scan_timer;
     uint64_t bytes = 0;
-    (void)topic.Scan(0, topic.size(),
-                     [&bytes](uint64_t, const LogRecord& rec) {
-                       bytes += rec.text.size();
-                     });
-    out.scan_mps = static_cast<double>(topic.size()) /
+    (void)store->Scan(0, store->size(),
+                      [&bytes](uint64_t, const LogRecord& rec) {
+                        bytes += rec.text.size();
+                      });
+    out.scan_mps = static_cast<double>(store->size()) /
                    scan_timer.ElapsedSeconds() / 1e6;
-    out.segments = topic.sealed_segment_count();
+    out.segments = store->sealed_segment_count();
   }
   if (disk) {
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -102,7 +109,7 @@ int main() {
       "the scale-free signal.)\n");
 
   std::printf(
-      "\nTopic-storage series: LogTopic append/scan, in-memory backend\n"
+      "\nTopic-storage series: backend append/scan, in-memory backend\n"
       "vs segmented disk backend (1 MiB checksummed segments, sealed\n"
       "segments scanned via mmap).\n\n");
   TablePrinter storage_table(

@@ -503,17 +503,18 @@ void BM_StorageScan(benchmark::State& state) {
     cfg.directory = dir;
     cfg.segment_data_bytes = 64 * 1024;  // everything sealed quickly
   }
-  LogTopic topic("bench", cfg);
+  std::unique_ptr<StorageBackend> store = CreateStorageBackend(cfg);
+  if (!store->Open().ok()) state.SkipWithError("open failed");
   constexpr size_t kRecords = 16384;
   for (size_t i = 0; i < kRecords; ++i) {
-    topic.Append({i, logs[i & 4095], 0});
+    (void)store->Append({i, logs[i & 4095], 0});
   }
   for (auto _ : state) {
     uint64_t bytes = 0;
-    (void)topic.Scan(0, kRecords,
-                     [&bytes](uint64_t, const LogRecord& rec) {
-                       bytes += rec.text.size();
-                     });
+    (void)store->Scan(0, kRecords,
+                      [&bytes](uint64_t, const LogRecord& rec) {
+                        bytes += rec.text.size();
+                      });
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -15,7 +15,6 @@
 
 #include "logstore/disk_backend.h"
 #include "logstore/fault_injection.h"
-#include "logstore/log_topic.h"
 
 namespace bytebrain {
 namespace {
@@ -61,15 +60,16 @@ void RunWalAppend(benchmark::State& state, DurabilityMode mode) {
   uint64_t records = 0;
   uint64_t bytes = 0;
   {
-    LogTopic topic("bench", BenchConfig(dir, mode));
+    SegmentedDiskBackend backend(BenchConfig(dir, mode));
+    if (!backend.Open().ok()) state.SkipWithError("open failed");
     const std::vector<LogRecord> proto = MakeBatch(batch_size);
     uint64_t batch_bytes = 0;
     for (const LogRecord& r : proto) batch_bytes += r.text.size();
     for (auto _ : state) {
       std::vector<LogRecord> batch = proto;  // copy outside the append
-      topic.AppendBatch(std::move(batch));
+      benchmark::DoNotOptimize(backend.AppendBatch(std::move(batch)));
       // The service acks here: durability modes pay their wait now.
-      benchmark::DoNotOptimize(topic.WaitDurable());
+      benchmark::DoNotOptimize(backend.WaitDurable());
       records += batch_size;
       bytes += batch_bytes;
     }

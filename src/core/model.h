@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "core/token_table.h"
+#include "logstore/internal_topic.h"
 #include "logstore/log_record.h"
-#include "logstore/log_topic.h"
 #include "util/status.h"
 
 namespace bytebrain {

@@ -789,6 +789,7 @@ Status SegmentedDiskBackend::Scan(
     uint64_t begin, uint64_t end,
     const std::function<void(uint64_t, const LogRecord&)>& fn) const {
   end = std::min(end, size());
+  ScanVisitTally visits(&scan_visits_);
   // Records materialize into one reused scratch (its string buffer is
   // recycled, so a steady-state scan allocates only on growth).
   LogRecord scratch;
@@ -803,13 +804,13 @@ Status SegmentedDiskBackend::Scan(
     size_t off = SeekOffset(pin.data(), *seg, lo - seg->first_seq);
     for (uint64_t seq = lo; seq < hi; ++seq) {
       MaterializeFrame(pin.data() + off, &scratch);
-      ++scan_visits_;
+      ++visits.count;
       fn(seq, scratch);
       off += kFrameHeaderBytes + scratch.text.size();
     }
   }
   for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     fn(seq, active_[seq - sealed_records_]);
   }
   return Status::OK();
@@ -819,6 +820,7 @@ Status SegmentedDiskBackend::TemplateCounts(
     uint64_t begin, uint64_t end,
     std::unordered_map<TemplateId, uint64_t>* counts) const {
   end = std::min(end, size());
+  ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
     const uint64_t seg_end = seg->first_seq + seg->records;
     if (seg_end <= begin) continue;
@@ -840,13 +842,13 @@ Status SegmentedDiskBackend::TemplateCounts(
       TemplateId tid;
       std::memcpy(&len, pin.data() + off, 4);
       std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++scan_visits_;
+      ++visits.count;
       ++(*counts)[tid];
       off += kFrameHeaderBytes + len;
     }
   }
   for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     ++(*counts)[active_[seq - sealed_records_].template_id];
   }
   return Status::OK();
@@ -856,6 +858,7 @@ Status SegmentedDiskBackend::ScanTemplates(
     uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
     const std::function<void(uint64_t, TemplateId)>& fn) const {
   end = std::min(end, size());
+  ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
     const uint64_t seg_end = seg->first_seq + seg->records;
     if (seg_end <= begin) continue;
@@ -882,13 +885,13 @@ Status SegmentedDiskBackend::ScanTemplates(
       TemplateId tid;
       std::memcpy(&len, pin.data() + off, 4);
       std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++scan_visits_;
+      ++visits.count;
       if (ids.count(tid) != 0) fn(seq, tid);
       off += kFrameHeaderBytes + len;
     }
   }
   for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     const TemplateId tid = active_[seq - sealed_records_].template_id;
     if (ids.count(tid) != 0) fn(seq, tid);
   }
@@ -902,6 +905,7 @@ Status SegmentedDiskBackend::TemplateCountsInRange(
     return TemplateCounts(begin, end, counts);
   }
   end = std::min(end, size());
+  ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
     const uint64_t seg_end = seg->first_seq + seg->records;
     if (seg_end <= begin) continue;
@@ -930,13 +934,13 @@ Status SegmentedDiskBackend::TemplateCountsInRange(
       std::memcpy(&len, pin.data() + off, 4);
       std::memcpy(&ts, pin.data() + off + 4, 8);
       std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++scan_visits_;
+      ++visits.count;
       if (ts >= min_ts_us && ts <= max_ts_us) ++(*counts)[tid];
       off += kFrameHeaderBytes + len;
     }
   }
   for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     const LogRecord& rec = active_[seq - sealed_records_];
     if (rec.timestamp_us >= min_ts_us && rec.timestamp_us <= max_ts_us) {
       ++(*counts)[rec.template_id];
@@ -953,6 +957,7 @@ Status SegmentedDiskBackend::ScanTemplatesInRange(
     return ScanTemplates(begin, end, ids, fn);
   }
   end = std::min(end, size());
+  ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
     const uint64_t seg_end = seg->first_seq + seg->records;
     if (seg_end <= begin) continue;
@@ -979,7 +984,7 @@ Status SegmentedDiskBackend::ScanTemplatesInRange(
       std::memcpy(&len, pin.data() + off, 4);
       std::memcpy(&ts, pin.data() + off + 4, 8);
       std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++scan_visits_;
+      ++visits.count;
       if (ts >= min_ts_us && ts <= max_ts_us && ids.count(tid) != 0) {
         fn(seq, tid);
       }
@@ -987,7 +992,7 @@ Status SegmentedDiskBackend::ScanTemplatesInRange(
     }
   }
   for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     const LogRecord& rec = active_[seq - sealed_records_];
     if (rec.timestamp_us >= min_ts_us && rec.timestamp_us <= max_ts_us &&
         ids.count(rec.template_id) != 0) {

@@ -38,6 +38,7 @@
 // against the manifest.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -109,7 +110,9 @@ class SegmentedDiskBackend : public StorageBackend {
   uint64_t cache_misses() const override;
   uint64_t cache_evictions() const override;
   uint64_t index_rebuilds() const override { return index_rebuilds_; }
-  uint64_t scan_record_visits() const override { return scan_visits_; }
+  uint64_t scan_record_visits() const override {
+    return scan_visits_.load(std::memory_order_relaxed);
+  }
   Status WaitDurable() override;
   uint64_t wal_bytes() const override;
   uint64_t wal_group_commits() const override;
@@ -119,8 +122,9 @@ class SegmentedDiskBackend : public StorageBackend {
  private:
   /// One sealed segment. Immutable after construction except for
   /// template-id pwrites and the derived index state they maintain
-  /// (`postings`, `index_dirty` — mutated only under the topic lock;
-  /// off-lock readers never touch either). The record bytes are mapped
+  /// (`postings` — mutated only under the exclusive topic lock;
+  /// `index_dirty` — set there too, cleared by a checkpoint under the
+  /// shared one; no reader touches it). The record bytes are mapped
   /// on demand through `entry` (segment_cache.h); the struct is shared
   /// by the backend and every outstanding SealedRecordView, so the
   /// backend cannot retire the file under a concurrent training scan.
@@ -240,7 +244,7 @@ class SegmentedDiskBackend : public StorageBackend {
   /// stale) and records touched by Scan/ScanTemplates/partial
   /// TemplateCounts — see StorageBackend for the contract.
   uint64_t index_rebuilds_ = 0;
-  mutable uint64_t scan_visits_ = 0;
+  mutable std::atomic<uint64_t> scan_visits_{0};
   /// Sticky first append-path IO failure (disk full, lost mount, seal
   /// failure). Once set, appends stop touching the file entirely — new
   /// records live only in the active in-memory mirror (fail-soft:
@@ -249,9 +253,10 @@ class SegmentedDiskBackend : public StorageBackend {
   /// fsyncing a store whose tail is torn. NOTE the tradeoff:
   /// post-failure appends accumulate in RAM exactly like a memory
   /// backend, so a topic that keeps ingesting against a dead disk
-  /// grows unboundedly; callers watch LogTopic::storage_status() /
-  /// TopicStats::storage_ok and decide (the alternative — dropping
-  /// records — would corrupt sequence numbering).
+  /// grows unboundedly; the owning ManagedTopic records the failure in
+  /// its sticky storage status (StorageStatus(), TopicStats::storage_ok)
+  /// and callers decide (the alternative — dropping records — would
+  /// corrupt sequence numbering).
   Status io_error_;
 };
 

@@ -117,8 +117,9 @@ Status MemoryBackend::Scan(
     uint64_t begin, uint64_t end,
     const std::function<void(uint64_t, const LogRecord&)>& fn) const {
   end = std::min(end, count_);
+  ScanVisitTally visits(&scan_visits_);
   for (uint64_t seq = begin; seq < end; ++seq) {
-    ++scan_visits_;
+    ++visits.count;
     fn(seq, *Locate(seq));
   }
   return Status::OK();
@@ -153,6 +154,7 @@ Status MemoryBackend::TemplateCounts(
     uint64_t begin, uint64_t end,
     std::unordered_map<TemplateId, uint64_t>* counts) const {
   end = std::min(end, count_);
+  ScanVisitTally visits(&scan_visits_);
   uint64_t seq = begin;
   while (seq < end) {
     const size_t si = seq / segment_capacity_;
@@ -164,8 +166,8 @@ Status MemoryBackend::TemplateCounts(
       // Fully covered: answer from the segment's postings.
       for (const auto& [tid, n] : seg.postings) (*counts)[tid] += n;
     } else {
+      visits.count += hi - seq;
       for (uint64_t s = seq; s < hi; ++s) {
-        ++scan_visits_;
         ++(*counts)[seg.records[s - seg_begin].template_id];
       }
     }
@@ -178,6 +180,7 @@ Status MemoryBackend::ScanTemplates(
     uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
     const std::function<void(uint64_t, TemplateId)>& fn) const {
   end = std::min(end, count_);
+  ScanVisitTally visits(&scan_visits_);
   uint64_t seq = begin;
   while (seq < end) {
     const size_t si = seq / segment_capacity_;
@@ -192,8 +195,8 @@ Status MemoryBackend::ScanTemplates(
       }
     }
     if (overlaps) {
+      visits.count += hi - seq;
       for (uint64_t s = seq; s < hi; ++s) {
-        ++scan_visits_;
         const TemplateId tid = seg.records[s - seg_begin].template_id;
         if (ids.count(tid) != 0) fn(s, tid);
       }

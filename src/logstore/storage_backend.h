@@ -1,4 +1,4 @@
-// Pluggable record storage for LogTopic (paper §3 "the system stores
+// Pluggable record storage for a topic (paper §3 "the system stores
 // logs in append-only topics"; ROADMAP "Multi-topic storage backends").
 //
 // A StorageBackend owns the record bytes of one topic. Two
@@ -10,17 +10,32 @@
 //     training windows can grow far past RAM and a topic survives
 //     process restarts.
 //
-// Threading contract: backends are UNSYNCHRONIZED. LogTopic serializes
-// every call under its own mutex; the only state that may be read
-// without it is a SealedRecordView, which is immutable by construction
-// (sealed segments never change after sealing and the view keeps them
-// alive via shared ownership). Two exceptions, both internally
-// synchronized so callers run them with NO topic lock held:
-// WaitDurable() (holding the lock through a group-commit fsync wait
-// would serialize the batches it exists to coalesce) and the wal_*
-// stat reads it shares state with (logstore/wal.h).
+// Threading contract: a backend takes no lock of its own — its owner
+// (ManagedTopic) calls it under the topic's one lock, `mu_`:
+//   * writers — Append/AppendBatch, AssignTemplate(s), SealActive and
+//     the training snapshot (SnapshotSealed) — run under `mu_`
+//     EXCLUSIVE;
+//   * const readers — Read, Scan, the query primitives, the three
+//     replication reads and the stats getters — run under `mu_`
+//     SHARED, concurrently with each other, so a const method may
+//     mutate only internally synchronized state (the SegmentCache, the
+//     relaxed scan-visit tally);
+//   * WaitDurable() and the wal_* stats need no lock: the WAL is
+//     internally synchronized, and holding the lock through a
+//     group-commit fsync wait would serialize the very batches it
+//     coalesces;
+//   * Checkpoint() runs under `mu_` SHARED, one at a time (the owner's
+//     checkpoint mutex): shared excludes every writer, and a
+//     checkpoint (with the Flush inside it) mutates only write-path
+//     state no reader touches — the write buffer, the dirty template
+//     ids, the metadata blob (read back only by recovery, before the
+//     topic is shared), the index-dirty flags and the sticky IO error.
+// A SealedRecordView needs no lock at all: it is immutable by
+// construction (sealed segments never change after sealing and the
+// view keeps them alive via shared ownership).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -133,8 +148,8 @@ class SealedRecordView {
       const std::function<void(uint64_t, std::string_view)>& fn) const = 0;
 };
 
-/// Append-only record store for one topic. All methods require external
-/// serialization (LogTopic's mutex) unless noted.
+/// Append-only record store for one topic. Callers hold the owning
+/// topic's lock as the threading contract above prescribes.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -291,10 +306,8 @@ class StorageBackend {
 
   /// Blocks until every record appended before this call is durable
   /// (DurabilityMode::kWalGroupCommit); immediate OK for every other
-  /// mode/backend. EXCEPTION to the threading contract: called with NO
-  /// external lock held — the WAL underneath is internally
-  /// synchronized, and holding the topic lock through the fsync wait
-  /// would serialize the batches group commit coalesces.
+  /// mode/backend. Called with NO lock held (see the threading
+  /// contract).
   virtual Status WaitDurable() { return Status::OK(); }
 
   /// Observability (TopicStats::storage); zeros for volatile backends.
@@ -321,6 +334,23 @@ class StorageBackend {
   virtual uint64_t wal_group_commits() const { return 0; }
   virtual uint64_t wal_fsyncs() const { return 0; }
   virtual uint64_t wal_replayed_records() const { return 0; }
+};
+
+/// Tallies one const call's record visits (scan_record_visits) in a
+/// local and publishes them with ONE relaxed add on every return path:
+/// const readers run concurrently, so a shared counter bumped per
+/// record would be a data race and a contended cache line.
+class ScanVisitTally {
+ public:
+  explicit ScanVisitTally(std::atomic<uint64_t>* total) : total_(total) {}
+  ~ScanVisitTally() { total_->fetch_add(count, std::memory_order_relaxed); }
+  ScanVisitTally(const ScanVisitTally&) = delete;
+  ScanVisitTally& operator=(const ScanVisitTally&) = delete;
+
+  uint64_t count = 0;
+
+ private:
+  std::atomic<uint64_t>* total_;
 };
 
 /// The original in-memory store: fixed-capacity segments of LogRecords.
@@ -350,7 +380,9 @@ class MemoryBackend : public StorageBackend {
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return metadata_; }
   bool persistent() const override { return false; }
-  uint64_t scan_record_visits() const override { return scan_visits_; }
+  uint64_t scan_record_visits() const override {
+    return scan_visits_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Segment {
@@ -369,7 +401,7 @@ class MemoryBackend : public StorageBackend {
   uint64_t count_ = 0;
   uint64_t text_bytes_ = 0;
   std::string metadata_;
-  mutable uint64_t scan_visits_ = 0;
+  mutable std::atomic<uint64_t> scan_visits_{0};
 };
 
 /// Builds the backend selected by `config` (not yet Open()ed).

@@ -30,11 +30,12 @@
 // re-matched by the service (the frame checksum excludes the id by
 // design, util/hashing.h).
 //
-// Threading: unlike every other part of the storage layer (which
-// LogTopic serializes externally), a WriteAheadLog is INTERNALLY
-// synchronized — WaitDurable must run with no topic lock held (holding
-// it would serialize the very batches group commit exists to coalesce)
-// and the commit thread runs concurrently with appends by design.
+// Threading: unlike every other part of the storage layer (which the
+// owning ManagedTopic's lock serializes; see storage_backend.h), a
+// WriteAheadLog is INTERNALLY synchronized — WaitDurable must run with
+// no topic lock held (holding it would serialize the very batches group
+// commit exists to coalesce) and the commit thread runs concurrently
+// with appends by design.
 //
 // Failure model: the first IO error (write or fsync) goes sticky, the
 // commit thread stops syncing, and every waiter is released with the

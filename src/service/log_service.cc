@@ -45,7 +45,7 @@ Status ValidateTopicKnobs(const TopicConfig& config) {
 }
 
 // TopicConfig::durability is the single wire-visible durability knob;
-// fold it into the StorageConfig the LogTopic actually receives
+// fold it into the StorageConfig the topic's backend is built from
 // (StorageConfig::durability is ignored at this layer otherwise).
 StorageConfig EffectiveStorage(const TopicConfig& config) {
   StorageConfig storage = config.storage;
@@ -86,8 +86,17 @@ Status ValidateTopicConfig(const TopicConfig& config) {
 ManagedTopic::ManagedTopic(std::string name, TopicConfig config)
     : name_(std::move(name)),
       config_(std::move(config)),
-      topic_(name_, EffectiveStorage(config_)),
       parser_(config_.parser_options) {
+  const StorageConfig storage = EffectiveStorage(config_);
+  store_ = CreateStorageBackend(storage);
+  storage_status_ = store_->Open();
+  if (!storage_status_.ok()) {
+    // Fail-soft: a constructor cannot return a Status and a half-broken
+    // disk store must never crash, so the topic runs (empty) on an
+    // in-memory store and keeps the open error; LogService::CreateTopic
+    // surfaces it as the creation result.
+    store_ = std::make_unique<MemoryBackend>(storage.memory_segment_capacity);
+  }
   const int num_shards = std::clamp(config_.num_ingest_shards, 1, 64);
   shards_.reserve(num_shards);
   for (int i = 0; i < num_shards; ++i) {
@@ -99,18 +108,18 @@ ManagedTopic::ManagedTopic(std::string name, TopicConfig config)
     // explicitly.
     (void)parser_.AddVariableRule(rule_name, pattern);
   }
-  if (topic_.size() > 0) RestoreFromStorage();
+  if (store_->size() > 0) RestoreFromStorage();
 }
 
 void ManagedTopic::RestoreFromStorage() {
   // Volume stats are derivable from the recovered store; cycle counters
   // (trainings, adoption counts, ...) restart at zero — they describe
   // this process's lifetime.
-  stats_.ingested_records = topic_.size();
-  stats_.ingested_bytes = topic_.text_bytes();
-  stats_.recovered_records = topic_.size();
+  stats_.ingested_records = store_->size();
+  stats_.ingested_bytes = store_->text_bytes();
+  stats_.recovered_records = store_->size();
 
-  const std::string blob = topic_.recovered_metadata();
+  const std::string blob = store_->metadata();
   bool restored = false;
   if (!blob.empty()) {
     auto model = TemplateModel::Deserialize(blob);
@@ -124,8 +133,8 @@ void ManagedTopic::RestoreFromStorage() {
   if (!restored) {
     // No model: count the whole recovered window toward the initial
     // training so the next ingest trips it.
-    records_since_training_ = topic_.size();
-    bytes_since_training_ = topic_.text_bytes();
+    records_since_training_ = store_->size();
+    bytes_since_training_ = store_->text_bytes();
     return;
   }
   // Records appended after the last checkpoint may carry template ids
@@ -135,13 +144,13 @@ void ManagedTopic::RestoreFromStorage() {
   // mid-training arrivals. Collected first: AssignTemplate must not
   // re-enter the topic from inside its own Scan.
   std::vector<std::pair<uint64_t, std::string>> unknown;
-  (void)topic_.Scan(0, topic_.size(),
-                    [this, &unknown](uint64_t seq, const LogRecord& rec) {
-                      if (rec.template_id == kInvalidTemplateId ||
-                          parser_.model().node(rec.template_id) == nullptr) {
-                        unknown.emplace_back(seq, rec.text);
-                      }
-                    });
+  (void)store_->Scan(0, store_->size(),
+                     [this, &unknown](uint64_t seq, const LogRecord& rec) {
+                       if (rec.template_id == kInvalidTemplateId ||
+                           parser_.model().node(rec.template_id) == nullptr) {
+                         unknown.emplace_back(seq, rec.text);
+                       }
+                     });
   for (auto& [seq, text] : unknown) {
     bool adopted = false;
     const TemplateId id = parser_.MatchOrAdopt(text, &adopted);
@@ -149,7 +158,7 @@ void ManagedTopic::RestoreFromStorage() {
       ++model_generation_;
       PublishAdoptedLocked(id);
     }
-    (void)topic_.AssignTemplate(seq, id);
+    (void)store_->AssignTemplate(seq, id);
   }
 }
 
@@ -181,7 +190,7 @@ ManagedTopic::~ManagedTopic() {
     // DeleteTopic: the records are going away with the topic — remove
     // the segment directory instead of checkpointing into it. Best
     // effort; an undeletable directory must not throw from a destructor.
-    if (topic_.persistent_storage() && !config_.storage.directory.empty()) {
+    if (store_->persistent() && !config_.storage.directory.empty()) {
       std::error_code ec;
       std::filesystem::remove_all(config_.storage.directory, ec);
     }
@@ -316,7 +325,12 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
     }
     batch_bytes += record.text.size();
   }
-  const uint64_t first_seq = topic_.AppendBatch(std::move(records));
+  const uint64_t first_seq = store_->size();
+  // An append-path IO error (disk full, lost mount) goes sticky; the
+  // backend fail-softs internally (the records land in its in-memory
+  // mirror, sealed data keeps serving, nothing more is written), so the
+  // stream stays intact — only durability is lost.
+  NoteStorageErrorLocked(store_->AppendBatch(std::move(records)));
   if (trained_) stats_.matched_online += texts.size();
   stats_.ingested_records += texts.size();
   stats_.ingested_bytes += batch_bytes;
@@ -328,12 +342,10 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
   lock.unlock();
   // Group-commit durability wait, deliberately off-lock: the WAL commit
   // thread coalesces concurrent batches into one fsync, and holding mu_
-  // here would serialize them. A failure went sticky into
-  // storage_status() inside WaitDurable — the ack still stands
-  // (fail-soft, same as an append IO error), so the result is ignored.
-  (void)topic_.WaitDurable();
+  // here would serialize them.
+  WaitDurable();
   if (await_training) WaitForPendingTraining();
-  MaybeFlushStorageCheckpoint();
+  MaybeFlushStorageCheckpoint(/*wait=*/await_training);
   return first_seq;
 }
 
@@ -612,7 +624,7 @@ Status ManagedTopic::TrainNow() {
       return outcome.has_value() || !training_in_flight_;
     });
   }
-  MaybeFlushStorageCheckpoint();
+  MaybeFlushStorageCheckpoint(/*wait=*/true);
   return outcome.value_or(Status::OK());
 }
 
@@ -622,7 +634,7 @@ void ManagedTopic::WaitForPendingTraining() const {
 }
 
 Status ManagedTopic::SnapshotTrainingLocked(TrainingRun* run) {
-  const uint64_t total = topic_.size();
+  const uint64_t total = store_->size();
   run->snapshot_size = 0;
   if (total == 0) return Status::OK();
   const uint64_t window =
@@ -633,7 +645,7 @@ Status ManagedTopic::SnapshotTrainingLocked(TrainingRun* run) {
   // thread reads them off-lock. Only the unsealed tail (bounded by the
   // active segment, not by max_train_records) is copied here.
   run->tail_begin = run->window_begin;
-  run->sealed = topic_.SnapshotSealed();
+  run->sealed = store_->SnapshotSealed();
   if (run->sealed != nullptr) {
     const uint64_t sealed_end = std::min(run->sealed->end_seq(), total);
     if (sealed_end > run->tail_begin) {
@@ -643,7 +655,7 @@ Status ManagedTopic::SnapshotTrainingLocked(TrainingRun* run) {
     }
   }
   run->tail.reserve(total - run->tail_begin);
-  BB_RETURN_IF_ERROR(topic_.Scan(
+  BB_RETURN_IF_ERROR(store_->Scan(
       run->tail_begin, total, [run](uint64_t, const LogRecord& rec) {
         run->tail.push_back(rec.text);
       }));
@@ -821,10 +833,10 @@ Status ManagedTopic::CommitTrainingLocked(
 
   // (c) Re-assign the training window (retraining refines earlier
   // assignments) with the match results computed off-lock — one bulk
-  // call, one store lock; the backend skips unchanged ids, so the
-  // exclusive section does not pay per-record syscalls for a window
-  // whose assignments mostly survived the merge.
-  keep_first(topic_.AssignTemplateRange(run.window_begin, assignments));
+  // call; the backend skips unchanged ids, so the exclusive section
+  // does not pay per-record syscalls for a window whose assignments
+  // mostly survived the merge.
+  keep_first(store_->AssignTemplates(run.window_begin, assignments));
 
   // (d) Records that arrived while the snapshot trained carry ids from
   // the superseded model (including temporaries the swap just dropped).
@@ -833,18 +845,18 @@ Status ManagedTopic::CommitTrainingLocked(
   // lost and the end state equals a training that stalled ingest at the
   // trigger point. Matching is ~ns-scale per record, so this section
   // stays far below training cost.
-  const uint64_t now = topic_.size();
+  const uint64_t now = store_->size();
   if (now > run.snapshot_size) {
     std::vector<std::string> tail;
     tail.reserve(now - run.snapshot_size);
-    keep_first(topic_.Scan(
+    keep_first(store_->Scan(
         run.snapshot_size, now,
         [&tail](uint64_t, const LogRecord& rec) { tail.push_back(rec.text); }));
     for (uint64_t i = 0; i < tail.size(); ++i) {
       bool adopted = false;
       const TemplateId id = parser_.MatchOrAdopt(tail[i], &adopted);
       if (adopted) PublishAdoptedLocked(id);
-      keep_first(topic_.AssignTemplate(run.snapshot_size + i, id));
+      keep_first(store_->AssignTemplate(run.snapshot_size + i, id));
     }
   }
 
@@ -853,27 +865,54 @@ Status ManagedTopic::CommitTrainingLocked(
   // (drain + fsyncs + manifest rename) runs in
   // MaybeFlushStorageCheckpoint once the caller releases the exclusive
   // lock, keeping this commit section O(1)-ish as designed.
-  if (topic_.persistent_storage()) {
+  if (store_->persistent()) {
     pending_model_checkpoint_ = parser_.model().Serialize();
     checkpoint_pending_.store(true, std::memory_order_release);
   }
   return first_error;
 }
 
-void ManagedTopic::MaybeFlushStorageCheckpoint() {
-  if (!checkpoint_pending_.load(std::memory_order_acquire)) return;
+void ManagedTopic::MaybeFlushStorageCheckpoint(bool wait) {
+  if (!wait && !checkpoint_pending_.load(std::memory_order_acquire)) return;
   // checkpoint_mu_ serializes flushers (blobs reach the manifest in
-  // staging order) and is always taken BEFORE mu_.
+  // staging order), is held for the whole flush — so taking it waits
+  // out one in flight on another thread — and is always taken BEFORE
+  // mu_.
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
-  std::string blob;
+  Status checkpointed;
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    // Shared is enough: it excludes every writer (the commit that stages
+    // the blob included), checkpoint_mu_ excludes other flushers, and a
+    // checkpoint mutates only write-path state no reader touches (see
+    // the threading contract in storage_backend.h) — queries keep
+    // running through the fsyncs.
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::string blob;
     blob.swap(pending_model_checkpoint_);
     checkpoint_pending_.store(false, std::memory_order_release);
+    if (blob.empty()) return;
+    checkpointed = store_->Checkpoint(blob);
   }
   // Best effort — a full disk must not fail the already-committed
   // swap; the sticky storage status reports it.
-  if (!blob.empty()) (void)topic_.Checkpoint(blob);
+  if (!checkpointed.ok()) {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    NoteStorageErrorLocked(checkpointed);
+  }
+}
+
+void ManagedTopic::WaitDurable() {
+  // store_ is never replaced after construction, and the WAL underneath
+  // is internally synchronized: no lock for the wait itself.
+  const Status durable = store_->WaitDurable();
+  if (!durable.ok()) {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    NoteStorageErrorLocked(durable);
+  }
+}
+
+void ManagedTopic::NoteStorageErrorLocked(const Status& status) {
+  if (!status.ok() && storage_status_.ok()) storage_status_ = status;
 }
 
 Result<std::vector<TemplateGroup>> ManagedTopic::Query(
@@ -891,7 +930,7 @@ Result<std::vector<TemplateGroup>> ManagedTopic::Query(
 
 Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const uint64_t end = std::min(req.end_seq, topic_.size());
+  const uint64_t end = std::min(req.end_seq, store_->size());
   const uint64_t begin = std::min(req.begin_seq, end);
 
   // Counts per RAW stored template id, from the storage postings —
@@ -901,7 +940,7 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
   // keeps the postings fast path for segments fully inside the window;
   // the defaults delegate to the unfiltered path unchanged.
   std::unordered_map<TemplateId, uint64_t> raw_counts;
-  BB_RETURN_IF_ERROR(topic_.TemplateCountsInRange(
+  BB_RETURN_IF_ERROR(store_->TemplateCountsInRange(
       begin, end, req.min_timestamp_us, req.max_timestamp_us, &raw_counts));
 
   // Resolution at the threshold depends only on the template id, so it
@@ -979,7 +1018,7 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
     for (const auto& [raw, resolved] : resolved_of) {
       if (page_index.count(resolved) != 0) wanted.insert(raw);
     }
-    BB_RETURN_IF_ERROR(topic_.ScanTemplatesInRange(
+    BB_RETURN_IF_ERROR(store_->ScanTemplatesInRange(
         begin, end, req.min_timestamp_us, req.max_timestamp_us, wanted,
         [&](uint64_t seq, TemplateId raw) {
           page.groups[page_index.at(resolved_of.at(raw))]
@@ -1045,19 +1084,19 @@ TopicStats ManagedTopic::stats() const {
   // Derived, not maintained: the in-flight flag is the single source of
   // truth for whether a snapshot is training right now.
   snapshot.pending_trainings = training_in_flight_ ? 1 : 0;
-  snapshot.storage_persistent = topic_.persistent_storage();
-  snapshot.storage_ok = topic_.storage_status().ok();
-  snapshot.storage_sealed_segments = topic_.sealed_segment_count();
-  snapshot.storage_mapped_bytes = topic_.mapped_bytes();
-  snapshot.storage_cache_hits = topic_.cache_hits();
-  snapshot.storage_cache_misses = topic_.cache_misses();
-  snapshot.storage_cache_evictions = topic_.cache_evictions();
-  snapshot.storage_index_rebuilds = topic_.index_rebuilds();
-  snapshot.storage_scan_record_visits = topic_.scan_record_visits();
-  snapshot.wal_bytes = topic_.wal_bytes();
-  snapshot.wal_group_commits = topic_.wal_group_commits();
-  snapshot.wal_fsyncs = topic_.wal_fsyncs();
-  snapshot.wal_replayed_records = topic_.wal_replayed_records();
+  snapshot.storage_persistent = store_->persistent();
+  snapshot.storage_ok = storage_status_.ok();
+  snapshot.storage_sealed_segments = store_->sealed_segment_count();
+  snapshot.storage_mapped_bytes = store_->mapped_bytes();
+  snapshot.storage_cache_hits = store_->cache_hits();
+  snapshot.storage_cache_misses = store_->cache_misses();
+  snapshot.storage_cache_evictions = store_->cache_evictions();
+  snapshot.storage_index_rebuilds = store_->index_rebuilds();
+  snapshot.storage_scan_record_visits = store_->scan_record_visits();
+  snapshot.wal_bytes = store_->wal_bytes();
+  snapshot.wal_group_commits = store_->wal_group_commits();
+  snapshot.wal_fsyncs = store_->wal_fsyncs();
+  snapshot.wal_replayed_records = store_->wal_replayed_records();
   snapshot.shards.reserve(shards_.size());
   for (const std::unique_ptr<IngestShard>& shard : shards_) {
     // Shard counters are written under the shard's exclusive lock while
@@ -1075,24 +1114,33 @@ bool ManagedTopic::trained() const {
 
 uint64_t ManagedTopic::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.size();
+  return store_->size();
 }
 
 Result<LogRecord> ManagedTopic::ReadRecord(uint64_t seq) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.Read(seq);
+  LogRecord record;
+  const Status read = store_->Read(seq, &record);
+  if (read.IsNotFound()) {
+    return Status::NotFound("sequence " + std::to_string(seq) +
+                            " beyond end of topic " + name_);
+  }
+  BB_RETURN_IF_ERROR(read);
+  return record;
 }
 
 Status ManagedTopic::ScanRecords(
     uint64_t begin_seq, uint64_t end_seq,
     const std::function<void(uint64_t, const LogRecord&)>& fn) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.Scan(begin_seq, std::min(end_seq, topic_.size()), fn);
+  const uint64_t end = std::min(end_seq, store_->size());
+  if (begin_seq > end) return Status::InvalidArgument("begin_seq > end_seq");
+  return store_->Scan(begin_seq, end, fn);
 }
 
 Status ManagedTopic::StorageStatus() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.storage_status();
+  return storage_status_;
 }
 
 bool ManagedTopic::HasTemplate(TemplateId id) const {
@@ -1119,21 +1167,21 @@ Status ManagedTopic::ReplicationRead(uint64_t segment_index, uint64_t offset,
                                      uint64_t max_bytes,
                                      ReplicationChunk* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.ReplicationRead(segment_index, offset, max_bytes, out);
+  return store_->ReplicationRead(segment_index, offset, max_bytes, out);
 }
 
 Status ManagedTopic::ReplicationPosition(uint64_t* segment_index,
                                          uint64_t* offset) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.ReplicationPosition(segment_index, offset);
+  return store_->ReplicationPosition(segment_index, offset);
 }
 
 Status ManagedTopic::VerifySealedSegment(uint64_t segment_index,
                                          uint64_t expect_records,
                                          uint64_t expect_checksum) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return topic_.VerifySealedSegment(segment_index, expect_records,
-                                    expect_checksum);
+  return store_->VerifySealedSegment(segment_index, expect_records,
+                                     expect_checksum);
 }
 
 Status ManagedTopic::ApplyReplicated(std::vector<LogRecord> records) {
@@ -1147,13 +1195,13 @@ Status ManagedTopic::ApplyReplicated(std::vector<LogRecord> records) {
   // the primary's template assignments, and applying them through the
   // ordinary append path reproduces the primary's frames byte for byte
   // (same config ⇒ same seal boundaries).
-  topic_.AppendBatch(std::move(records));
+  NoteStorageErrorLocked(store_->AppendBatch(std::move(records)));
   lock.unlock();
-  (void)topic_.WaitDurable();
+  WaitDurable();
   // Surface a sticky storage failure to the replicator: records that
   // only live in this follower's memory are NOT replicated — the
   // follower must stop claiming it holds the primary's bytes.
-  return topic_.storage_status();
+  return StorageStatus();
 }
 
 Status ManagedTopic::ApplyReplicatedModel(const std::string& blob) {
@@ -1166,14 +1214,14 @@ Status ManagedTopic::ApplyReplicatedModel(const std::string& blob) {
 
 Status ManagedTopic::SealTail(bool* sealed) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  const uint64_t before = topic_.sealed_segment_count();
-  Status s = topic_.SealActive();
+  const uint64_t before = store_->sealed_segment_count();
+  Status s = store_->SealActive();
   if (s.IsNotSupported()) {
     // Memory-backed topic: no frame representation, nothing to seal.
     if (sealed != nullptr) *sealed = false;
     return Status::OK();
   }
-  if (sealed != nullptr) *sealed = topic_.sealed_segment_count() > before;
+  if (sealed != nullptr) *sealed = store_->sealed_segment_count() > before;
   return s;
 }
 

@@ -31,7 +31,8 @@
 #include <vector>
 
 #include "core/parser.h"
-#include "logstore/log_topic.h"
+#include "logstore/internal_topic.h"
+#include "logstore/storage_backend.h"
 #include "threading/thread_pool.h"
 #include "util/status.h"
 
@@ -56,7 +57,7 @@ struct TopicConfig {
   /// manifest, and crash recovery (records AND the latest trained model
   /// survive restarts — see ARCHITECTURE.md §5). On open failure the
   /// topic runs on an empty in-memory fallback and the error is
-  /// surfaced through LogTopic::storage_status() /
+  /// surfaced through ManagedTopic::StorageStatus() /
   /// LogService::CreateTopic.
   StorageConfig storage;
   /// Tail durability for a disk-backed topic (requires storage.kind ==
@@ -362,7 +363,8 @@ class ManagedTopic {
   /// per text. Returns the records' sequence numbers in order.
   /// Locking: shared for the match phase, exclusive for the rest.
   /// A due trigger schedules a training cycle; this call waits for its
-  /// commit (lock released) only for the first training or with
+  /// commit (lock released), and on a persistent topic for the commit's
+  /// model checkpoint, only for the first training or with
   /// async_training off. A training failure is counted in
   /// failed_trainings, never returned: the records are already stored.
   Result<std::vector<uint64_t>> IngestBatch(
@@ -381,8 +383,10 @@ class ManagedTopic {
       const std::vector<uint64_t>& timestamps_us = {});
 
   /// Trains on the most recent records and returns the cycle's outcome
-  /// once the new model is live: waits for any in-flight cycle, then
-  /// schedules its own and waits for its commit. Resets the trigger
+  /// once the new model is live — and, on a persistent topic,
+  /// checkpointed (a checkpoint failure shows in StorageStatus(), not
+  /// here): waits for any in-flight cycle, then schedules its own and
+  /// waits for its commit and checkpoint. Resets the trigger
   /// counters exactly like a triggered training. Locking: exclusive only
   /// for the snapshot and the commit; ingest and queries run while it
   /// trains, and records arriving meanwhile are re-matched at commit.
@@ -451,8 +455,8 @@ class ManagedTopic {
   // --- Locked snapshot accessors -------------------------------------
   // Safe under full concurrency (ingest, training commits, queries);
   // each takes the topic lock shared and copies what it returns. The
-  // substrates themselves (LogTopic, parser, internal topic) are never
-  // exposed raw — every read crosses the lock.
+  // substrates themselves (storage backend, parser, internal topic) are
+  // never exposed raw — every read crosses the lock.
 
   /// Number of records appended so far. Locking: shared.
   uint64_t size() const;
@@ -465,7 +469,8 @@ class ManagedTopic {
       uint64_t begin_seq, uint64_t end_seq,
       const std::function<void(uint64_t, const LogRecord&)>& fn) const;
   /// Storage health: OK, or why the backend could not open / the first
-  /// sticky append-IO error. Locking: shared.
+  /// sticky append, durability-wait or checkpoint IO error. Locking:
+  /// shared.
   Status StorageStatus() const;
   /// True when the model currently knows `id` (a query for it resolves).
   /// Locking: shared.
@@ -696,10 +701,22 @@ class ManagedTopic {
   /// Requires the exclusive lock.
   void PublishAdoptedLocked(TemplateId id);
   /// Writes the model blob a training commit staged (if any) into the
-  /// storage manifest. The fsyncs run OUTSIDE `mu_` — the exclusive
-  /// commit section stays O(1) — so call this with NO topic lock held;
-  /// a cheap atomic makes the no-work case free on the ingest path.
-  void MaybeFlushStorageCheckpoint();
+  /// storage manifest. The fsyncs run under `mu_` SHARED — never inside
+  /// the exclusive commit section, which stays O(1) — so call this with
+  /// NO topic lock held; a cheap atomic makes the no-work case free on
+  /// the ingest path. A failure goes sticky into storage_status_. With
+  /// `wait`, also waits out a flush another thread (the training
+  /// thread, after its commit) has in flight: a caller that waited for
+  /// a training's commit returns with its checkpoint written.
+  void MaybeFlushStorageCheckpoint(bool wait = false);
+  /// Blocks until every record appended so far is durable (group-commit
+  /// WAL; immediate otherwise). Call with NO topic lock held: the wait
+  /// may span a group-commit fsync. A failure takes `mu_` exclusive
+  /// only to go sticky; the caller's ack still stands (fail-soft).
+  void WaitDurable();
+  /// Keeps `status` in storage_status_ if it is the topic's first
+  /// storage failure. Requires the exclusive lock.
+  void NoteStorageErrorLocked(const Status& status);
 
   std::string name_;
   TopicConfig config_;
@@ -709,7 +726,17 @@ class ManagedTopic {
   /// Resized ONLY by UpdateConfig under the exclusive lock; every read
   /// of the vector itself must hold `mu_` (shared suffices).
   std::vector<std::unique_ptr<IngestShard>> shards_;
-  LogTopic topic_;
+  /// The topic's append-only record store (paper §3): the backend
+  /// config_.storage selects or, if it failed to open, an empty
+  /// MemoryBackend. Set once in the constructor. Called under `mu_` as
+  /// the threading contract in logstore/storage_backend.h prescribes:
+  /// writers exclusive; const readers and Checkpoint shared;
+  /// WaitDurable and the wal_* stats with no lock.
+  std::unique_ptr<StorageBackend> store_;
+  /// Sticky storage health: the open failure, or the first append,
+  /// durability-wait or checkpoint IO error (records past it may live
+  /// only in memory). Written under `mu_` exclusive, read under shared.
+  Status storage_status_;
   InternalTopic internal_;
   ByteBrainParser parser_;
   TopicStats stats_;
@@ -730,10 +757,10 @@ class ManagedTopic {
   /// A training commit on a persistent topic stages the serialized
   /// model here (under the exclusive lock, O(model) copy) instead of
   /// fsyncing the manifest inline; MaybeFlushStorageCheckpoint drains
-  /// it off-lock. The flag is the ingest path's cheap "anything to
-  /// do?" probe; checkpoint_mu_ serializes flushers so staged blobs
-  /// reach the manifest in commit order. Lock order: checkpoint_mu_
-  /// before mu_, never the reverse.
+  /// it under checkpoint_mu_ and `mu_` SHARED. The flag is the ingest
+  /// path's cheap "anything to do?" probe; checkpoint_mu_ serializes
+  /// flushers so staged blobs reach the manifest in commit order. Lock
+  /// order: checkpoint_mu_ before mu_, never the reverse.
   std::string pending_model_checkpoint_;
   std::atomic<bool> checkpoint_pending_{false};
   std::mutex checkpoint_mu_;
@@ -747,9 +774,10 @@ class ManagedTopic {
   std::unique_ptr<ThreadPool> train_pool_;
   /// Signals training completion to TrainNow / WaitForPendingTraining.
   mutable std::condition_variable_any train_done_cv_;
-  /// Readers (Query, stats, the batch match phase) take shared; anything
-  /// touching parser/model/topic state takes exclusive. A training holds
-  /// NO lock while it trains — only its snapshot and commit sections do.
+  /// The topic's one lock. Readers (Query, stats, the batch match phase,
+  /// storage reads) take shared; anything touching parser/model/store
+  /// state takes exclusive. A training holds NO lock while it trains —
+  /// only its snapshot and commit sections do.
   mutable std::shared_mutex mu_;
 };
 

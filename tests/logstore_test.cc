@@ -1,103 +1,158 @@
-// Unit tests for the append-only log topic and internal template topic.
+// Unit tests for topic storage — the in-memory backend and the checks
+// ManagedTopic owns on top of any backend (NotFound text, inverted scan
+// ranges, end clamping, concurrent appends) — and the internal template
+// topic.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
-#include "logstore/log_topic.h"
+#include "logstore/internal_topic.h"
+#include "logstore/storage_backend.h"
+#include "service/log_service.h"
 
 namespace bytebrain {
 namespace {
 
-TEST(LogTopicTest, AppendAndRead) {
-  LogTopic topic("t");
-  EXPECT_EQ(topic.Append({100, "hello", 0}), 0u);
-  EXPECT_EQ(topic.Append({200, "world", 0}), 1u);
-  EXPECT_EQ(topic.size(), 2u);
-  auto rec = topic.Read(1);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->text, "world");
-  EXPECT_EQ(rec->timestamp_us, 200u);
+// The default (kMemory) backend, built and opened the way ManagedTopic
+// builds its store.
+std::unique_ptr<StorageBackend> OpenMemoryBackend(size_t segment_capacity) {
+  StorageConfig cfg;
+  cfg.memory_segment_capacity = segment_capacity;
+  auto backend = CreateStorageBackend(cfg);
+  EXPECT_TRUE(backend->Open().ok());
+  return backend;
 }
 
-TEST(LogTopicTest, ReadPastEndFails) {
-  LogTopic topic("t");
-  topic.Append({1, "x", 0});
-  EXPECT_TRUE(topic.Read(1).status().IsNotFound());
-  EXPECT_TRUE(topic.Read(999).status().IsNotFound());
+// A memory topic that never trains: appends stay unassigned.
+TopicConfig UntrainedConfig() {
+  TopicConfig config;
+  config.initial_train_records = 1000000;
+  config.train_interval_records = 1000000;
+  return config;
 }
 
-TEST(LogTopicTest, CrossesSegmentBoundaries) {
-  LogTopic topic("t", /*segment_capacity=*/4);
+TEST(MemoryBackendTest, AppendAndRead) {
+  auto store = OpenMemoryBackend(65536);
+  ASSERT_TRUE(store->Append({100, "hello", 0}).ok());
+  ASSERT_TRUE(store->Append({200, "world", 0}).ok());
+  EXPECT_EQ(store->size(), 2u);
+  LogRecord rec;
+  ASSERT_TRUE(store->Read(1, &rec).ok());
+  EXPECT_EQ(rec.text, "world");
+  EXPECT_EQ(rec.timestamp_us, 200u);
+}
+
+TEST(MemoryBackendTest, CrossesSegmentBoundaries) {
+  auto store = OpenMemoryBackend(/*segment_capacity=*/4);
   for (int i = 0; i < 19; ++i) {
-    topic.Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0});
+    ASSERT_TRUE(
+        store->Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0})
+            .ok());
   }
-  EXPECT_EQ(topic.size(), 19u);
+  EXPECT_EQ(store->size(), 19u);
   for (int i = 0; i < 19; ++i) {
-    auto rec = topic.Read(i);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(rec->text, "log " + std::to_string(i));
+    LogRecord rec;
+    ASSERT_TRUE(store->Read(i, &rec).ok());
+    EXPECT_EQ(rec.text, "log " + std::to_string(i));
   }
 }
 
-TEST(LogTopicTest, ScanRange) {
-  LogTopic topic("t", 3);
+TEST(MemoryBackendTest, ScanRange) {
+  auto store = OpenMemoryBackend(3);
   for (int i = 0; i < 10; ++i) {
-    topic.Append({static_cast<uint64_t>(i), std::to_string(i), 0});
+    ASSERT_TRUE(
+        store->Append({static_cast<uint64_t>(i), std::to_string(i), 0}).ok());
   }
   std::vector<uint64_t> seen;
-  ASSERT_TRUE(topic
-                  .Scan(2, 7,
-                        [&seen](uint64_t seq, const LogRecord& rec) {
-                          EXPECT_EQ(rec.text, std::to_string(seq));
-                          seen.push_back(seq);
-                        })
+  ASSERT_TRUE(store
+                  ->Scan(2, 7,
+                         [&seen](uint64_t seq, const LogRecord& rec) {
+                           EXPECT_EQ(rec.text, std::to_string(seq));
+                           seen.push_back(seq);
+                         })
                   .ok());
   EXPECT_EQ(seen, (std::vector<uint64_t>{2, 3, 4, 5, 6}));
 }
 
-TEST(LogTopicTest, ScanClampsEnd) {
-  LogTopic topic("t");
-  topic.Append({0, "a", 0});
+TEST(MemoryBackendTest, AssignTemplateUpdatesRecord) {
+  auto store = OpenMemoryBackend(65536);
+  ASSERT_TRUE(store->Append({0, "a", 0}).ok());
+  ASSERT_TRUE(store->AssignTemplate(0, 42).ok());
+  LogRecord rec;
+  ASSERT_TRUE(store->Read(0, &rec).ok());
+  EXPECT_EQ(rec.template_id, 42u);
+  EXPECT_TRUE(store->AssignTemplate(5, 42).IsNotFound());
+}
+
+TEST(MemoryBackendTest, TextBytesAccumulates) {
+  auto store = OpenMemoryBackend(65536);
+  ASSERT_TRUE(store->Append({0, "abcd", 0}).ok());
+  ASSERT_TRUE(store->Append({0, "ef", 0}).ok());
+  EXPECT_EQ(store->text_bytes(), 6u);
+}
+
+TEST(ManagedTopicStorageTest, ReadPastEndFails) {
+  ManagedTopic topic("t", UntrainedConfig());
+  ASSERT_TRUE(topic.Ingest("x", 1).ok());
+  EXPECT_TRUE(topic.ReadRecord(1).status().IsNotFound());
+  const Status past = topic.ReadRecord(999).status();
+  EXPECT_TRUE(past.IsNotFound());
+  EXPECT_NE(past.ToString().find("beyond end of topic t"), std::string::npos)
+      << past.ToString();
+}
+
+TEST(ManagedTopicStorageTest, ScanClampsEnd) {
+  ManagedTopic topic("t", UntrainedConfig());
+  ASSERT_TRUE(topic.Ingest("a").ok());
   int n = 0;
-  ASSERT_TRUE(topic.Scan(0, 100, [&n](uint64_t, const LogRecord&) { ++n; }).ok());
+  ASSERT_TRUE(
+      topic.ScanRecords(0, 100, [&n](uint64_t, const LogRecord&) { ++n; })
+          .ok());
   EXPECT_EQ(n, 1);
 }
 
-TEST(LogTopicTest, ScanRejectsInvertedRange) {
-  LogTopic topic("t");
-  EXPECT_TRUE(
-      topic.Scan(5, 2, [](uint64_t, const LogRecord&) {}).IsInvalidArgument());
+TEST(ManagedTopicStorageTest, ScanRejectsInvertedRange) {
+  ManagedTopic topic("t", UntrainedConfig());
+  ASSERT_TRUE(topic.Ingest("a").ok());
+  EXPECT_TRUE(topic.ScanRecords(5, 2, [](uint64_t, const LogRecord&) {})
+                  .IsInvalidArgument());
 }
 
-TEST(LogTopicTest, AssignTemplateUpdatesRecord) {
-  LogTopic topic("t");
-  topic.Append({0, "a", 0});
-  ASSERT_TRUE(topic.AssignTemplate(0, 42).ok());
-  EXPECT_EQ(topic.Read(0)->template_id, 42u);
-  EXPECT_TRUE(topic.AssignTemplate(5, 42).IsNotFound());
-}
-
-TEST(LogTopicTest, TextBytesAccumulates) {
-  LogTopic topic("t");
-  topic.Append({0, "abcd", 0});
-  topic.Append({0, "ef", 0});
-  EXPECT_EQ(topic.text_bytes(), 6u);
-}
-
-TEST(LogTopicTest, ConcurrentAppendsAllLand) {
-  LogTopic topic("t", 128);
+TEST(ManagedTopicStorageTest, ConcurrentIngestBatchesAllLand) {
+  TopicConfig config = UntrainedConfig();
+  config.storage.memory_segment_capacity = 128;
+  ManagedTopic topic("t", config);
   constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
+  constexpr int kBatches = 50;
+  constexpr int kPerBatch = 10;
+  std::vector<std::vector<uint64_t>> seqs(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&topic, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        topic.Append({0, "t" + std::to_string(t), 0});
+    threads.emplace_back([&topic, &seqs, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<std::string> texts(kPerBatch, "t" + std::to_string(t));
+        auto got = topic.IngestBatch(std::move(texts));
+        ASSERT_TRUE(got.ok());
+        seqs[t].insert(seqs[t].end(), got->begin(), got->end());
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(topic.size(), static_cast<uint64_t>(kThreads * kPerThread));
+  constexpr uint64_t kTotal = kThreads * kBatches * kPerBatch;
+  EXPECT_EQ(topic.size(), kTotal);
+  // Every record landed exactly once, at the sequence number its batch
+  // was handed.
+  std::set<uint64_t> all;
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t seq : seqs[t]) {
+      EXPECT_TRUE(all.insert(seq).second) << seq;
+      auto rec = topic.ReadRecord(seq);
+      ASSERT_TRUE(rec.ok());
+      EXPECT_EQ(rec->text, "t" + std::to_string(t));
+    }
+  }
+  EXPECT_EQ(all.size(), kTotal);
 }
 
 TEST(InternalTopicTest, PutGetOverwrite) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -389,6 +390,141 @@ TEST(QueryIndexTest, ResumeKeySurvivesConcurrentIngest) {
   for (size_t i = 0; i < paged.size(); ++i) {
     EXPECT_EQ(paged[i].template_id, (*full)[i].template_id) << i;
     EXPECT_EQ(paged[i].count, (*full)[i].count) << i;
+  }
+}
+
+// Storage reads run under the topic lock SHARED, concurrently with each
+// other and with a checkpoint's fsyncs; writers run exclusive. Three
+// readers loop over every shared-mode storage read while one writer
+// ingests and retrains (each training stages a model checkpoint that is
+// flushed under the shared lock). TSAN-covered: a per-record
+// non-atomic visit counter or a reader-visible checkpoint mutation
+// fails here.
+TEST(QueryIndexTest, ConcurrentReadersDuringIngestAndCheckpoints) {
+  TempDir dir;
+  TopicConfig config;
+  config.storage = DiskConfig(dir.path(), 2048);
+  config.durability = DurabilityMode::kWalGroupCommit;
+  config.initial_train_records = 60;
+  config.train_interval_records = 1000000;  // trains on TrainNow only
+  config.train_volume_bytes = 1ull << 40;
+  ManagedTopic topic("concurrent", config);
+  ASSERT_TRUE(topic.StorageStatus().ok());
+
+  uint64_t ts = 0;
+  auto ingest_batch = [&](int round) {
+    std::vector<std::string> texts;
+    std::vector<uint64_t> timestamps;
+    for (int i = 0; i < 20; ++i) {
+      texts.push_back("shape" + std::to_string(i % 6) + " worker " +
+                      std::to_string(round) + " op " + std::to_string(i));
+      timestamps.push_back(ts++);
+    }
+    return topic.IngestBatch(std::move(texts), timestamps).ok();
+  };
+  for (int round = 0; round < 5; ++round) ASSERT_TRUE(ingest_batch(round));
+  ASSERT_TRUE(topic.trained());
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> failures{0};
+  auto reader = [&] {
+    uint64_t iteration = 0;
+    while (!done.load(std::memory_order_acquire) || iteration < 4) {
+      const uint64_t window = topic.size();
+      QueryPageRequest req;
+      req.saturation_threshold = 0.8;
+      req.end_seq = window;
+      bool ok = true;
+      switch (iteration++ % 4) {
+        case 0: {  // paged, with sequences
+          req.max_groups = 2;
+          for (int pages = 0; pages < 64; ++pages) {
+            auto page = topic.QueryGroups(req);
+            if (!page.ok()) {
+              ok = false;
+              break;
+            }
+            if (!page->has_more) break;
+            req.has_resume_key = true;
+            req.resume_count = page->last_count;
+            req.resume_template_id = page->last_template_id;
+          }
+          break;
+        }
+        case 1: {  // count-only: one call sees one consistent window
+          req.collect_sequences = false;
+          auto page = topic.QueryGroups(req);
+          uint64_t total = 0;
+          if (page.ok()) {
+            for (const TemplateGroup& g : page->groups) total += g.count;
+          }
+          ok = page.ok() && total == window;
+          break;
+        }
+        case 2: {  // time range
+          req.min_timestamp_us = window / 4;
+          req.max_timestamp_us = window / 2;
+          ok = topic.QueryGroups(req).ok();
+          break;
+        }
+        default: {  // replication read + stats
+          ReplicationChunk chunk;
+          ok = topic.ReplicationRead(0, 0, 4096, &chunk).ok() &&
+               !chunk.data.empty();
+          const TopicStats stats = topic.stats();
+          ok = ok && stats.storage_ok && stats.storage_sealed_segments > 0;
+          break;
+        }
+      }
+      if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+  for (int round = 5; round < 35; ++round) {
+    if (!ingest_batch(round)) failures.fetch_add(1);
+    if (round % 10 == 9 && !topic.TrainNow().ok()) failures.fetch_add(1);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(topic.stats().trainings, 4u);
+
+  // Quiescent: paged == unpaged, and every stored id resolves.
+  const uint64_t window = topic.size();
+  auto full = topic.Query(0.8, 0, window, /*collect_sequences=*/true);
+  ASSERT_TRUE(full.ok());
+  QueryPageRequest req;
+  req.saturation_threshold = 0.8;
+  req.end_seq = window;
+  req.max_groups = 2;
+  std::vector<TemplateGroup> paged;
+  for (;;) {
+    auto page = topic.QueryGroups(req);
+    ASSERT_TRUE(page.ok());
+    for (auto& g : page->groups) paged.push_back(std::move(g));
+    if (!page->has_more) break;
+    req.has_resume_key = true;
+    req.resume_count = page->last_count;
+    req.resume_template_id = page->last_template_id;
+  }
+  ASSERT_EQ(paged.size(), full->size());
+  for (size_t i = 0; i < paged.size(); ++i) {
+    EXPECT_EQ(paged[i].template_id, (*full)[i].template_id) << i;
+    EXPECT_EQ(paged[i].count, (*full)[i].count) << i;
+    EXPECT_EQ(paged[i].sequence_numbers, (*full)[i].sequence_numbers) << i;
+  }
+  // Collected first: the scan callback must not re-enter the topic.
+  std::vector<TemplateId> ids;
+  ASSERT_TRUE(topic
+                  .ScanRecords(0, window,
+                               [&ids](uint64_t, const LogRecord& rec) {
+                                 ids.push_back(rec.template_id);
+                               })
+                  .ok());
+  ASSERT_EQ(ids.size(), window);
+  for (uint64_t seq = 0; seq < window; ++seq) {
+    EXPECT_TRUE(topic.HasTemplate(ids[seq])) << seq;
   }
 }
 

@@ -1,6 +1,7 @@
-// Storage-backend battery: backend equivalence (every LogTopic behavior
-// against both MemoryBackend and SegmentedDiskBackend with identical
-// end states), disk persistence across reopen, crash recovery (torn
+// Storage-backend battery: backend equivalence (every storage behavior
+// against both MemoryBackend and SegmentedDiskBackend, directly and
+// through a ManagedTopic, with identical end states), disk persistence
+// across reopen, crash recovery (torn
 // tails truncated, corrupted manifests/segments surfaced as checksum
 // Statuses, never crashes), and the service-level storage integration
 // (model checkpoint + recovery, large-window training snapshots that
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "logstore/disk_backend.h"
-#include "logstore/log_topic.h"
 #include "service/log_service.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -81,25 +81,56 @@ long FileSize(const std::string& path) {
   return static_cast<long>(std::filesystem::file_size(path));
 }
 
+/// The backend `cfg` selects, built and opened the way ManagedTopic
+/// builds its store.
+std::unique_ptr<StorageBackend> OpenBackend(const StorageConfig& cfg) {
+  auto backend = CreateStorageBackend(cfg);
+  const Status opened = backend->Open();
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
+  return backend;
+}
+
+LogRecord ReadOrDie(const StorageBackend& store, uint64_t seq) {
+  LogRecord rec;
+  const Status read = store.Read(seq, &rec);
+  EXPECT_TRUE(read.ok()) << seq << ": " << read.ToString();
+  return rec;
+}
+
 // ---------------------------------------------------------------------
-// Backend equivalence: the full LogTopic behavior surface, one run per
-// backend kind. The disk runs use tiny segments so reads/scans/assigns
-// cross sealed (mmap) and active (in-memory) records.
+// Backend equivalence: the full storage behavior surface, one run per
+// backend kind — on the backend itself, and through a ManagedTopic for
+// the checks the topic owns (inverted ranges, concurrent appends). The
+// disk runs use tiny segments so reads/scans/assigns cross sealed
+// (mmap) and active (in-memory) records.
 // ---------------------------------------------------------------------
 
 class BackendEquivalenceTest
     : public ::testing::TestWithParam<StorageConfig::Kind> {
  protected:
-  std::unique_ptr<LogTopic> MakeTopic(const std::string& name) {
+  StorageConfig Config(const std::string& name) {
     StorageConfig cfg;
     if (GetParam() == StorageConfig::Kind::kSegmentedDisk) {
       cfg = DiskConfig(dir_.path() + "/" + name);
     } else {
       cfg.memory_segment_capacity = 4;  // mirror tiny disk segments
     }
-    auto topic = std::make_unique<LogTopic>(name, cfg);
-    EXPECT_TRUE(topic->storage_status().ok())
-        << topic->storage_status().ToString();
+    return cfg;
+  }
+
+  std::unique_ptr<StorageBackend> MakeStore(const std::string& name) {
+    return OpenBackend(Config(name));
+  }
+
+  /// A never-training topic over the same storage.
+  std::unique_ptr<ManagedTopic> MakeTopic(const std::string& name) {
+    TopicConfig config;
+    config.storage = Config(name);
+    config.initial_train_records = 1000000;
+    config.train_interval_records = 1000000;
+    auto topic = std::make_unique<ManagedTopic>(name, config);
+    EXPECT_TRUE(topic->StorageStatus().ok())
+        << topic->StorageStatus().ToString();
     return topic;
   }
 
@@ -107,44 +138,46 @@ class BackendEquivalenceTest
 };
 
 TEST_P(BackendEquivalenceTest, AppendAndRead) {
-  auto topic = MakeTopic("t");
-  EXPECT_EQ(topic->Append({100, "hello", 0}), 0u);
-  EXPECT_EQ(topic->Append({200, "world", 0}), 1u);
-  EXPECT_EQ(topic->size(), 2u);
-  auto rec = topic->Read(1);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->text, "world");
-  EXPECT_EQ(rec->timestamp_us, 200u);
+  auto store = MakeStore("t");
+  ASSERT_TRUE(store->Append({100, "hello", 0}).ok());
+  ASSERT_TRUE(store->Append({200, "world", 0}).ok());
+  EXPECT_EQ(store->size(), 2u);
+  const LogRecord rec = ReadOrDie(*store, 1);
+  EXPECT_EQ(rec.text, "world");
+  EXPECT_EQ(rec.timestamp_us, 200u);
 }
 
 TEST_P(BackendEquivalenceTest, ReadPastEndFails) {
-  auto topic = MakeTopic("t");
-  topic->Append({1, "x", 0});
-  EXPECT_TRUE(topic->Read(1).status().IsNotFound());
-  EXPECT_TRUE(topic->Read(999).status().IsNotFound());
+  auto store = MakeStore("t");
+  ASSERT_TRUE(store->Append({1, "x", 0}).ok());
+  LogRecord rec;
+  EXPECT_TRUE(store->Read(1, &rec).IsNotFound());
+  EXPECT_TRUE(store->Read(999, &rec).IsNotFound());
 }
 
 TEST_P(BackendEquivalenceTest, CrossesSegmentBoundaries) {
-  auto topic = MakeTopic("t");
+  auto store = MakeStore("t");
   for (int i = 0; i < 19; ++i) {
-    topic->Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0});
+    ASSERT_TRUE(
+        store->Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0})
+            .ok());
   }
-  EXPECT_EQ(topic->size(), 19u);
+  EXPECT_EQ(store->size(), 19u);
   for (int i = 0; i < 19; ++i) {
-    auto rec = topic->Read(i);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(rec->text, "log " + std::to_string(i));
-    EXPECT_EQ(rec->timestamp_us, static_cast<uint64_t>(i));
+    const LogRecord rec = ReadOrDie(*store, i);
+    EXPECT_EQ(rec.text, "log " + std::to_string(i));
+    EXPECT_EQ(rec.timestamp_us, static_cast<uint64_t>(i));
   }
 }
 
 TEST_P(BackendEquivalenceTest, ScanRange) {
-  auto topic = MakeTopic("t");
+  auto store = MakeStore("t");
   for (int i = 0; i < 10; ++i) {
-    topic->Append({static_cast<uint64_t>(i), std::to_string(i), 0});
+    ASSERT_TRUE(
+        store->Append({static_cast<uint64_t>(i), std::to_string(i), 0}).ok());
   }
   std::vector<uint64_t> seen;
-  ASSERT_TRUE(topic
+  ASSERT_TRUE(store
                   ->Scan(2, 7,
                          [&seen](uint64_t seq, const LogRecord& rec) {
                            EXPECT_EQ(rec.text, std::to_string(seq));
@@ -155,51 +188,65 @@ TEST_P(BackendEquivalenceTest, ScanRange) {
 }
 
 TEST_P(BackendEquivalenceTest, ScanClampsEndAndRejectsInvertedRange) {
-  auto topic = MakeTopic("t");
-  topic->Append({0, "a", 0});
+  auto store = MakeStore("s");
+  ASSERT_TRUE(store->Append({0, "a", 0}).ok());
   int n = 0;
   ASSERT_TRUE(
-      topic->Scan(0, 100, [&n](uint64_t, const LogRecord&) { ++n; }).ok());
+      store->Scan(0, 100, [&n](uint64_t, const LogRecord&) { ++n; }).ok());
   EXPECT_EQ(n, 1);
-  EXPECT_TRUE(topic->Scan(5, 2, [](uint64_t, const LogRecord&) {})
+
+  // The inverted-range check is the topic's.
+  auto topic = MakeTopic("t");
+  ASSERT_TRUE(topic->Ingest("a").ok());
+  n = 0;
+  ASSERT_TRUE(
+      topic->ScanRecords(0, 100, [&n](uint64_t, const LogRecord&) { ++n; })
+          .ok());
+  EXPECT_EQ(n, 1);
+  EXPECT_TRUE(topic->ScanRecords(5, 2, [](uint64_t, const LogRecord&) {})
                   .IsInvalidArgument());
 }
 
 TEST_P(BackendEquivalenceTest, AssignTemplateUpdatesSealedAndActive) {
-  auto topic = MakeTopic("t");
+  auto store = MakeStore("t");
   for (int i = 0; i < 20; ++i) {
-    topic->Append({0, "record number " + std::to_string(i), 0});
+    ASSERT_TRUE(
+        store->Append({0, "record number " + std::to_string(i), 0}).ok());
   }
   // Record 0 is long past the first seal on the disk run; the last
   // record is in the active segment on both.
-  ASSERT_TRUE(topic->AssignTemplate(0, 42).ok());
-  ASSERT_TRUE(topic->AssignTemplate(19, 43).ok());
-  EXPECT_EQ(topic->Read(0)->template_id, 42u);
-  EXPECT_EQ(topic->Read(19)->template_id, 43u);
-  EXPECT_TRUE(topic->AssignTemplate(20, 42).IsNotFound());
+  ASSERT_TRUE(store->AssignTemplate(0, 42).ok());
+  ASSERT_TRUE(store->AssignTemplate(19, 43).ok());
+  EXPECT_EQ(ReadOrDie(*store, 0).template_id, 42u);
+  EXPECT_EQ(ReadOrDie(*store, 19).template_id, 43u);
+  EXPECT_TRUE(store->AssignTemplate(20, 42).IsNotFound());
 }
 
 TEST_P(BackendEquivalenceTest, TextBytesAccumulates) {
-  auto topic = MakeTopic("t");
-  topic->Append({0, "abcd", 0});
-  topic->Append({0, "ef", 0});
-  EXPECT_EQ(topic->text_bytes(), 6u);
+  auto store = MakeStore("t");
+  ASSERT_TRUE(store->Append({0, "abcd", 0}).ok());
+  ASSERT_TRUE(store->Append({0, "ef", 0}).ok());
+  EXPECT_EQ(store->text_bytes(), 6u);
 }
 
-TEST_P(BackendEquivalenceTest, ConcurrentAppendsAllLand) {
+TEST_P(BackendEquivalenceTest, ConcurrentIngestBatchesAllLand) {
   auto topic = MakeTopic("t");
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
+  constexpr int kBatches = 50;
+  constexpr int kPerBatch = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&topic, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        topic->Append({0, "t" + std::to_string(t), 0});
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<std::string> texts(kPerBatch, "t" + std::to_string(t));
+        ASSERT_TRUE(topic->IngestBatch(std::move(texts)).ok());
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(topic->size(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(topic->size(),
+            static_cast<uint64_t>(kThreads * kBatches * kPerBatch));
+  EXPECT_TRUE(topic->StorageStatus().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendEquivalenceTest,
@@ -215,36 +262,33 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendEquivalenceTest,
 // template reassignments must leave byte-identical records either way.
 TEST(StorageBackendTest, BackendsReachIdenticalEndState) {
   TempDir dir;
-  LogTopic memory("m");
-  LogTopic disk("d", DiskConfig(dir.path()));
-  ASSERT_TRUE(disk.storage_status().ok());
+  auto memory = OpenBackend(StorageConfig{});
+  auto disk = OpenBackend(DiskConfig(dir.path()));
 
   for (int i = 0; i < 200; ++i) {
     LogRecord rec{static_cast<uint64_t>(i * 3),
                   "event " + std::to_string(i % 17) + " detail " +
                       std::to_string(i),
                   static_cast<TemplateId>(i % 5)};
-    memory.Append(rec);
-    disk.Append(std::move(rec));
+    ASSERT_TRUE(memory->Append(rec).ok());
+    ASSERT_TRUE(disk->Append(std::move(rec)).ok());
   }
   for (int i = 0; i < 200; i += 7) {
-    ASSERT_TRUE(memory.AssignTemplate(i, 1000 + i).ok());
-    ASSERT_TRUE(disk.AssignTemplate(i, 1000 + i).ok());
+    ASSERT_TRUE(memory->AssignTemplate(i, 1000 + i).ok());
+    ASSERT_TRUE(disk->AssignTemplate(i, 1000 + i).ok());
   }
 
-  ASSERT_EQ(memory.size(), disk.size());
-  ASSERT_EQ(memory.text_bytes(), disk.text_bytes());
-  for (uint64_t seq = 0; seq < memory.size(); ++seq) {
-    auto a = memory.Read(seq);
-    auto b = disk.Read(seq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->text, b->text);
-    EXPECT_EQ(a->timestamp_us, b->timestamp_us);
-    EXPECT_EQ(a->template_id, b->template_id);
+  ASSERT_EQ(memory->size(), disk->size());
+  ASSERT_EQ(memory->text_bytes(), disk->text_bytes());
+  for (uint64_t seq = 0; seq < memory->size(); ++seq) {
+    const LogRecord a = ReadOrDie(*memory, seq);
+    const LogRecord b = ReadOrDie(*disk, seq);
+    EXPECT_EQ(a.text, b.text);
+    EXPECT_EQ(a.timestamp_us, b.timestamp_us);
+    EXPECT_EQ(a.template_id, b.template_id);
   }
-  EXPECT_GT(disk.sealed_segment_count(), 0u);
-  EXPECT_GT(disk.mapped_bytes(), 0u);
+  EXPECT_GT(disk->sealed_segment_count(), 0u);
+  EXPECT_GT(disk->mapped_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -255,47 +299,47 @@ TEST(StorageBackendTest, ReopenRecoversRecordsSealsAndMetadata) {
   TempDir dir;
   uint64_t sealed = 0;
   {
-    LogTopic topic("t", DiskConfig(dir.path()));
-    ASSERT_TRUE(topic.storage_status().ok());
+    auto store = OpenBackend(DiskConfig(dir.path()));
     for (int i = 0; i < 50; ++i) {
-      topic.Append({static_cast<uint64_t>(i), "persisted " + std::to_string(i),
-                    static_cast<TemplateId>(i)});
+      ASSERT_TRUE(store
+                      ->Append({static_cast<uint64_t>(i),
+                                "persisted " + std::to_string(i),
+                                static_cast<TemplateId>(i)})
+                      .ok());
     }
-    ASSERT_TRUE(topic.Checkpoint("model-snapshot-bytes").ok());
-    sealed = topic.sealed_segment_count();
+    ASSERT_TRUE(store->Checkpoint("model-snapshot-bytes").ok());
+    sealed = store->sealed_segment_count();
     ASSERT_GT(sealed, 0u);
   }
-  LogTopic topic("t", DiskConfig(dir.path()));
-  ASSERT_TRUE(topic.storage_status().ok()) << topic.storage_status().ToString();
-  ASSERT_EQ(topic.size(), 50u);
-  EXPECT_EQ(topic.sealed_segment_count(), sealed);
-  EXPECT_EQ(topic.recovered_metadata(), "model-snapshot-bytes");
+  auto store = OpenBackend(DiskConfig(dir.path()));
+  ASSERT_EQ(store->size(), 50u);
+  EXPECT_EQ(store->sealed_segment_count(), sealed);
+  EXPECT_EQ(store->metadata(), "model-snapshot-bytes");
   for (int i = 0; i < 50; ++i) {
-    auto rec = topic.Read(i);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(rec->text, "persisted " + std::to_string(i));
-    EXPECT_EQ(rec->template_id, static_cast<TemplateId>(i));
+    const LogRecord rec = ReadOrDie(*store, i);
+    EXPECT_EQ(rec.text, "persisted " + std::to_string(i));
+    EXPECT_EQ(rec.template_id, static_cast<TemplateId>(i));
   }
 }
 
 TEST(StorageBackendTest, SealedAssignTemplateSurvivesReopen) {
   TempDir dir;
   {
-    LogTopic topic("t", DiskConfig(dir.path()));
+    auto store = OpenBackend(DiskConfig(dir.path()));
     for (int i = 0; i < 30; ++i) {
-      topic.Append({0, "rewrite target " + std::to_string(i), 1});
+      ASSERT_TRUE(
+          store->Append({0, "rewrite target " + std::to_string(i), 1}).ok());
     }
-    ASSERT_GT(topic.sealed_segment_count(), 0u);
+    ASSERT_GT(store->sealed_segment_count(), 0u);
     // Record 0 is sealed by now: the rewrite pwrites into the sealed
     // file (checksums exclude the template id by design).
-    ASSERT_TRUE(topic.AssignTemplate(0, 777).ok());
-    ASSERT_TRUE(topic.AssignTemplate(29, 888).ok());  // active
-    ASSERT_TRUE(topic.Checkpoint("").ok());
+    ASSERT_TRUE(store->AssignTemplate(0, 777).ok());
+    ASSERT_TRUE(store->AssignTemplate(29, 888).ok());  // active
+    ASSERT_TRUE(store->Checkpoint("").ok());
   }
-  LogTopic topic("t", DiskConfig(dir.path()));
-  ASSERT_TRUE(topic.storage_status().ok());
-  EXPECT_EQ(topic.Read(0)->template_id, 777u);
-  EXPECT_EQ(topic.Read(29)->template_id, 888u);
+  auto store = OpenBackend(DiskConfig(dir.path()));
+  EXPECT_EQ(ReadOrDie(*store, 0).template_id, 777u);
+  EXPECT_EQ(ReadOrDie(*store, 29).template_id, 888u);
 }
 
 // ---------------------------------------------------------------------
@@ -389,14 +433,23 @@ TEST(StorageBackendTest, FlippedManifestByteSurfacesCorruption) {
   const Status opened = backend.Open();
   EXPECT_TRUE(opened.IsCorruption()) << opened.ToString();
 
-  // LogTopic fail-softs onto an empty in-memory store and preserves the
-  // Status for the caller; LogService turns it into a failed creation.
-  LogTopic topic("t", DiskConfig(dir.path()));
-  EXPECT_TRUE(topic.storage_status().IsCorruption());
-  EXPECT_EQ(topic.size(), 0u);
-  LogService service;
+  // A ManagedTopic fail-softs onto an empty in-memory store and
+  // preserves the Status for the caller; LogService turns it into a
+  // failed creation.
   TopicConfig config;
   config.storage = DiskConfig(dir.path());
+  {
+    ManagedTopic topic("t", config);
+    EXPECT_TRUE(topic.StorageStatus().IsCorruption());
+    EXPECT_FALSE(topic.stats().storage_ok);
+    EXPECT_FALSE(topic.stats().storage_persistent);
+    EXPECT_EQ(topic.size(), 0u);
+    // The fallback store takes appends; the Corruption stays.
+    ASSERT_TRUE(topic.Ingest("fallback record").ok());
+    EXPECT_EQ(topic.size(), 1u);
+    EXPECT_TRUE(topic.StorageStatus().IsCorruption());
+  }
+  LogService service;
   auto created = service.CreateTopic("t", config);
   ASSERT_FALSE(created.ok());
   EXPECT_TRUE(created.status().IsCorruption());
@@ -417,10 +470,10 @@ TEST(StorageBackendTest, FlippedSealedSegmentByteSurfacesCorruption) {
 
 TEST(StorageBackendTest, MissingDirectoryIsCreatedNestedPathWorks) {
   TempDir dir;
-  LogTopic topic("t", DiskConfig(dir.path() + "/a/b/c"));
-  ASSERT_TRUE(topic.storage_status().ok());
-  topic.Append({1, "nested", 0});
-  EXPECT_EQ(topic.size(), 1u);
+  auto store = OpenBackend(DiskConfig(dir.path() + "/a/b/c"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir.path() + "/a/b/c"));
+  ASSERT_TRUE(store->Append({1, "nested", 0}).ok());
+  EXPECT_EQ(store->size(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include "logstore/disk_backend.h"
 #include "logstore/fault_injection.h"
 #include "logstore/frame_format.h"
-#include "logstore/log_topic.h"
 #include "logstore/wal.h"
 #include "service/log_service.h"
 #include "util/hashing.h"
@@ -477,46 +476,52 @@ TEST(WalCrashMatrixTest, NoAckedRecordLossAtAnyCrashPoint) {
 
 TEST(WalGroupCommitTest, ConcurrentBatchesShareFsyncs) {
   TempDir dir;
-  LogTopic topic("wal-concurrency",
-                 WalConfig(dir.path(), DurabilityMode::kWalGroupCommit));
-  ASSERT_TRUE(topic.storage_status().ok());
+  TopicConfig config;
+  config.storage = WalConfig(dir.path(), DurabilityMode::kNone);
+  config.durability = DurabilityMode::kWalGroupCommit;
+  config.initial_train_records = 1000000;  // appends only: no training
+  config.train_interval_records = 1000000;
+  auto topic = std::make_unique<ManagedTopic>("wal-concurrency", config);
+  ASSERT_TRUE(topic->StorageStatus().ok());
   constexpr int kThreads = 4;
   constexpr int kBatchesPerThread = 25;
   constexpr int kRecordsPerBatch = 4;
   std::vector<std::thread> threads;
-  std::atomic<uint64_t> durable_acks{0};
+  std::atomic<uint64_t> acks{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int b = 0; b < kBatchesPerThread; ++b) {
-        std::vector<LogRecord> records;
+        std::vector<std::string> texts;
+        std::vector<uint64_t> timestamps;
         for (int r = 0; r < kRecordsPerBatch; ++r) {
-          records.push_back(MakeRecord("t" + std::to_string(t) + "b" +
-                                           std::to_string(b) + "r" +
-                                           std::to_string(r),
-                                       b));
+          texts.push_back("t" + std::to_string(t) + "b" + std::to_string(b) +
+                          "r" + std::to_string(r));
+          timestamps.push_back(b);
         }
-        topic.AppendBatch(std::move(records));
-        if (topic.WaitDurable().ok()) {
-          durable_acks.fetch_add(1, std::memory_order_relaxed);
+        // IngestBatch returns only after its group-commit wait.
+        if (topic->IngestBatch(std::move(texts), timestamps).ok()) {
+          acks.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
   const uint64_t total_batches = kThreads * kBatchesPerThread;
-  EXPECT_EQ(topic.size(), total_batches * kRecordsPerBatch);
-  EXPECT_EQ(durable_acks.load(), total_batches);
-  EXPECT_EQ(topic.wal_group_commits(), total_batches);
+  const TopicStats stats = topic->stats();
+  EXPECT_EQ(topic->size(), total_batches * kRecordsPerBatch);
+  EXPECT_EQ(acks.load(), total_batches);
+  EXPECT_TRUE(stats.storage_ok);
+  EXPECT_EQ(stats.wal_group_commits, total_batches);
   // The whole point of group commit: every ack is covered by an fsync,
   // with (under concurrency, usually far) fewer fsyncs than acks.
-  EXPECT_GE(topic.wal_fsyncs(), 1u);
-  EXPECT_LE(topic.wal_fsyncs(), total_batches);
-  EXPECT_GT(topic.wal_bytes(), 0u);
+  EXPECT_GE(stats.wal_fsyncs, 1u);
+  EXPECT_LE(stats.wal_fsyncs, total_batches);
+  EXPECT_GT(stats.wal_bytes, 0u);
 
   // Everything recovers on reopen.
-  LogTopic reopened("wal-concurrency",
-                    WalConfig(dir.path(), DurabilityMode::kWalGroupCommit));
-  ASSERT_TRUE(reopened.storage_status().ok());
+  topic.reset();
+  ManagedTopic reopened("wal-concurrency", config);
+  ASSERT_TRUE(reopened.StorageStatus().ok());
   EXPECT_EQ(reopened.size(), total_batches * kRecordsPerBatch);
 }
 
@@ -537,15 +542,20 @@ class FailableFsyncOps : public FileOps {
   }
   int Fsync(int fd) override {
     if (fail_.load(std::memory_order_relaxed)) {
+      failed_fsyncs_.fetch_add(1, std::memory_order_relaxed);
       errno = EIO;
       return -1;
     }
     return RealFileOps()->Fsync(fd);
   }
   void StartFailing() { fail_.store(true, std::memory_order_relaxed); }
+  uint64_t failed_fsyncs() const {
+    return failed_fsyncs_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<bool> fail_{false};
+  std::atomic<uint64_t> failed_fsyncs_{0};
 };
 
 TopicConfig DurableTopicConfig(const std::string& dir, DurabilityMode mode,
@@ -635,6 +645,33 @@ TEST(ServiceDurabilityTest, FsyncFailureDegradesStickyButKeepsAcking) {
   ASSERT_TRUE(topic.value()->Ingest("still acked", 3).ok());
   EXPECT_FALSE(topic.value()->stats().storage_ok);
   EXPECT_EQ(topic.value()->size(), 3u);
+  topic.value().reset();  // release the handle so DeleteTopic is prompt
+  (void)service.DeleteTopic("t");
+}
+
+TEST(ServiceDurabilityTest, CheckpointFsyncFailureGoesSticky) {
+  // kNone: no WAL, so the model checkpoint a training stages is the only
+  // fsync — and a failed one must not stay silent.
+  TempDir dir;
+  FailableFsyncOps ops;
+  LogService service;
+  auto topic = service.CreateTopic(
+      "t", DurableTopicConfig(dir.path(), DurabilityMode::kNone, &ops));
+  ASSERT_TRUE(topic.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        topic.value()->Ingest("checkpointed " + std::to_string(i), i).ok());
+  }
+  ASSERT_TRUE(topic.value()->stats().storage_ok);
+
+  ops.StartFailing();
+  // The training itself commits; only its checkpoint's fsync fails, and
+  // that failure lands sticky in the storage status.
+  ASSERT_TRUE(topic.value()->TrainNow().ok());
+  EXPECT_EQ(ops.failed_fsyncs(), 1u);
+  EXPECT_FALSE(topic.value()->stats().storage_ok);
+  EXPECT_TRUE(topic.value()->StorageStatus().IsIOError())
+      << topic.value()->StorageStatus().ToString();
   topic.value().reset();  // release the handle so DeleteTopic is prompt
   (void)service.DeleteTopic("t");
 }
