@@ -506,9 +506,11 @@ void BM_StorageScan(benchmark::State& state) {
   std::unique_ptr<StorageBackend> store = CreateStorageBackend(cfg);
   if (!store->Open().ok()) state.SkipWithError("open failed");
   constexpr size_t kRecords = 16384;
+  std::vector<LogRecord> records;
   for (size_t i = 0; i < kRecords; ++i) {
-    (void)store->Append({i, logs[i & 4095], 0});
+    records.push_back({i, logs[i & 4095], 0});
   }
+  (void)store->AppendBatch(std::move(records));
   for (auto _ : state) {
     uint64_t bytes = 0;
     (void)store->Scan(0, kRecords,

@@ -388,7 +388,7 @@ Status SegmentedDiskBackend::OpenSealedSegment(
     uint64_t index, uint64_t first_seq, uint64_t expect_records,
     uint64_t expect_checksum, std::shared_ptr<const SealedSegment>* out) {
   const std::string path = SegmentPath(index);
-  // O_RDWR: the mapping is read-only, but AssignTemplate patches
+  // O_RDWR: the mapping is read-only, but AssignTemplates patches
   // template ids through this fd.
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) return IOErrorFor("cannot open sealed segment", path);
@@ -504,7 +504,7 @@ Status SegmentedDiskBackend::RecoverActiveSegment() {
 Status SegmentedDiskBackend::OpenActiveFile() {
   const std::string path = SegmentPath(active_index_);
   // NOT O_APPEND: Linux pwrite() on an O_APPEND fd appends, and
-  // AssignTemplate's in-place template-id patches must land at their
+  // AssignTemplates' in-place template-id patches must land at their
   // recorded offsets. Sequential appends use the fd position, seeked
   // to the (possibly recovered) end once here.
   active_fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
@@ -606,29 +606,17 @@ void SegmentedDiskBackend::FlushWalScratchLocked(Status* error) {
   }
 }
 
-Status SegmentedDiskBackend::Append(LogRecord record) {
+Status SegmentedDiskBackend::AppendBatch(std::vector<LogRecord> records) {
   // A missing fd (never opened, or a seal-path failure closed it) is
-  // the same sticky fail-soft as a write error: the record must still
-  // land in the mirror — dropping it would hand out wrong sequence
+  // the same sticky fail-soft as a write error: the records must still
+  // land in the mirror — dropping them would hand out wrong sequence
   // numbers.
   if (active_fd_ < 0 && io_error_.ok()) {
     io_error_ = Status::IOError("segmented disk backend has no active file");
   }
-  Status error = io_error_;
-  bool buffering = error.ok();
-  AppendRecordLocked(std::move(record), &buffering, &error);
-  FlushWalScratchLocked(&error);
-  return error;
-}
-
-Status SegmentedDiskBackend::AppendBatch(std::vector<LogRecord> records) {
-  if (active_fd_ < 0 && io_error_.ok()) {
-    io_error_ = Status::IOError("segmented disk backend has no active file");
-  }
-  // Batch fast path: one Status/interface crossing per batch around
-  // the same per-record core as Append(); a drain or seal failure
-  // mid-batch stops touching the file but the remaining records still
-  // land in the mirror.
+  // One Status/interface crossing per batch around the per-record core;
+  // a drain or seal failure mid-batch stops touching the file but the
+  // remaining records still land in the mirror.
   Status first_error = io_error_;
   bool buffering = first_error.ok();
   for (LogRecord& record : records) {
@@ -817,93 +805,8 @@ Status SegmentedDiskBackend::Scan(
 }
 
 Status SegmentedDiskBackend::TemplateCounts(
-    uint64_t begin, uint64_t end,
-    std::unordered_map<TemplateId, uint64_t>* counts) const {
-  end = std::min(end, size());
-  ScanVisitTally visits(&scan_visits_);
-  for (const auto& seg : *sealed_) {
-    const uint64_t seg_end = seg->first_seq + seg->records;
-    if (seg_end <= begin) continue;
-    if (seg->first_seq >= end) break;
-    const uint64_t lo = std::max(begin, seg->first_seq);
-    const uint64_t hi = std::min(end, seg_end);
-    if (lo == seg->first_seq && hi == seg_end) {
-      // Fully covered: answer from the postings — no pin, no mapping,
-      // no record bytes touched.
-      for (const auto& [tid, n] : seg->postings) (*counts)[tid] += n;
-      continue;
-    }
-    // Partial coverage: header-only hop over the covered frames.
-    SegmentCache::Pin pin;
-    BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
-    size_t off = SeekOffset(pin.data(), *seg, lo - seg->first_seq);
-    for (uint64_t seq = lo; seq < hi; ++seq) {
-      uint32_t len;
-      TemplateId tid;
-      std::memcpy(&len, pin.data() + off, 4);
-      std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++visits.count;
-      ++(*counts)[tid];
-      off += kFrameHeaderBytes + len;
-    }
-  }
-  for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++visits.count;
-    ++(*counts)[active_[seq - sealed_records_].template_id];
-  }
-  return Status::OK();
-}
-
-Status SegmentedDiskBackend::ScanTemplates(
-    uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
-    const std::function<void(uint64_t, TemplateId)>& fn) const {
-  end = std::min(end, size());
-  ScanVisitTally visits(&scan_visits_);
-  for (const auto& seg : *sealed_) {
-    const uint64_t seg_end = seg->first_seq + seg->records;
-    if (seg_end <= begin) continue;
-    if (seg->first_seq >= end) break;
-    // Postings check BEFORE any pin: a segment holding none of the
-    // wanted templates is skipped without being mapped at all — this
-    // is what keeps template-filtered queries over a mostly-cold topic
-    // from faulting the whole topic into the cache.
-    bool overlaps = false;
-    for (TemplateId tid : ids) {
-      if (seg->postings.count(tid) != 0) {
-        overlaps = true;
-        break;
-      }
-    }
-    if (!overlaps) continue;
-    const uint64_t lo = std::max(begin, seg->first_seq);
-    const uint64_t hi = std::min(end, seg_end);
-    SegmentCache::Pin pin;
-    BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
-    size_t off = SeekOffset(pin.data(), *seg, lo - seg->first_seq);
-    for (uint64_t seq = lo; seq < hi; ++seq) {
-      uint32_t len;
-      TemplateId tid;
-      std::memcpy(&len, pin.data() + off, 4);
-      std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      ++visits.count;
-      if (ids.count(tid) != 0) fn(seq, tid);
-      off += kFrameHeaderBytes + len;
-    }
-  }
-  for (uint64_t seq = std::max(begin, sealed_records_); seq < end; ++seq) {
-    ++visits.count;
-    const TemplateId tid = active_[seq - sealed_records_].template_id;
-    if (ids.count(tid) != 0) fn(seq, tid);
-  }
-  return Status::OK();
-}
-
-Status SegmentedDiskBackend::TemplateCountsInRange(
     uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
     std::unordered_map<TemplateId, uint64_t>* counts) const {
-  if (min_ts_us == 0 && max_ts_us == UINT64_MAX) {
-    return TemplateCounts(begin, end, counts);
-  }
   end = std::min(end, size());
   ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
@@ -949,19 +852,20 @@ Status SegmentedDiskBackend::TemplateCountsInRange(
   return Status::OK();
 }
 
-Status SegmentedDiskBackend::ScanTemplatesInRange(
+Status SegmentedDiskBackend::ScanTemplates(
     uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
     const std::unordered_set<TemplateId>& ids,
     const std::function<void(uint64_t, TemplateId)>& fn) const {
-  if (min_ts_us == 0 && max_ts_us == UINT64_MAX) {
-    return ScanTemplates(begin, end, ids, fn);
-  }
   end = std::min(end, size());
   ScanVisitTally visits(&scan_visits_);
   for (const auto& seg : *sealed_) {
     const uint64_t seg_end = seg->first_seq + seg->records;
     if (seg_end <= begin) continue;
     if (seg->first_seq >= end) break;
+    // Time and postings checks BEFORE any pin: a segment outside the
+    // window or holding none of the wanted templates is skipped without
+    // being mapped, so filtered queries over a mostly-cold topic do not
+    // fault the whole topic into the cache.
     if (seg->max_timestamp_us < min_ts_us || seg->min_timestamp_us > max_ts_us)
       continue;
     bool overlaps = false;
@@ -1116,50 +1020,17 @@ Status SegmentedDiskBackend::SealActive() {
   return SealActiveLocked();
 }
 
-Status SegmentedDiskBackend::AssignTemplate(uint64_t seq,
-                                            TemplateId template_id) {
-  if (seq >= size()) {
-    return Status::NotFound("sequence beyond end of store");
-  }
-  if (seq >= sealed_records_) {
-    const uint32_t idx = static_cast<uint32_t>(seq - sealed_records_);
-    active_[idx].template_id = template_id;
-    // The frame's buffered/file copy still holds the old id; the file
-    // is patched at the next flush/seal, and the mirror is
-    // authoritative for reads until then.
-    dirty_tids_.push_back(idx);
-    return Status::OK();
-  }
-  const auto it = std::upper_bound(sealed_first_seqs_.begin(),
-                                   sealed_first_seqs_.end(), seq);
-  const size_t seg_index =
-      static_cast<size_t>(it - sealed_first_seqs_.begin()) - 1;
-  const SealedSegment& seg = *(*sealed_)[seg_index];
-  SegmentCache::Pin pin;
-  BB_RETURN_IF_ERROR(PinSegment(seg, &pin));
-  const size_t off =
-      SeekOffset(pin.data(), seg, seq - seg.first_seq) + kFrameTidOffset;
-  TemplateId current;
-  std::memcpy(&current, pin.data() + off, 8);
-  if (current == template_id) return Status::OK();
-  // MAP_SHARED keeps the read-only mapping coherent with this write;
-  // frame checksums exclude the template id by design.
-  if (ops_->PWrite(seg.fd, &template_id, 8, off) != 8) {
-    return IOErrorFor("cannot patch template id", SegmentPath(seg_index));
-  }
-  auto pit = seg.postings.find(current);
-  if (pit != seg.postings.end() && --pit->second == 0) seg.postings.erase(pit);
-  ++seg.postings[template_id];
-  seg.index_dirty = true;
-  return Status::OK();
-}
-
 Status SegmentedDiskBackend::AssignTemplates(
     uint64_t begin_seq, const std::vector<TemplateId>& ids) {
   const uint64_t end_seq = begin_seq + ids.size();
   if (end_seq > size()) {
     return Status::NotFound("sequence beyond end of store");
   }
+  // A failed pin or pwrite strands only the records it covers: they keep
+  // their old ids, the rest of the range is still applied, and the
+  // first error is returned. Not sticky in io_error_ — appends are
+  // unaffected; the owner records it in its storage status.
+  Status first_error;
   // Sealed part: walk the segments in order (the range is contiguous —
   // no per-record binary search) and pwrite only ids that actually
   // changed; after a model merge most established assignments are
@@ -1172,7 +1043,11 @@ Status SegmentedDiskBackend::AssignTemplates(
     const uint64_t lo = std::max(begin_seq, seg.first_seq);
     const uint64_t hi = std::min(end_seq, seg_end);
     SegmentCache::Pin pin;
-    BB_RETURN_IF_ERROR(PinSegment(seg, &pin));
+    Status pinned = PinSegment(seg, &pin);
+    if (!pinned.ok()) {
+      if (first_error.ok()) first_error = std::move(pinned);
+      continue;
+    }
     size_t off = SeekOffset(pin.data(), seg, lo - seg.first_seq);
     for (uint64_t seq = lo; seq < hi; ++seq) {
       uint32_t len;
@@ -1180,16 +1055,19 @@ Status SegmentedDiskBackend::AssignTemplates(
       const TemplateId id = ids[seq - begin_seq];
       TemplateId current;
       std::memcpy(&current, pin.data() + off + kFrameTidOffset, 8);
+      // MAP_SHARED keeps the read-only mapping coherent with the write;
+      // frame checksums exclude the template id by design.
       if (current != id) {
-        if (ops_->PWrite(seg.fd, &id, 8, off + kFrameTidOffset) != 8) {
-          return IOErrorFor("cannot patch template id", SegmentPath(si));
+        if (ops_->PWrite(seg.fd, &id, 8, off + kFrameTidOffset) == 8) {
+          auto pit = seg.postings.find(current);
+          if (pit != seg.postings.end() && --pit->second == 0) {
+            seg.postings.erase(pit);
+          }
+          ++seg.postings[id];
+          seg.index_dirty = true;
+        } else if (first_error.ok()) {
+          first_error = IOErrorFor("cannot patch template id", SegmentPath(si));
         }
-        auto pit = seg.postings.find(current);
-        if (pit != seg.postings.end() && --pit->second == 0) {
-          seg.postings.erase(pit);
-        }
-        ++seg.postings[id];
-        seg.index_dirty = true;
       }
       off += kFrameHeaderBytes + len;
     }
@@ -1199,10 +1077,13 @@ Status SegmentedDiskBackend::AssignTemplates(
     const uint32_t idx = static_cast<uint32_t>(seq - sealed_records_);
     const TemplateId id = ids[seq - begin_seq];
     if (active_[idx].template_id == id) continue;
+    // The frame's buffered/file copy still holds the old id; the file
+    // is patched at the next flush/seal, and the mirror is
+    // authoritative for reads until then.
     active_[idx].template_id = id;
     dirty_tids_.push_back(idx);
   }
-  return Status::OK();
+  return first_error;
 }
 
 Status SegmentedDiskBackend::Checkpoint(std::string_view metadata) {

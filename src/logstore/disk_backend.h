@@ -63,7 +63,6 @@ class SegmentedDiskBackend : public StorageBackend {
   SegmentedDiskBackend& operator=(const SegmentedDiskBackend&) = delete;
 
   Status Open() override;
-  Status Append(LogRecord record) override;
   Status AppendBatch(std::vector<LogRecord> records) override;
   uint64_t size() const override;
   uint64_t text_bytes() const override { return text_bytes_; }
@@ -71,23 +70,14 @@ class SegmentedDiskBackend : public StorageBackend {
   Status Scan(uint64_t begin, uint64_t end,
               const std::function<void(uint64_t, const LogRecord&)>& fn)
       const override;
-  Status AssignTemplate(uint64_t seq, TemplateId template_id) override;
   Status AssignTemplates(uint64_t begin_seq,
                          const std::vector<TemplateId>& ids) override;
+  /// A sealed segment whose persisted [min, max] timestamp range misses
+  /// [min_ts_us, max_ts_us] is skipped without being pinned.
   Status TemplateCounts(
-      uint64_t begin, uint64_t end,
-      std::unordered_map<TemplateId, uint64_t>* counts) const override;
-  Status ScanTemplates(
-      uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
-      const std::function<void(uint64_t, TemplateId)>& fn) const override;
-  /// Time-filtered variants: a sealed segment whose persisted [min, max]
-  /// timestamp range misses [min_ts_us, max_ts_us] is skipped without
-  /// being pinned; one fully inside it degrades to the unfiltered
-  /// postings/header paths.
-  Status TemplateCountsInRange(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       std::unordered_map<TemplateId, uint64_t>* counts) const override;
-  Status ScanTemplatesInRange(
+  Status ScanTemplates(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       const std::unordered_set<TemplateId>& ids,
       const std::function<void(uint64_t, TemplateId)>& fn) const override;
@@ -134,7 +124,7 @@ class SegmentedDiskBackend : public StorageBackend {
     uint64_t records = 0;
     uint64_t checksum = 0;   // fold of frame checksums (manifest copy)
     size_t data_len = 0;     // frame bytes in the segment file
-    int fd = -1;             // kept open for AssignTemplate pwrites
+    int fd = -1;             // kept open for AssignTemplates pwrites
     SegmentCache::EntryPtr entry;  // cache handle; maps lazily on pin
     /// Sparse index (segment_index.h). Fenceposts and the time range
     /// never change after sealing; postings track template rewrites.
@@ -164,7 +154,7 @@ class SegmentedDiskBackend : public StorageBackend {
   /// from the persisted file (template pwrites). Best effort — the
   /// index is derived data and Open rebuilds it anyway.
   void RewriteDirtyIndexes();
-  /// Shared core of Append/AppendBatch: mirrors one record, buffers its
+  /// AppendBatch's per-record core: mirrors one record, buffers its
   /// frame while `*buffering` (into the write buffer AND the WAL
   /// scratch when a WAL is configured), runs the drain/seal checks; a
   /// failure lands in `*error` (first one wins) and flips `*buffering`
@@ -205,7 +195,7 @@ class SegmentedDiskBackend : public StorageBackend {
 
   /// Tail WAL (config_.durability != kNone): internally synchronized,
   /// created at Open, rotated at every seal. wal_scratch_ stages the
-  /// current Append/AppendBatch call's frame bytes so the whole batch
+  /// current AppendBatch call's frame bytes so the whole batch
   /// reaches the WAL in one write; a seal mid-batch clears it (those
   /// frames just became durable in the sealed segment). wal_replaying_
   /// suppresses re-logging and mid-replay seals while recovered WAL

@@ -79,16 +79,6 @@ int FaultInjectingFileOps::Fsync(int fd) {
   return ::fsync(fd);
 }
 
-Status FaultInjectingBackend::Append(LogRecord record) {
-  const uint64_t call =
-      append_calls_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const Status inner = inner_->Append(std::move(record));
-  if (call == schedule_.fail_append_at) {
-    return Status::IOError("injected append fault");
-  }
-  return inner;
-}
-
 Status FaultInjectingBackend::AppendBatch(std::vector<LogRecord> records) {
   const uint64_t call =
       append_calls_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -11,8 +11,9 @@
 //     at an exact global op index — deterministically, even across the
 //     WAL commit thread.
 //   * FaultInjectingBackend — a StorageBackend decorator injecting
-//     Status-level faults (EIO on the Nth Append/Read/Flush/Checkpoint)
-//     to exercise the fail-soft error plumbing above the syscall layer.
+//     Status-level faults (EIO on the Nth AppendBatch/Read/Flush/
+//     Checkpoint) to exercise the fail-soft error plumbing above the
+//     syscall layer.
 //
 // All counters are atomics: the shim is shared between request threads
 // and the WAL commit thread, and the fault-injection suites run under
@@ -91,8 +92,7 @@ class FaultInjectingFileOps : public FileOps {
 };
 
 /// Status-level faults for the backend interface, by 1-based per-method
-/// call index (Append and AppendBatch share one counter; Read and Scan
-/// share one). 0 disables a trigger.
+/// call index (Read and Scan share one counter). 0 disables a trigger.
 struct BackendFaultSchedule {
   uint64_t fail_append_at = 0;
   uint64_t fail_read_at = 0;
@@ -101,11 +101,12 @@ struct BackendFaultSchedule {
 };
 
 /// Decorates any StorageBackend with injected Status faults. A faulted
-/// Append/AppendBatch still FORWARDS to the inner backend before
-/// returning the error — the fail-soft contract (the record must land,
-/// only durability is lost) means callers rely on size() advancing even
-/// on error, and the decorator must not break sequence numbering. Read,
-/// Scan, Flush and Checkpoint faults do not forward.
+/// AppendBatch still FORWARDS to the inner backend before returning the
+/// error — the fail-soft contract (the records must land, only
+/// durability is lost) means callers rely on size() advancing even on
+/// error, and the decorator must not break sequence numbering. Read,
+/// Scan, Flush and Checkpoint faults do not forward; AssignTemplates and
+/// both query primitives always forward.
 class FaultInjectingBackend : public StorageBackend {
  public:
   FaultInjectingBackend(std::unique_ptr<StorageBackend> inner,
@@ -113,7 +114,6 @@ class FaultInjectingBackend : public StorageBackend {
       : inner_(std::move(inner)), schedule_(schedule) {}
 
   Status Open() override { return inner_->Open(); }
-  Status Append(LogRecord record) override;
   Status AppendBatch(std::vector<LogRecord> records) override;
   uint64_t size() const override { return inner_->size(); }
   uint64_t text_bytes() const override { return inner_->text_bytes(); }
@@ -121,22 +121,20 @@ class FaultInjectingBackend : public StorageBackend {
   Status Scan(uint64_t begin, uint64_t end,
               const std::function<void(uint64_t, const LogRecord&)>& fn)
       const override;
-  Status AssignTemplate(uint64_t seq, TemplateId template_id) override {
-    return inner_->AssignTemplate(seq, template_id);
-  }
   Status AssignTemplates(uint64_t begin_seq,
                          const std::vector<TemplateId>& ids) override {
     return inner_->AssignTemplates(begin_seq, ids);
   }
   Status TemplateCounts(
-      uint64_t begin, uint64_t end,
+      uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       std::unordered_map<TemplateId, uint64_t>* counts) const override {
-    return inner_->TemplateCounts(begin, end, counts);
+    return inner_->TemplateCounts(begin, end, min_ts_us, max_ts_us, counts);
   }
   Status ScanTemplates(
-      uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
+      uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
+      const std::unordered_set<TemplateId>& ids,
       const std::function<void(uint64_t, TemplateId)>& fn) const override {
-    return inner_->ScanTemplates(begin, end, ids, fn);
+    return inner_->ScanTemplates(begin, end, min_ts_us, max_ts_us, ids, fn);
   }
   Status Flush() override;
   Status Checkpoint(std::string_view metadata) override;

@@ -6,7 +6,7 @@
 // util/hashing.h RecordChecksum covers ts + text, NOT the template id,
 // which retraining rewrites in place (segment files) or leaves stale
 // (WAL frames — replay re-matches). The template id sits at a fixed
-// offset so AssignTemplate can rewrite it with one 8-byte pwrite.
+// offset so AssignTemplates can rewrite it with one 8-byte pwrite.
 //
 // These helpers used to live in disk_backend.cc's anonymous namespace;
 // the WAL appends and replays the SAME frame bytes, so the one parser

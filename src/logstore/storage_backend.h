@@ -12,9 +12,8 @@
 //
 // Threading contract: a backend takes no lock of its own — its owner
 // (ManagedTopic) calls it under the topic's one lock, `mu_`:
-//   * writers — Append/AppendBatch, AssignTemplate(s), SealActive and
-//     the training snapshot (SnapshotSealed) — run under `mu_`
-//     EXCLUSIVE;
+//   * writers — AppendBatch, AssignTemplates, SealActive and the
+//     training snapshot (SnapshotSealed) — run under `mu_` EXCLUSIVE;
 //   * const readers — Read, Scan, the query primitives, the three
 //     replication reads and the stats getters — run under `mu_`
 //     SHARED, concurrently with each other, so a const method may
@@ -142,7 +141,7 @@ class SealedRecordView {
   /// point into the mapped segment bytes and are valid for the lifetime
   /// of this SealedRecordView. Template ids are deliberately NOT
   /// exposed: they are the one mutable field of a sealed record
-  /// (AssignTemplate), and off-lock readers must not race it.
+  /// (AssignTemplates), and off-lock readers must not race it.
   virtual Status ScanTexts(
       uint64_t begin, uint64_t end,
       const std::function<void(uint64_t, std::string_view)>& fn) const = 0;
@@ -159,25 +158,12 @@ class StorageBackend {
   /// method; a fresh store opens empty.
   virtual Status Open() = 0;
 
-  /// Appends the record as sequence number size(). On an IO failure
-  /// the record is still retained in memory (fail-soft; see the
-  /// backend docs) and the Status reports the error.
-  virtual Status Append(LogRecord record) = 0;
-
-  /// Appends a batch with consecutive sequence numbers — one interface
-  /// crossing and one error check for the whole batch (the batched
-  /// ingest hot path). Returns the first failure but appends every
-  /// record regardless (same fail-soft contract as Append).
-  virtual Status AppendBatch(std::vector<LogRecord> records) {
-    Status first_error;
-    for (LogRecord& record : records) {
-      Status appended = Append(std::move(record));
-      if (!appended.ok() && first_error.ok()) {
-        first_error = std::move(appended);
-      }
-    }
-    return first_error;
-  }
+  /// Appends a batch as sequence numbers [size(), size() + n) — one
+  /// interface crossing and one error check for the whole batch (the
+  /// ingest hot path). On an IO failure every record is still retained
+  /// in memory (fail-soft; see the backend docs) and the Status reports
+  /// the first error.
+  virtual Status AppendBatch(std::vector<LogRecord> records) = 0;
 
   virtual uint64_t size() const = 0;
   virtual uint64_t text_bytes() const = 0;
@@ -191,54 +177,40 @@ class StorageBackend {
       uint64_t begin, uint64_t end,
       const std::function<void(uint64_t, const LogRecord&)>& fn) const = 0;
 
-  /// Rewrites the template id of an appended record (retraining refines
-  /// assignments; the text is immutable).
-  virtual Status AssignTemplate(uint64_t seq, TemplateId template_id) = 0;
-
-  /// Bulk variant for a contiguous range [begin_seq, begin_seq +
-  /// ids.size()): the training-commit path rewrites a whole window in
-  /// one call, and backends skip records whose id is unchanged (after
-  /// a model merge most established assignments are) instead of paying
-  /// per-record work for no-ops. The base implementation honors the
-  /// skip contract for any backend: one Scan gathers the current ids,
-  /// then only the changed records pay a virtual AssignTemplate call.
+  /// Rewrites the template ids of the contiguous range [begin_seq,
+  /// begin_seq + ids.size()) (retraining refines assignments; the text
+  /// is immutable); NotFound, touching nothing, when the range passes
+  /// size(). Records whose id is unchanged are skipped (after a model
+  /// merge most established assignments are). A record whose rewrite
+  /// fails keeps its old id; the rest are still applied and the first
+  /// error is returned — the same contract as AppendBatch.
   virtual Status AssignTemplates(uint64_t begin_seq,
-                                 const std::vector<TemplateId>& ids);
+                                 const std::vector<TemplateId>& ids) = 0;
 
-  /// Adds the number of records carrying each template id in [begin,
-  /// end) (clamped to size()) into `*counts` — the count-only query
-  /// path. The base implementation scans; indexed backends answer
-  /// fully-covered sealed segments from their postings without
-  /// touching (or even mapping) the record bytes.
+  // --- queries --------------------------------------------------------
+  // Both primitives visit the records in [begin, end) (clamped to
+  // size()) whose timestamp lies in [min_ts_us, max_ts_us] ([0,
+  // UINT64_MAX] is the whole topic), under one rule per segment: a
+  // segment whose [min, max] timestamps miss the window is skipped
+  // unread, and one whose records all fall in both windows is answered
+  // from its template postings where the primitive allows it.
+
+  /// Adds the number of matching records carrying each template id into
+  /// `*counts` — the count-only query path. Fully-covered segments add
+  /// their postings without touching (or, on disk, even mapping) the
+  /// record bytes.
   virtual Status TemplateCounts(
-      uint64_t begin, uint64_t end,
-      std::unordered_map<TemplateId, uint64_t>* counts) const;
-
-  /// Invokes fn(seq, template_id) for each record in [begin, end)
-  /// (clamped to size()) whose CURRENT template id is in `ids` — the
-  /// template-filtered query path (sequence-number collection). The
-  /// base implementation scans and filters; indexed backends skip
-  /// sealed segments whose postings contain none of `ids` and read
-  /// only frame headers in the rest.
-  virtual Status ScanTemplates(
-      uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
-      const std::function<void(uint64_t, TemplateId)>& fn) const;
-
-  /// Time-filtered variant of TemplateCounts: only records whose
-  /// timestamp lies in [min_ts_us, max_ts_us] are counted. The base
-  /// implementation scans; the disk backend prunes sealed segments
-  /// whose persisted [min, max] timestamp range misses the window
-  /// entirely and answers fully-covered ones from postings.
-  virtual Status TemplateCountsInRange(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
-      std::unordered_map<TemplateId, uint64_t>* counts) const;
+      std::unordered_map<TemplateId, uint64_t>* counts) const = 0;
 
-  /// Time-filtered variant of ScanTemplates (same pruning contract as
-  /// TemplateCountsInRange).
-  virtual Status ScanTemplatesInRange(
+  /// Invokes fn(seq, template_id) for each matching record whose
+  /// CURRENT template id is in `ids` — the template-filtered query path
+  /// (sequence-number collection). Segments whose postings contain none
+  /// of `ids` are skipped; the rest are read header-only.
+  virtual Status ScanTemplates(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       const std::unordered_set<TemplateId>& ids,
-      const std::function<void(uint64_t, TemplateId)>& fn) const;
+      const std::function<void(uint64_t, TemplateId)>& fn) const = 0;
 
   // --- replication (primary/replica pairs; see src/replication/) -----
 
@@ -359,7 +331,6 @@ class MemoryBackend : public StorageBackend {
   explicit MemoryBackend(size_t segment_capacity);
 
   Status Open() override { return Status::OK(); }
-  Status Append(LogRecord record) override;
   Status AppendBatch(std::vector<LogRecord> records) override;
   uint64_t size() const override { return count_; }
   uint64_t text_bytes() const override { return text_bytes_; }
@@ -367,14 +338,14 @@ class MemoryBackend : public StorageBackend {
   Status Scan(uint64_t begin, uint64_t end,
               const std::function<void(uint64_t, const LogRecord&)>& fn)
       const override;
-  Status AssignTemplate(uint64_t seq, TemplateId template_id) override;
   Status AssignTemplates(uint64_t begin_seq,
                          const std::vector<TemplateId>& ids) override;
   Status TemplateCounts(
-      uint64_t begin, uint64_t end,
+      uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       std::unordered_map<TemplateId, uint64_t>* counts) const override;
   Status ScanTemplates(
-      uint64_t begin, uint64_t end, const std::unordered_set<TemplateId>& ids,
+      uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
+      const std::unordered_set<TemplateId>& ids,
       const std::function<void(uint64_t, TemplateId)>& fn) const override;
   Status Flush() override { return Status::OK(); }
   Status Checkpoint(std::string_view metadata) override;
@@ -387,11 +358,13 @@ class MemoryBackend : public StorageBackend {
  private:
   struct Segment {
     std::vector<LogRecord> records;
-    // Per-segment template-id counts, maintained by Append and
-    // AssignTemplate(s) — the in-memory analogue of the disk backend's
-    // persisted postings, so memory topics get the same
-    // postings-answered count queries and segment skipping.
+    // Per-segment template-id counts and timestamp range, maintained by
+    // AppendBatch and AssignTemplates — the in-memory analogue of the
+    // disk backend's sealed-segment index, so memory topics answer
+    // queries under the same postings and time-pruning rule.
     std::unordered_map<TemplateId, uint64_t> postings;
+    uint64_t min_timestamp_us = UINT64_MAX;
+    uint64_t max_timestamp_us = 0;
   };
 
   const LogRecord* Locate(uint64_t seq) const;

@@ -5,7 +5,7 @@
 // drains them in ~256 KiB writes, fsyncing only at seal/checkpoint — a
 // crash loses every acknowledged record still in the buffer, and
 // recovery TRUNCATES the torn tail. The WAL closes that hole for the
-// durability modes that ask for it: each Append/AppendBatch also writes
+// durability modes that ask for it: each AppendBatch also writes
 // its frame bytes to a WAL file with ONE write() per batch, and under
 // wal_group_commit the caller then blocks in WaitDurable() until a
 // dedicated commit thread has covered its bytes with an fsync — one

@@ -141,25 +141,33 @@ void ManagedTopic::RestoreFromStorage() {
   // the restored model does not know (temporaries adopted and lost in
   // the crash). Re-match them in arrival order so every stored id
   // resolves — the same reconciliation a training commit applies to
-  // mid-training arrivals. Collected first: AssignTemplate must not
-  // re-enter the topic from inside its own Scan.
-  std::vector<std::pair<uint64_t, std::string>> unknown;
-  (void)store_->Scan(0, store_->size(),
-                     [this, &unknown](uint64_t seq, const LogRecord& rec) {
-                       if (rec.template_id == kInvalidTemplateId ||
-                           parser_.model().node(rec.template_id) == nullptr) {
-                         unknown.emplace_back(seq, rec.text);
-                       }
-                     });
-  for (auto& [seq, text] : unknown) {
+  // mid-training arrivals — and write back ONE range [first unknown,
+  // size) in which known records keep their ids (the backend skips
+  // them). Collected first: the store must not be written from inside
+  // its own Scan.
+  uint64_t first_unknown = 0;
+  std::vector<TemplateId> ids;
+  std::vector<std::pair<size_t, std::string>> unknown;  // index into ids
+  NoteStorageErrorLocked(store_->Scan(
+      0, store_->size(), [&](uint64_t seq, const LogRecord& rec) {
+        const bool known = rec.template_id != kInvalidTemplateId &&
+                           parser_.model().node(rec.template_id) != nullptr;
+        if (unknown.empty()) {
+          if (known) return;
+          first_unknown = seq;
+        }
+        if (!known) unknown.emplace_back(ids.size(), rec.text);
+        ids.push_back(rec.template_id);
+      }));
+  for (auto& [index, text] : unknown) {
     bool adopted = false;
-    const TemplateId id = parser_.MatchOrAdopt(text, &adopted);
+    ids[index] = parser_.MatchOrAdopt(text, &adopted);
     if (adopted) {
       ++model_generation_;
-      PublishAdoptedLocked(id);
+      PublishAdoptedLocked(ids[index]);
     }
-    (void)store_->AssignTemplate(seq, id);
   }
+  NoteStorageErrorLocked(store_->AssignTemplates(first_unknown, ids));
 }
 
 void ManagedTopic::InstallModelLocked(PreparedRetrain prepared) {
@@ -769,8 +777,8 @@ void ManagedTopic::RunTraining(TrainingRun run) {
     } else {
       Timer swap_timer;
       // Once CommitTrainingLocked runs, the swap has happened: the cycle
-      // counts as a training regardless of the cannot-really-fail
-      // re-assignment statuses inside (TrainNow still reports them).
+      // counts as a training regardless of the re-assignment statuses
+      // inside (TrainNow and the storage status still report them).
       outcome = CommitTrainingLocked(run, std::move(prepared).value(),
                                      assignments, train_seconds);
       stats_.last_swap_seconds = swap_timer.ElapsedSeconds();
@@ -801,9 +809,8 @@ void ManagedTopic::RunTraining(TrainingRun run) {
 Status ManagedTopic::CommitTrainingLocked(
     const TrainingRun& run, PreparedRetrain prepared,
     const std::vector<TemplateId>& assignments, double train_seconds) {
-  // Clear the in-flight state first so every return path (including the
-  // cannot-really-fail AssignTemplate errors below) leaves the topic
-  // able to schedule its next cycle.
+  // Clear the in-flight state first so the topic can schedule its next
+  // cycle whatever the re-assignment statuses below.
   training_in_flight_ = false;
   train_done_cv_.notify_all();
 
@@ -823,9 +830,10 @@ Status ManagedTopic::CommitTrainingLocked(
   // From here on the swap is live, so assignment-path IO errors (a
   // disk backend's sealed-segment pwrite can fail) must NOT abort the
   // remaining steps — skipping (d)'s reconciliation would leave records
-  // pointing at the dropped model. Carry the first error to the end
-  // instead; affected records keep stale ids until the next training or
-  // restart recovery re-matches them.
+  // pointing at the dropped model. Each bulk call applies what it can;
+  // the first error goes sticky into the storage status and is
+  // returned. Only the records whose write failed keep stale ids, until
+  // the next training or restart recovery re-matches them.
   Status first_error;
   auto keep_first = [&first_error](Status status) {
     if (!status.ok() && first_error.ok()) first_error = std::move(status);
@@ -852,12 +860,14 @@ Status ManagedTopic::CommitTrainingLocked(
     keep_first(store_->Scan(
         run.snapshot_size, now,
         [&tail](uint64_t, const LogRecord& rec) { tail.push_back(rec.text); }));
-    for (uint64_t i = 0; i < tail.size(); ++i) {
+    std::vector<TemplateId> ids;
+    ids.reserve(tail.size());
+    for (const std::string& text : tail) {
       bool adopted = false;
-      const TemplateId id = parser_.MatchOrAdopt(tail[i], &adopted);
-      if (adopted) PublishAdoptedLocked(id);
-      keep_first(store_->AssignTemplate(run.snapshot_size + i, id));
+      ids.push_back(parser_.MatchOrAdopt(text, &adopted));
+      if (adopted) PublishAdoptedLocked(ids.back());
     }
+    keep_first(store_->AssignTemplates(run.snapshot_size, ids));
   }
 
   // (e) Durability: STAGE the committed model for a manifest
@@ -869,6 +879,7 @@ Status ManagedTopic::CommitTrainingLocked(
     pending_model_checkpoint_ = parser_.model().Serialize();
     checkpoint_pending_.store(true, std::memory_order_release);
   }
+  NoteStorageErrorLocked(first_error);
   return first_error;
 }
 
@@ -934,13 +945,11 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
   const uint64_t begin = std::min(req.begin_seq, end);
 
   // Counts per RAW stored template id, from the storage postings —
-  // fully-sealed windows are answered without touching record bytes.
-  // A time-range predicate routes through the range variant, which
-  // prunes sealed segments via their persisted min/max timestamps and
-  // keeps the postings fast path for segments fully inside the window;
-  // the defaults delegate to the unfiltered path unchanged.
+  // segments fully inside both the sequence and the time window are
+  // answered without touching record bytes, and segments whose min/max
+  // timestamps miss the time window are skipped.
   std::unordered_map<TemplateId, uint64_t> raw_counts;
-  BB_RETURN_IF_ERROR(store_->TemplateCountsInRange(
+  BB_RETURN_IF_ERROR(store_->TemplateCounts(
       begin, end, req.min_timestamp_us, req.max_timestamp_us, &raw_counts));
 
   // Resolution at the threshold depends only on the template id, so it
@@ -1018,7 +1027,7 @@ Result<QueryPage> ManagedTopic::QueryGroups(const QueryPageRequest& req) const {
     for (const auto& [raw, resolved] : resolved_of) {
       if (page_index.count(resolved) != 0) wanted.insert(raw);
     }
-    BB_RETURN_IF_ERROR(store_->ScanTemplatesInRange(
+    BB_RETURN_IF_ERROR(store_->ScanTemplates(
         begin, end, req.min_timestamp_us, req.max_timestamp_us, wanted,
         [&](uint64_t seq, TemplateId raw) {
           page.groups[page_index.at(resolved_of.at(raw))]

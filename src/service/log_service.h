@@ -207,7 +207,10 @@ struct TopicStats {
   /// False once the storage backend hit a sticky IO error (disk full,
   /// lost mount, seal failure): records since then live only in
   /// memory. Monitor this — the topic keeps ingesting (fail-soft) but
-  /// durability is gone and RAM grows with every record.
+  /// durability is gone and RAM grows with every record. Also false
+  /// after a failed template re-assignment (a sealed-segment pwrite at
+  /// a training commit or recovery): the records it covered keep ids
+  /// the model may no longer resolve until the next training.
   bool storage_ok = true;
   /// Sealed (immutable, mmap'd) segment files and their mapped bytes.
   uint64_t storage_sealed_segments = 0;
@@ -288,9 +291,9 @@ struct QueryPageRequest {
   TemplateId resume_template_id = kInvalidTemplateId;
   /// Time-range predicate: only records with timestamp_us inside
   /// [min_timestamp_us, max_timestamp_us] contribute. Defaults select
-  /// everything (the unfiltered fast paths apply). Sealed segments
-  /// whose persisted min/max timestamps miss the window are pruned
-  /// without being read.
+  /// everything (every segment is then fully covered, so postings
+  /// answer it). Segments whose min/max timestamps miss the window are
+  /// pruned without being read.
   uint64_t min_timestamp_us = 0;
   uint64_t max_timestamp_us = UINT64_MAX;
 };
@@ -469,8 +472,8 @@ class ManagedTopic {
       uint64_t begin_seq, uint64_t end_seq,
       const std::function<void(uint64_t, const LogRecord&)>& fn) const;
   /// Storage health: OK, or why the backend could not open / the first
-  /// sticky append, durability-wait or checkpoint IO error. Locking:
-  /// shared.
+  /// sticky append, durability-wait, checkpoint or template
+  /// re-assignment IO error. Locking: shared.
   Status StorageStatus() const;
   /// True when the model currently knows `id` (a query for it resolves).
   /// Locking: shared.
@@ -603,8 +606,9 @@ class ManagedTopic {
 
   /// Construction-time recovery from a persistent backend: rebuild
   /// volume stats, restore + publish the checkpointed model, re-match
-  /// records carrying ids the restored model does not know. Runs before
-  /// the topic is visible to any other thread (no lock needed).
+  /// records carrying ids the restored model does not know (a storage
+  /// error doing so goes into storage_status_). Runs before the topic
+  /// is visible to any other thread (no lock needed).
   void RestoreFromStorage();
   /// Makes `prepared` the live model (building its matcher if absent):
   /// swap, generation bump, model stats, metadata export. Shared by
@@ -638,7 +642,9 @@ class ManagedTopic {
   /// Publishes a prepared training: InstallModelLocked, window
   /// re-assignment, re-match-or-adopt of mid-training arrivals, stats.
   /// Requires the exclusive lock; clears the in-flight flag up front so
-  /// any return path leaves the topic schedulable.
+  /// any return path leaves the topic schedulable. A re-assignment
+  /// error strands only its records; the first one goes into
+  /// storage_status_ and is returned.
   Status CommitTrainingLocked(const TrainingRun& run, PreparedRetrain prepared,
                               const std::vector<TemplateId>& assignments,
                               double train_seconds);
@@ -734,8 +740,9 @@ class ManagedTopic {
   /// WaitDurable and the wal_* stats with no lock.
   std::unique_ptr<StorageBackend> store_;
   /// Sticky storage health: the open failure, or the first append,
-  /// durability-wait or checkpoint IO error (records past it may live
-  /// only in memory). Written under `mu_` exclusive, read under shared.
+  /// durability-wait, checkpoint or re-assignment IO error (records
+  /// past an append error may live only in memory). Written under `mu_`
+  /// exclusive, read under shared.
   Status storage_status_;
   InternalTopic internal_;
   ByteBrainParser parser_;

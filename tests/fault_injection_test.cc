@@ -155,7 +155,7 @@ std::unique_ptr<FaultInjectingBackend> FaultyMemory(
 
 TEST(FaultInjectingBackendTest, PassesThroughWithEmptySchedule) {
   auto backend = FaultyMemory({});
-  ASSERT_TRUE(backend->Append(MakeRecord("a")).ok());
+  ASSERT_TRUE(backend->AppendBatch({MakeRecord("a")}).ok());
   ASSERT_TRUE(backend->AppendBatch({MakeRecord("b"), MakeRecord("c")}).ok());
   EXPECT_EQ(backend->size(), 3u);
   LogRecord out;
@@ -169,11 +169,11 @@ TEST(FaultInjectingBackendTest, FaultedAppendStillLands) {
   BackendFaultSchedule schedule;
   schedule.fail_append_at = 2;
   auto backend = FaultyMemory(schedule);
-  ASSERT_TRUE(backend->Append(MakeRecord("a")).ok());
+  ASSERT_TRUE(backend->AppendBatch({MakeRecord("a")}).ok());
   // The fail-soft contract: the error surfaces but the record is in —
   // sequence numbering must not skip.
-  EXPECT_FALSE(backend->Append(MakeRecord("b")).ok());
-  ASSERT_TRUE(backend->Append(MakeRecord("c")).ok());
+  EXPECT_FALSE(backend->AppendBatch({MakeRecord("b")}).ok());
+  ASSERT_TRUE(backend->AppendBatch({MakeRecord("c")}).ok());
   EXPECT_EQ(backend->size(), 3u);
   LogRecord out;
   ASSERT_TRUE(backend->Read(1, &out).ok());
@@ -184,7 +184,7 @@ TEST(FaultInjectingBackendTest, AppendAndAppendBatchShareTheCounter) {
   BackendFaultSchedule schedule;
   schedule.fail_append_at = 2;
   auto backend = FaultyMemory(schedule);
-  ASSERT_TRUE(backend->Append(MakeRecord("a")).ok());
+  ASSERT_TRUE(backend->AppendBatch({MakeRecord("a")}).ok());
   EXPECT_FALSE(backend->AppendBatch({MakeRecord("b"), MakeRecord("c")}).ok());
   EXPECT_EQ(backend->size(), 3u);  // batch records landed regardless
 }
@@ -193,7 +193,7 @@ TEST(FaultInjectingBackendTest, ReadAndScanShareTheCounter) {
   BackendFaultSchedule schedule;
   schedule.fail_read_at = 2;
   auto backend = FaultyMemory(schedule);
-  ASSERT_TRUE(backend->Append(MakeRecord("a")).ok());
+  ASSERT_TRUE(backend->AppendBatch({MakeRecord("a")}).ok());
   LogRecord out;
   ASSERT_TRUE(backend->Read(0, &out).ok());
   // Call 2 is a Scan: the injected error comes back without forwarding.

@@ -34,8 +34,8 @@ TopicConfig UntrainedConfig() {
 
 TEST(MemoryBackendTest, AppendAndRead) {
   auto store = OpenMemoryBackend(65536);
-  ASSERT_TRUE(store->Append({100, "hello", 0}).ok());
-  ASSERT_TRUE(store->Append({200, "world", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{100, "hello", 0}}).ok());
+  ASSERT_TRUE(store->AppendBatch({{200, "world", 0}}).ok());
   EXPECT_EQ(store->size(), 2u);
   LogRecord rec;
   ASSERT_TRUE(store->Read(1, &rec).ok());
@@ -46,9 +46,10 @@ TEST(MemoryBackendTest, AppendAndRead) {
 TEST(MemoryBackendTest, CrossesSegmentBoundaries) {
   auto store = OpenMemoryBackend(/*segment_capacity=*/4);
   for (int i = 0; i < 19; ++i) {
-    ASSERT_TRUE(
-        store->Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0})
-            .ok());
+    ASSERT_TRUE(store
+                    ->AppendBatch({{static_cast<uint64_t>(i),
+                                    "log " + std::to_string(i), 0}})
+                    .ok());
   }
   EXPECT_EQ(store->size(), 19u);
   for (int i = 0; i < 19; ++i) {
@@ -62,7 +63,8 @@ TEST(MemoryBackendTest, ScanRange) {
   auto store = OpenMemoryBackend(3);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        store->Append({static_cast<uint64_t>(i), std::to_string(i), 0}).ok());
+        store->AppendBatch({{static_cast<uint64_t>(i), std::to_string(i), 0}})
+            .ok());
   }
   std::vector<uint64_t> seen;
   ASSERT_TRUE(store
@@ -77,18 +79,18 @@ TEST(MemoryBackendTest, ScanRange) {
 
 TEST(MemoryBackendTest, AssignTemplateUpdatesRecord) {
   auto store = OpenMemoryBackend(65536);
-  ASSERT_TRUE(store->Append({0, "a", 0}).ok());
-  ASSERT_TRUE(store->AssignTemplate(0, 42).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "a", 0}}).ok());
+  ASSERT_TRUE(store->AssignTemplates(0, {42}).ok());
   LogRecord rec;
   ASSERT_TRUE(store->Read(0, &rec).ok());
   EXPECT_EQ(rec.template_id, 42u);
-  EXPECT_TRUE(store->AssignTemplate(5, 42).IsNotFound());
+  EXPECT_TRUE(store->AssignTemplates(5, {42}).IsNotFound());
 }
 
 TEST(MemoryBackendTest, TextBytesAccumulates) {
   auto store = OpenMemoryBackend(65536);
-  ASSERT_TRUE(store->Append({0, "abcd", 0}).ok());
-  ASSERT_TRUE(store->Append({0, "ef", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "abcd", 0}}).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "ef", 0}}).ok());
   EXPECT_EQ(store->text_bytes(), 6u);
 }
 

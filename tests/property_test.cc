@@ -338,7 +338,7 @@ TEST_P(DiskRoundTripTest, ReopenIsByteIdentical) {
             rec.text += alphabet[rng.NextBelow(sizeof(alphabet) - 1)];
           }
           written.push_back(rec);
-          ASSERT_TRUE(backend.Append(std::move(rec)).ok());
+          ASSERT_TRUE(backend.AppendBatch({std::move(rec)}).ok());
         }
         if (rng.NextBelow(3) == 0) {
           ASSERT_TRUE(
@@ -349,7 +349,7 @@ TEST_P(DiskRoundTripTest, ReopenIsByteIdentical) {
       for (size_t i = 0; i < written.size(); i += 1 + rng.NextBelow(7)) {
         const TemplateId id = rng.NextBelow(5000);
         written[i].template_id = id;
-        ASSERT_TRUE(backend.AssignTemplate(i, id).ok());
+        ASSERT_TRUE(backend.AssignTemplates(i, {id}).ok());
       }
       ASSERT_TRUE(backend.Flush().ok());
     }
@@ -406,7 +406,8 @@ IndexBaseline CollectBaseline(SegmentedDiskBackend* backend) {
     base.records.push_back(std::move(rec));
   }
   EXPECT_TRUE(
-      backend->TemplateCounts(0, backend->size(), &base.counts).ok());
+      backend->TemplateCounts(0, backend->size(), 0, UINT64_MAX, &base.counts)
+          .ok());
   base.text_bytes = backend->text_bytes();
   return base;
 }
@@ -440,13 +441,13 @@ TEST_P(IndexDurabilityTest, DamagedSidecarsRebuildWithIdenticalResults) {
         for (int c = 0; c < len; ++c) {
           rec.text += alphabet[rng.NextBelow(sizeof(alphabet) - 1)];
         }
-        ASSERT_TRUE(backend.Append(std::move(rec)).ok());
+        ASSERT_TRUE(backend.AppendBatch({std::move(rec)}).ok());
       }
       // Reassignments dirty sealed postings; Flush rewrites the
       // sidecars so a clean reopen sees them fresh.
       for (uint64_t seq = 0; seq < backend.size();
            seq += 1 + rng.NextBelow(9)) {
-        ASSERT_TRUE(backend.AssignTemplate(seq, 1 + rng.NextBelow(9)).ok());
+        ASSERT_TRUE(backend.AssignTemplates(seq, {1 + rng.NextBelow(9)}).ok());
       }
       ASSERT_TRUE(backend.Flush().ok());
       ASSERT_GE(backend.sealed_segment_count(), 2u);
@@ -659,9 +660,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WalCrashReplayTest,
 
 // ---------------------------------------------------------------------
 // Backend fault-schedule property: a random Status-fault schedule over
-// a random Append/AppendBatch/Read/Flush/Checkpoint sequence never
-// crashes, never loses an appended record (the fail-soft contract), and
-// never corrupts what a mirror model expects.
+// a random sequence of one- and multi-record AppendBatch, Read, Flush
+// and Checkpoint calls never crashes, never loses an appended record
+// (the fail-soft contract), and never corrupts what a mirror model
+// expects.
 // ---------------------------------------------------------------------
 
 class BackendFaultScheduleTest : public ::testing::TestWithParam<uint64_t> {};
@@ -688,7 +690,7 @@ TEST_P(BackendFaultScheduleTest, FailSoftContractHoldsUnderAnySchedule) {
           record.timestamp_us = op;
           mirror.push_back(record.text);
           // Error or not, the record must land (sequence numbering).
-          (void)backend.Append(std::move(record));
+          (void)backend.AppendBatch({std::move(record)});
           break;
         }
         case 1: {

@@ -1,8 +1,8 @@
 // Index-backed query battery (the cursor-pagination fix): fencepost
 // seeks return byte-identical records, postings answer count queries
 // without touching record bytes (cache-miss accounting proves segments
-// stay cold), template-filtered scans map only matching segments, the
-// base AssignTemplates honors the skip-unchanged contract, and — the
+// stay cold), template-filtered scans map only matching segments, disk
+// AssignTemplates pwrites only changed sealed ids, and — the
 // regression this PR exists for — page N of a pinned query window does
 // O(page) storage work instead of re-scanning the whole window.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "logstore/disk_backend.h"
+#include "logstore/fault_injection.h"
 #include "logstore/segment_cache.h"
 #include "logstore/storage_backend.h"
 #include "service/log_service.h"
@@ -78,7 +79,7 @@ TEST(QueryIndexTest, FencepostSeekReadsAndScansExactly) {
   ASSERT_TRUE(backend.Open().ok());
   constexpr uint64_t kRecords = 700;
   for (uint64_t seq = 0; seq < kRecords; ++seq) {
-    ASSERT_TRUE(backend.Append({seq * 10, TextFor(seq), seq % 5}).ok());
+    ASSERT_TRUE(backend.AppendBatch({{seq * 10, TextFor(seq), seq % 5}}).ok());
   }
   ASSERT_GE(backend.sealed_segment_count(), 3u);
 
@@ -123,7 +124,7 @@ TEST(QueryIndexTest, TemplateCountsMatchBruteForceAcrossBounds) {
   for (uint64_t seq = 0; seq < kRecords; ++seq) {
     const TemplateId tid = (seq * seq) % 11;
     tids.push_back(tid);
-    ASSERT_TRUE(backend.Append({seq, TextFor(seq), tid}).ok());
+    ASSERT_TRUE(backend.AppendBatch({{seq, TextFor(seq), tid}}).ok());
   }
   for (const auto [begin, end] : std::vector<std::pair<uint64_t, uint64_t>>{
            {0, kRecords}, {0, 1}, {17, 450}, {100, 100}, {64, 128},
@@ -133,7 +134,7 @@ TEST(QueryIndexTest, TemplateCountsMatchBruteForceAcrossBounds) {
       ++expect[tids[s]];
     }
     std::unordered_map<TemplateId, uint64_t> got;
-    ASSERT_TRUE(backend.TemplateCounts(begin, end, &got).ok());
+    ASSERT_TRUE(backend.TemplateCounts(begin, end, 0, UINT64_MAX, &got).ok());
     EXPECT_EQ(got, expect) << begin << ".." << end;
   }
 }
@@ -148,7 +149,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   SegmentedDiskBackend backend(DiskConfig(dir.path(), 290, &cache));
   ASSERT_TRUE(backend.Open().ok());
   for (uint64_t seq = 0; seq < 100; ++seq) {
-    ASSERT_TRUE(backend.Append({seq, "x", seq / 10 + 1}).ok());
+    ASSERT_TRUE(backend.AppendBatch({{seq, "x", seq / 10 + 1}}).ok());
   }
   ASSERT_EQ(backend.sealed_segment_count(), 10u);
   ASSERT_EQ(backend.size(), 100u);
@@ -157,7 +158,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   // Fully-covered count query: answered from postings alone — no
   // segment is mapped, no record is visited.
   std::unordered_map<TemplateId, uint64_t> counts;
-  ASSERT_TRUE(backend.TemplateCounts(0, 100, &counts).ok());
+  ASSERT_TRUE(backend.TemplateCounts(0, 100, 0, UINT64_MAX, &counts).ok());
   ASSERT_EQ(counts.size(), 10u);
   for (const auto& [tid, n] : counts) EXPECT_EQ(n, 10u) << tid;
   EXPECT_EQ(cache.totals().misses, misses_before);
@@ -167,7 +168,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   // segment faults in; the other nine stay unmapped.
   std::vector<uint64_t> seqs;
   ASSERT_TRUE(backend
-                  .ScanTemplates(0, 100, {TemplateId{4}},
+                  .ScanTemplates(0, 100, 0, UINT64_MAX, {TemplateId{4}},
                                  [&](uint64_t seq, TemplateId tid) {
                                    EXPECT_EQ(tid, 4u);
                                    seqs.push_back(seq);
@@ -180,7 +181,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
 
   // A template no segment holds: nothing mapped, nothing visited.
   ASSERT_TRUE(backend
-                  .ScanTemplates(0, 100, {TemplateId{999}},
+                  .ScanTemplates(0, 100, 0, UINT64_MAX, {TemplateId{999}},
                                  [](uint64_t, TemplateId) { FAIL(); })
                   .ok());
   EXPECT_EQ(cache.totals().misses, misses_before + 1);
@@ -191,59 +192,57 @@ TEST(QueryIndexTest, PostingsFollowTemplateReassignment) {
   SegmentedDiskBackend backend(DiskConfig(dir.path(), 290));
   ASSERT_TRUE(backend.Open().ok());
   for (uint64_t seq = 0; seq < 30; ++seq) {
-    ASSERT_TRUE(backend.Append({seq, "x", 1}).ok());
+    ASSERT_TRUE(backend.AppendBatch({{seq, "x", 1}}).ok());
   }
   ASSERT_EQ(backend.sealed_segment_count(), 3u);
-  // Rewrite a sealed record's template (single + bulk paths) and expect
-  // the postings-backed counts to track it.
-  ASSERT_TRUE(backend.AssignTemplate(5, 7).ok());
+  // Rewrite sealed records' templates (a one-record and a ten-record
+  // range) and expect the postings-backed counts to track them.
+  ASSERT_TRUE(backend.AssignTemplates(5, {7}).ok());
   std::vector<TemplateId> bulk(10, 1);
   bulk[2] = 9;  // seq 12
   ASSERT_TRUE(backend.AssignTemplates(10, bulk).ok());
   std::unordered_map<TemplateId, uint64_t> counts;
-  ASSERT_TRUE(backend.TemplateCounts(0, 30, &counts).ok());
+  ASSERT_TRUE(backend.TemplateCounts(0, 30, 0, UINT64_MAX, &counts).ok());
   EXPECT_EQ(counts[1], 28u);
   EXPECT_EQ(counts[7], 1u);
   EXPECT_EQ(counts[9], 1u);
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the StorageBackend base AssignTemplates must itself honor
-// the skip-unchanged contract, so any future backend gets it for free.
+// AssignTemplates skips unchanged ids: on disk only a changed SEALED
+// record costs a syscall (one pwrite; an active-tail rewrite waits for
+// the next flush), and a range past the end touches nothing.
 // ---------------------------------------------------------------------
 
-class ProbeBackend : public MemoryBackend {
- public:
-  using MemoryBackend::MemoryBackend;
-  Status AssignTemplate(uint64_t seq, TemplateId tid) override {
-    ++assign_calls;
-    return MemoryBackend::AssignTemplate(seq, tid);
-  }
-  Status AssignTemplates(uint64_t begin_seq,
-                         const std::vector<TemplateId>& ids) override {
-    // Deliberately route through the BASE implementation.
-    return StorageBackend::AssignTemplates(begin_seq, ids);
-  }
-  uint64_t assign_calls = 0;
-};
-
-TEST(QueryIndexTest, BaseAssignTemplatesSkipsUnchangedIds) {
-  ProbeBackend backend(4);
-  for (uint64_t seq = 0; seq < 10; ++seq) {
-    ASSERT_TRUE(backend.Append({seq, "t", seq % 3 + 1}).ok());
-  }
+TEST(QueryIndexTest, AssignTemplatesPWritesOnlyChangedSealedIds) {
+  TempDir dir;
+  FaultInjectingFileOps ops;  // no faults: counts every write/pwrite/fsync
+  StorageConfig cfg = DiskConfig(dir.path(), 290);
+  cfg.file_ops = &ops;
+  SegmentedDiskBackend backend(cfg);
+  ASSERT_TRUE(backend.Open().ok());
+  // 29-byte frames, 10 per segment: seqs 0-99 sealed, 100-104 active.
+  constexpr uint64_t kRecords = 105;
   std::vector<TemplateId> ids;
-  for (uint64_t seq = 0; seq < 10; ++seq) ids.push_back(seq % 3 + 1);
+  for (uint64_t seq = 0; seq < kRecords; ++seq) {
+    ids.push_back(seq % 3 + 1);
+    ASSERT_TRUE(backend.AppendBatch({{seq, "x", ids.back()}}).ok());
+  }
+  ASSERT_EQ(backend.sealed_segment_count(), 10u);
   ids[4] = 9;
-  ids[7] = 9;
+  ids[57] = 9;
+  ids[102] = 9;  // active tail
+  const uint64_t ops_before = ops.ops_seen();
   ASSERT_TRUE(backend.AssignTemplates(0, ids).ok());
-  // Only the two changed records paid a virtual per-record call.
-  EXPECT_EQ(backend.assign_calls, 2u);
-  LogRecord rec;
-  ASSERT_TRUE(backend.Read(4, &rec).ok());
-  EXPECT_EQ(rec.template_id, 9u);
+  EXPECT_EQ(ops.ops_seen() - ops_before, 2u);
+  for (uint64_t seq : {4, 57, 102}) {
+    LogRecord rec;
+    ASSERT_TRUE(backend.Read(seq, &rec).ok());
+    EXPECT_EQ(rec.template_id, 9u) << seq;
+  }
   // Out-of-range bulk assignment fails without touching anything.
   EXPECT_TRUE(backend.AssignTemplates(5, ids).IsNotFound());
+  EXPECT_EQ(ops.ops_seen() - ops_before, 2u);
 }
 
 // ---------------------------------------------------------------------

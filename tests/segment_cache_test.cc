@@ -68,7 +68,7 @@ std::unique_ptr<SegmentedDiskBackend> MakeBackend(const std::string& dir,
       std::make_unique<SegmentedDiskBackend>(DiskConfig(dir, 2048, cache));
   EXPECT_TRUE(backend->Open().ok());
   for (uint64_t seq = 0; seq < kRecords; ++seq) {
-    EXPECT_TRUE(backend->Append({seq, TextFor(seq), seq % 3}).ok());
+    EXPECT_TRUE(backend->AppendBatch({{seq, TextFor(seq), seq % 3}}).ok());
   }
   EXPECT_GE(backend->sealed_segment_count(), 4u);
   return backend;

@@ -9,16 +9,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "logstore/disk_backend.h"
 #include "service/log_service.h"
+#include "util/rng.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define BYTEBRAIN_UNDER_TSAN 1
@@ -139,8 +143,8 @@ class BackendEquivalenceTest
 
 TEST_P(BackendEquivalenceTest, AppendAndRead) {
   auto store = MakeStore("t");
-  ASSERT_TRUE(store->Append({100, "hello", 0}).ok());
-  ASSERT_TRUE(store->Append({200, "world", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{100, "hello", 0}}).ok());
+  ASSERT_TRUE(store->AppendBatch({{200, "world", 0}}).ok());
   EXPECT_EQ(store->size(), 2u);
   const LogRecord rec = ReadOrDie(*store, 1);
   EXPECT_EQ(rec.text, "world");
@@ -149,7 +153,7 @@ TEST_P(BackendEquivalenceTest, AppendAndRead) {
 
 TEST_P(BackendEquivalenceTest, ReadPastEndFails) {
   auto store = MakeStore("t");
-  ASSERT_TRUE(store->Append({1, "x", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{1, "x", 0}}).ok());
   LogRecord rec;
   EXPECT_TRUE(store->Read(1, &rec).IsNotFound());
   EXPECT_TRUE(store->Read(999, &rec).IsNotFound());
@@ -158,9 +162,10 @@ TEST_P(BackendEquivalenceTest, ReadPastEndFails) {
 TEST_P(BackendEquivalenceTest, CrossesSegmentBoundaries) {
   auto store = MakeStore("t");
   for (int i = 0; i < 19; ++i) {
-    ASSERT_TRUE(
-        store->Append({static_cast<uint64_t>(i), "log " + std::to_string(i), 0})
-            .ok());
+    ASSERT_TRUE(store
+                    ->AppendBatch({{static_cast<uint64_t>(i),
+                                    "log " + std::to_string(i), 0}})
+                    .ok());
   }
   EXPECT_EQ(store->size(), 19u);
   for (int i = 0; i < 19; ++i) {
@@ -174,7 +179,8 @@ TEST_P(BackendEquivalenceTest, ScanRange) {
   auto store = MakeStore("t");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        store->Append({static_cast<uint64_t>(i), std::to_string(i), 0}).ok());
+        store->AppendBatch({{static_cast<uint64_t>(i), std::to_string(i), 0}})
+            .ok());
   }
   std::vector<uint64_t> seen;
   ASSERT_TRUE(store
@@ -189,7 +195,7 @@ TEST_P(BackendEquivalenceTest, ScanRange) {
 
 TEST_P(BackendEquivalenceTest, ScanClampsEndAndRejectsInvertedRange) {
   auto store = MakeStore("s");
-  ASSERT_TRUE(store->Append({0, "a", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "a", 0}}).ok());
   int n = 0;
   ASSERT_TRUE(
       store->Scan(0, 100, [&n](uint64_t, const LogRecord&) { ++n; }).ok());
@@ -207,25 +213,125 @@ TEST_P(BackendEquivalenceTest, ScanClampsEndAndRejectsInvertedRange) {
                   .IsInvalidArgument());
 }
 
-TEST_P(BackendEquivalenceTest, AssignTemplateUpdatesSealedAndActive) {
+TEST_P(BackendEquivalenceTest, AssignTemplatesUpdatesSealedAndActive) {
   auto store = MakeStore("t");
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
-        store->Append({0, "record number " + std::to_string(i), 0}).ok());
+        store->AppendBatch({{0, "record number " + std::to_string(i), 0}})
+            .ok());
   }
   // Record 0 is long past the first seal on the disk run; the last
-  // record is in the active segment on both.
-  ASSERT_TRUE(store->AssignTemplate(0, 42).ok());
-  ASSERT_TRUE(store->AssignTemplate(19, 43).ok());
+  // record is in the active segment on both. One range spans both.
+  std::vector<TemplateId> ids(20, 0);
+  ids[0] = 42;
+  ids[19] = 43;
+  ASSERT_TRUE(store->AssignTemplates(0, ids).ok());
   EXPECT_EQ(ReadOrDie(*store, 0).template_id, 42u);
+  EXPECT_EQ(ReadOrDie(*store, 1).template_id, 0u);
   EXPECT_EQ(ReadOrDie(*store, 19).template_id, 43u);
-  EXPECT_TRUE(store->AssignTemplate(20, 42).IsNotFound());
+  EXPECT_TRUE(store->AssignTemplates(20, {42}).IsNotFound());
+  EXPECT_TRUE(store->AssignTemplates(1, ids).IsNotFound());
+  EXPECT_EQ(ReadOrDie(*store, 1).template_id, 0u);
+}
+
+// Both query primitives against a brute-force filter over Scan, across
+// sequence x time windows: the whole topic, windows matching nothing,
+// a window inside one segment, windows spanning segments (and the disk
+// run's active tail), and random ones. Timestamps are noisy, so
+// segment time ranges overlap and a window can miss, partly cover or
+// fully cover a segment; reassigned ids check that postings follow.
+TEST_P(BackendEquivalenceTest, TimeWindowedQueriesMatchBruteForce) {
+  auto store = MakeStore("t");
+  Rng rng(7);
+  constexpr uint64_t kRecords = 90;
+  for (uint64_t seq = 0; seq < kRecords;) {
+    std::vector<LogRecord> batch;
+    for (uint64_t n = 1 + rng.NextBelow(5); n > 0 && seq < kRecords; --n) {
+      LogRecord rec;
+      rec.timestamp_us = seq * 10 + rng.NextBelow(25);
+      rec.text = "event " + std::to_string(seq++);
+      rec.template_id = 1 + rng.NextBelow(5);
+      batch.push_back(std::move(rec));
+    }
+    ASSERT_TRUE(store->AppendBatch(std::move(batch)).ok());
+  }
+  std::vector<TemplateId> reassigned;
+  for (uint64_t seq = 20; seq < 70; ++seq) {
+    reassigned.push_back(1 + rng.NextBelow(7));
+  }
+  ASSERT_TRUE(store->AssignTemplates(20, reassigned).ok());
+
+  std::vector<LogRecord> all;
+  ASSERT_TRUE(store
+                  ->Scan(0, kRecords,
+                         [&all](uint64_t, const LogRecord& rec) {
+                           all.push_back(rec);
+                         })
+                  .ok());
+  ASSERT_EQ(all.size(), kRecords);
+  uint64_t max_ts = 0;
+  for (const LogRecord& rec : all) max_ts = std::max(max_ts, rec.timestamp_us);
+
+  struct Window {
+    uint64_t begin, end, min_ts, max_ts;
+  };
+  // The whole topic; no timestamp matches; no sequence matches; inside
+  // one segment; two windows spanning segments; then random ones.
+  std::vector<Window> windows = {
+      {0, UINT64_MAX, 0, UINT64_MAX},
+      {0, UINT64_MAX, max_ts + 1, UINT64_MAX},
+      {30, 30, 0, UINT64_MAX},
+      {1, 3, all[1].timestamp_us, all[2].timestamp_us},
+      {2, kRecords - 3, all[5].timestamp_us, all[80].timestamp_us},
+      {0, kRecords, 200, 650},
+  };
+  for (int i = 0; i < 40; ++i) {
+    const uint64_t begin = rng.NextBelow(kRecords);
+    const uint64_t end = begin + rng.NextBelow(kRecords + 10 - begin);
+    const uint64_t lo = rng.NextBelow(max_ts + 20);
+    windows.push_back({begin, end, lo, lo + rng.NextBelow(400)});
+  }
+
+  for (const Window& w : windows) {
+    SCOPED_TRACE(std::to_string(w.begin) + ".." + std::to_string(w.end) +
+                 " ts " + std::to_string(w.min_ts) + ".." +
+                 std::to_string(w.max_ts));
+    std::unordered_set<TemplateId> wanted;
+    wanted.insert(1 + rng.NextBelow(7));
+    wanted.insert(1 + rng.NextBelow(7));
+    std::unordered_map<TemplateId, uint64_t> expect_counts;
+    std::vector<uint64_t> expect_seqs;
+    for (uint64_t seq = w.begin; seq < std::min(w.end, kRecords); ++seq) {
+      const LogRecord& rec = all[seq];
+      if (rec.timestamp_us < w.min_ts || rec.timestamp_us > w.max_ts) {
+        continue;
+      }
+      ++expect_counts[rec.template_id];
+      if (wanted.count(rec.template_id) != 0) expect_seqs.push_back(seq);
+    }
+
+    std::unordered_map<TemplateId, uint64_t> counts;
+    ASSERT_TRUE(
+        store->TemplateCounts(w.begin, w.end, w.min_ts, w.max_ts, &counts)
+            .ok());
+    EXPECT_EQ(counts, expect_counts);
+    std::vector<uint64_t> seqs;
+    ASSERT_TRUE(store
+                    ->ScanTemplates(w.begin, w.end, w.min_ts, w.max_ts,
+                                    wanted,
+                                    [&](uint64_t seq, TemplateId tid) {
+                                      EXPECT_EQ(tid, all[seq].template_id);
+                                      seqs.push_back(seq);
+                                    })
+                    .ok());
+    EXPECT_EQ(seqs, expect_seqs);
+  }
 }
 
 TEST_P(BackendEquivalenceTest, TextBytesAccumulates) {
   auto store = MakeStore("t");
-  ASSERT_TRUE(store->Append({0, "abcd", 0}).ok());
-  ASSERT_TRUE(store->Append({0, "ef", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "abcd", 0}}).ok());
+  ASSERT_TRUE(store->AppendBatch({{0, "ef", 0}}).ok());
   EXPECT_EQ(store->text_bytes(), 6u);
 }
 
@@ -270,12 +376,13 @@ TEST(StorageBackendTest, BackendsReachIdenticalEndState) {
                   "event " + std::to_string(i % 17) + " detail " +
                       std::to_string(i),
                   static_cast<TemplateId>(i % 5)};
-    ASSERT_TRUE(memory->Append(rec).ok());
-    ASSERT_TRUE(disk->Append(std::move(rec)).ok());
+    ASSERT_TRUE(memory->AppendBatch({rec}).ok());
+    ASSERT_TRUE(disk->AppendBatch({std::move(rec)}).ok());
   }
   for (int i = 0; i < 200; i += 7) {
-    ASSERT_TRUE(memory->AssignTemplate(i, 1000 + i).ok());
-    ASSERT_TRUE(disk->AssignTemplate(i, 1000 + i).ok());
+    const TemplateId id = 1000 + i;
+    ASSERT_TRUE(memory->AssignTemplates(i, {id}).ok());
+    ASSERT_TRUE(disk->AssignTemplates(i, {id}).ok());
   }
 
   ASSERT_EQ(memory->size(), disk->size());
@@ -302,9 +409,9 @@ TEST(StorageBackendTest, ReopenRecoversRecordsSealsAndMetadata) {
     auto store = OpenBackend(DiskConfig(dir.path()));
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(store
-                      ->Append({static_cast<uint64_t>(i),
-                                "persisted " + std::to_string(i),
-                                static_cast<TemplateId>(i)})
+                      ->AppendBatch({{static_cast<uint64_t>(i),
+                                      "persisted " + std::to_string(i),
+                                      static_cast<TemplateId>(i)}})
                       .ok());
     }
     ASSERT_TRUE(store->Checkpoint("model-snapshot-bytes").ok());
@@ -328,13 +435,14 @@ TEST(StorageBackendTest, SealedAssignTemplateSurvivesReopen) {
     auto store = OpenBackend(DiskConfig(dir.path()));
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE(
-          store->Append({0, "rewrite target " + std::to_string(i), 1}).ok());
+          store->AppendBatch({{0, "rewrite target " + std::to_string(i), 1}})
+              .ok());
     }
     ASSERT_GT(store->sealed_segment_count(), 0u);
     // Record 0 is sealed by now: the rewrite pwrites into the sealed
     // file (checksums exclude the template id by design).
-    ASSERT_TRUE(store->AssignTemplate(0, 777).ok());
-    ASSERT_TRUE(store->AssignTemplate(29, 888).ok());  // active
+    ASSERT_TRUE(store->AssignTemplates(0, {777}).ok());
+    ASSERT_TRUE(store->AssignTemplates(29, {888}).ok());  // active
     ASSERT_TRUE(store->Checkpoint("").ok());
   }
   auto store = OpenBackend(DiskConfig(dir.path()));
@@ -356,8 +464,9 @@ std::string WriteCrashImage(const std::string& dir, int n,
   EXPECT_TRUE(backend.Open().ok());
   for (int i = 0; i < n; ++i) {
     EXPECT_TRUE(backend
-                    .Append({static_cast<uint64_t>(i),
-                             "crash stream record " + std::to_string(i), 0})
+                    .AppendBatch({{static_cast<uint64_t>(i),
+                                   "crash stream record " + std::to_string(i),
+                                   0}})
                     .ok());
   }
   EXPECT_TRUE(backend.Flush().ok());
@@ -394,7 +503,7 @@ TEST(StorageBackendTest, TruncatedTailDropsOnlyTornRecords) {
   }
   // The torn bytes were truncated away; appends continue cleanly.
   const uint64_t before = backend.size();
-  ASSERT_TRUE(backend.Append({0, "post-recovery append", 0}).ok());
+  ASSERT_TRUE(backend.AppendBatch({{0, "post-recovery append", 0}}).ok());
   LogRecord rec;
   ASSERT_TRUE(backend.Read(before, &rec).ok());
   EXPECT_EQ(rec.text, "post-recovery append");
@@ -472,7 +581,7 @@ TEST(StorageBackendTest, MissingDirectoryIsCreatedNestedPathWorks) {
   TempDir dir;
   auto store = OpenBackend(DiskConfig(dir.path() + "/a/b/c"));
   EXPECT_TRUE(std::filesystem::is_directory(dir.path() + "/a/b/c"));
-  ASSERT_TRUE(store->Append({1, "nested", 0}).ok());
+  ASSERT_TRUE(store->AppendBatch({{1, "nested", 0}}).ok());
   EXPECT_EQ(store->size(), 1u);
 }
 

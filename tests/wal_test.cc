@@ -285,8 +285,9 @@ TEST(WalBackendTest, TornFinalWalFrameLosesOnlyThatFrame) {
                   &ops));
     ASSERT_TRUE(backend.Open().ok());
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(backend.Append(MakeRecord("rec " + std::to_string(i), i))
-                      .ok());
+      ASSERT_TRUE(
+          backend.AppendBatch({MakeRecord("rec " + std::to_string(i), i)})
+              .ok());
     }
     ops.CrashNow();
   }
@@ -311,11 +312,10 @@ TEST(WalBackendTest, SealRotatesTheWalFile) {
       WalConfig(dir.path(), DurabilityMode::kWalGroupCommit, 256));
   ASSERT_TRUE(backend.Open().ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        backend.Append(MakeRecord("seal-forcing record text " +
-                                      std::to_string(i),
-                                  i))
-            .ok());
+    ASSERT_TRUE(backend
+                    .AppendBatch({MakeRecord(
+                        "seal-forcing record text " + std::to_string(i), i)})
+                    .ok());
   }
   ASSERT_TRUE(backend.WaitDurable().ok());
   EXPECT_GE(backend.sealed_segment_count(), 1u);
@@ -339,7 +339,7 @@ TEST(WalBackendTest, DurabilityNoneWritesNoWalFile) {
   SegmentedDiskBackend backend(
       WalConfig(dir.path(), DurabilityMode::kNone));
   ASSERT_TRUE(backend.Open().ok());
-  ASSERT_TRUE(backend.Append(MakeRecord("x", 1)).ok());
+  ASSERT_TRUE(backend.AppendBatch({MakeRecord("x", 1)}).ok());
   ASSERT_TRUE(backend.WaitDurable().ok());  // trivially OK
   EXPECT_EQ(backend.wal_bytes(), 0u);
   EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 0)));
@@ -530,7 +530,8 @@ TEST(WalGroupCommitTest, ConcurrentBatchesShareFsyncs) {
 // ---------------------------------------------------------------------
 
 /// Pass-through ops whose fsyncs can be failed at will — the
-/// deterministic seam for "the disk's fsync started failing mid-run".
+/// deterministic seam for "the disk's fsync started failing mid-run" —
+/// and whose next pwrite can be failed once.
 class FailableFsyncOps : public FileOps {
  public:
   ssize_t Write(int fd, const void* buf, size_t count) override {
@@ -538,6 +539,10 @@ class FailableFsyncOps : public FileOps {
   }
   ssize_t PWrite(int fd, const void* buf, size_t count,
                  uint64_t offset) override {
+    if (fail_next_pwrite_.exchange(false, std::memory_order_relaxed)) {
+      errno = EIO;
+      return -1;
+    }
     return RealFileOps()->PWrite(fd, buf, count, offset);
   }
   int Fsync(int fd) override {
@@ -549,12 +554,16 @@ class FailableFsyncOps : public FileOps {
     return RealFileOps()->Fsync(fd);
   }
   void StartFailing() { fail_.store(true, std::memory_order_relaxed); }
+  void FailNextPWrite() {
+    fail_next_pwrite_.store(true, std::memory_order_relaxed);
+  }
   uint64_t failed_fsyncs() const {
     return failed_fsyncs_.load(std::memory_order_relaxed);
   }
 
  private:
   std::atomic<bool> fail_{false};
+  std::atomic<bool> fail_next_pwrite_{false};
   std::atomic<uint64_t> failed_fsyncs_{0};
 };
 
@@ -669,6 +678,58 @@ TEST(ServiceDurabilityTest, CheckpointFsyncFailureGoesSticky) {
   // that failure lands sticky in the storage status.
   ASSERT_TRUE(topic.value()->TrainNow().ok());
   EXPECT_EQ(ops.failed_fsyncs(), 1u);
+  EXPECT_FALSE(topic.value()->stats().storage_ok);
+  EXPECT_TRUE(topic.value()->StorageStatus().IsIOError())
+      << topic.value()->StorageStatus().ToString();
+  topic.value().reset();  // release the handle so DeleteTopic is prompt
+  (void)service.DeleteTopic("t");
+}
+
+TEST(ServiceDurabilityTest, FailedTemplatePWriteStrandsOnlyItsRecord) {
+  // A training commit rewrites the ids of every record the swap made
+  // stale (ingest before the first training adopts temporaries). When
+  // one sealed-segment pwrite fails, only that record may keep its stale
+  // id: the rest of the range — later sealed records and the in-memory
+  // active tail — is still re-assigned, and the failure is reported both
+  // by TrainNow and by the sticky storage status.
+  TempDir dir;
+  FailableFsyncOps ops;
+  LogService service;
+  TopicConfig config;
+  config.storage = WalConfig(dir.path(), DurabilityMode::kNone, 2048, &ops);
+  config.initial_train_records = 1u << 30;  // trains on TrainNow only
+  config.train_interval_records = 1u << 30;
+  auto topic = service.CreateTopic("t", config);
+  ASSERT_TRUE(topic.ok());
+  constexpr uint64_t kRecords = 200;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(topic.value()
+                    ->Ingest("worker " + std::to_string(i % 7) +
+                                 " finished job " + std::to_string(i),
+                             i)
+                    .ok());
+  }
+  ASSERT_GT(topic.value()->stats().storage_sealed_segments, 1u);
+  ASSERT_TRUE(topic.value()->stats().storage_ok);
+
+  ops.FailNextPWrite();
+  const Status trained = topic.value()->TrainNow();
+  EXPECT_TRUE(trained.IsIOError()) << trained.ToString();
+
+  // Collected first: the scan callback must not re-enter the topic.
+  std::vector<TemplateId> ids;
+  ASSERT_TRUE(topic.value()
+                  ->ScanRecords(0, kRecords,
+                                [&ids](uint64_t, const LogRecord& rec) {
+                                  ids.push_back(rec.template_id);
+                                })
+                  .ok());
+  ASSERT_EQ(ids.size(), kRecords);
+  uint64_t unresolvable = 0;
+  for (TemplateId id : ids) {
+    if (!topic.value()->HasTemplate(id)) ++unresolvable;
+  }
+  EXPECT_EQ(unresolvable, 1u);
   EXPECT_FALSE(topic.value()->stats().storage_ok);
   EXPECT_TRUE(topic.value()->StorageStatus().IsIOError())
       << topic.value()->StorageStatus().ToString();
