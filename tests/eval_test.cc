@@ -2,6 +2,9 @@
 // and the thresholded grouping it reports.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <iterator>
+
 #include "datagen/generator.h"
 #include "eval/bytebrain_adapter.h"
 #include "eval/runner.h"
@@ -81,6 +84,41 @@ TEST(AdapterTest, EmptyDataset) {
   const RunResult r = RunOn(&adapter, empty);
   EXPECT_EQ(r.num_logs, 0u);
   EXPECT_DOUBLE_EQ(r.grouping_accuracy, 1.0);
+}
+
+TEST(AdapterTest, ExactGroupingAccuracyOnLogHub2Specs) {
+  // Offline accuracy floors, exact: ByteBrain's GA on every LogHub-2.0
+  // spec under the default adapter config. Training output is
+  // deterministic and GA is (correct logs) / 20000, so a change that
+  // moves even one log's grouping fails here. The corpora are the
+  // parse_loghub2 benchmark's, before its digit permutation.
+  // Recorded before the flat-table / move-only-profile training kernels.
+  struct Pin {
+    const char* name;
+    double ga;
+  };
+  const Pin kPins[] = {
+      {"HealthApp", 1.0},      {"OpenStack", 0.9848}, {"OpenSSH", 1.0},
+      {"Proxifier", 1.0},      {"HPC", 0.9989},       {"Zookeeper", 0.9988},
+      {"Mac", 0.99735},        {"Hadoop", 0.99745},   {"Linux", 0.9968},
+      {"HDFS", 0.69825},       {"BGL", 0.91225},      {"Apache", 1.0},
+      {"Thunderbird", 0.9913}, {"Spark", 0.998},
+  };
+  const std::vector<DatasetSpec> specs = LogHub2Specs();
+  ASSERT_EQ(specs.size(), std::size(kPins));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const DatasetSpec& spec = specs[i];
+    ASSERT_EQ(spec.name, kPins[i].name);
+    GenOptions gen;
+    gen.num_logs = 20000;
+    gen.num_templates = spec.loghub2_templates;
+    gen.seed_salt = 2;
+    const Dataset ds = DatasetGenerator(spec).Generate(gen);
+    ByteBrainAdapter adapter(ByteBrainDefaultConfig());
+    const RunResult r = RunOn(&adapter, ds);
+    EXPECT_EQ(r.grouping_accuracy, kPins[i].ga)
+        << spec.name << " ga=" << std::setprecision(17) << r.grouping_accuracy;
+  }
 }
 
 }  // namespace

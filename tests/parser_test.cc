@@ -360,6 +360,42 @@ uint64_t Digest(const void* data, size_t size) {
   return h;
 }
 
+// The three digests that pin one training run: the serialized model, the
+// training assignments and the MatchAll ids over the training logs.
+struct RunDigests {
+  uint64_t model;
+  uint64_t assignments;
+  uint64_t matches;
+};
+
+std::vector<std::string> GoldenCorpus(const char* spec_name) {
+  const DatasetSpec* spec = FindDatasetSpec(spec_name);
+  if (spec == nullptr) return {};
+  GenOptions gen;
+  gen.num_logs = 8000;
+  gen.num_templates = spec->loghub2_templates;
+  gen.seed_salt = 2;
+  Dataset ds = DatasetGenerator(*spec).Generate(gen);
+  std::vector<std::string> logs;
+  logs.reserve(ds.logs.size());
+  for (auto& l : ds.logs) logs.push_back(std::move(l.text));
+  return logs;
+}
+
+RunDigests DigestRun(ByteBrainOptions opts,
+                     const std::vector<std::string>& logs, int threads) {
+  opts.trainer.num_threads = threads;
+  opts.trainer.preprocess.num_threads = threads;
+  ByteBrainParser parser(opts);
+  EXPECT_TRUE(parser.Train(logs).ok());
+  const std::string model = parser.model().Serialize();
+  const std::vector<TemplateId>& assigned = parser.training_assignments();
+  const std::vector<TemplateId> matched = parser.MatchAll(logs, threads);
+  return {Digest(model.data(), model.size()),
+          Digest(assigned.data(), assigned.size() * sizeof(TemplateId)),
+          Digest(matched.data(), matched.size() * sizeof(TemplateId))};
+}
+
 TEST(ParserTest, GoldenOutputAtEveryThreadCount) {
   // Training schedules initial groups across threads and reuses
   // per-thread scratch; none of that may change a byte of the result.
@@ -368,45 +404,84 @@ TEST(ParserTest, GoldenOutputAtEveryThreadCount) {
   // the most skewed initial groups (one group holding most of the work).
   struct Golden {
     const char* name;
-    uint64_t model;        // model().Serialize()
-    uint64_t assignments;  // training_assignments()
-    uint64_t matches;      // MatchAll ids
+    RunDigests digests;
   };
   const Golden kGolden[] = {
-      {"Linux", 0x9402f3b08aa2bb61ULL, 0xef75ad1d070b6f2aULL,
-       0xfb22b472c9f241b0ULL},
-      {"BGL", 0xf869a252571043f4ULL, 0x702a346080017cdfULL,
-       0x9e05107ba3a1dfc5ULL},
-      {"Spark", 0x53032cbb7ac4c546ULL, 0x7623a66ae1293166ULL,
-       0xad44eb3eb8372200ULL},
+      {"Linux",
+       {0x9402f3b08aa2bb61ULL, 0xef75ad1d070b6f2aULL, 0xfb22b472c9f241b0ULL}},
+      {"BGL",
+       {0xf869a252571043f4ULL, 0x702a346080017cdfULL, 0x9e05107ba3a1dfc5ULL}},
+      {"Spark",
+       {0x53032cbb7ac4c546ULL, 0x7623a66ae1293166ULL, 0xad44eb3eb8372200ULL}},
   };
   for (const Golden& golden : kGolden) {
-    const DatasetSpec* spec = FindDatasetSpec(golden.name);
-    ASSERT_NE(spec, nullptr) << golden.name;
-    GenOptions gen;
-    gen.num_logs = 8000;
-    gen.num_templates = spec->loghub2_templates;
-    gen.seed_salt = 2;
-    Dataset ds = DatasetGenerator(*spec).Generate(gen);
-    std::vector<std::string> logs;
-    logs.reserve(ds.logs.size());
-    for (auto& l : ds.logs) logs.push_back(std::move(l.text));
+    const std::vector<std::string> logs = GoldenCorpus(golden.name);
+    ASSERT_FALSE(logs.empty()) << golden.name;
     for (int threads : {1, 2, 4}) {
-      ByteBrainOptions opts;
-      opts.trainer.num_threads = threads;
-      opts.trainer.preprocess.num_threads = threads;
-      ByteBrainParser parser(opts);
-      ASSERT_TRUE(parser.Train(logs).ok());
-      const std::string model = parser.model().Serialize();
-      const std::vector<TemplateId>& assigned = parser.training_assignments();
-      const std::vector<TemplateId> matched = parser.MatchAll(logs, threads);
-      EXPECT_EQ(Digest(model.data(), model.size()), golden.model)
+      const RunDigests got = DigestRun(ByteBrainOptions{}, logs, threads);
+      EXPECT_EQ(got.model, golden.digests.model)
           << golden.name << " threads=" << threads;
-      EXPECT_EQ(Digest(assigned.data(), assigned.size() * sizeof(TemplateId)),
-                golden.assignments)
+      EXPECT_EQ(got.assignments, golden.digests.assignments)
           << golden.name << " threads=" << threads;
-      EXPECT_EQ(Digest(matched.data(), matched.size() * sizeof(TemplateId)),
-                golden.matches)
+      EXPECT_EQ(got.matches, golden.digests.matches)
+          << golden.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParserTest, GoldenAblationOutputAtEveryThreadCount) {
+  // The branches the default configuration never runs: the ordinal
+  // encoder, no deduplication, and each clustering switch turned off.
+  // Digests recorded before the flat-table / move-only-profile training
+  // kernels, on the skewed Linux corpus of the test above. The ordinal
+  // encoder's digests equal the default Linux ones: it relabels tokens
+  // one-to-one, and training only ever compares tokens for equality.
+  struct Golden {
+    const char* name;
+    void (*configure)(ByteBrainOptions*);
+    RunDigests digests;
+  };
+  const Golden kGolden[] = {
+      {"ordinal_encoder",
+       [](ByteBrainOptions* o) {
+         o->trainer.preprocess.encoder = EncoderKind::kOrdinal;
+       },
+       {0x9402f3b08aa2bb61ULL, 0xef75ad1d070b6f2aULL, 0xfb22b472c9f241b0ULL}},
+      {"no_dedup",
+       [](ByteBrainOptions* o) { o->trainer.preprocess.deduplicate = false; },
+       {0x8f525cd0346cd27fULL, 0xab54fe79bcf872a6ULL, 0x89f0d995b04d7002ULL}},
+      {"no_position_importance",
+       [](ByteBrainOptions* o) {
+         o->trainer.cluster.use_position_importance = false;
+       },
+       {0xfe9b982aae1a989bULL, 0x8ee1efc109901520ULL, 0xdd604dfa9c4b0da7ULL}},
+      {"no_balanced_grouping",
+       [](ByteBrainOptions* o) { o->trainer.cluster.balanced_grouping = false; },
+       {0xcd623366f689e35dULL, 0xbd2bccddb1fe1603ULL, 0xbef8a147e419d96cULL}},
+      {"no_kmeanspp_seeding",
+       [](ByteBrainOptions* o) { o->trainer.cluster.kmeanspp_seeding = false; },
+       {0xae75eb2dda132256ULL, 0x73e1aade6a343ae1ULL, 0xa4dd439f89f9d7a9ULL}},
+      {"no_ensure_saturation_increase",
+       [](ByteBrainOptions* o) {
+         o->trainer.cluster.ensure_saturation_increase = false;
+       },
+       {0xd343a1faa068df54ULL, 0x9813ba620c20a1a1ULL, 0x182c24d35a407a08ULL}},
+      {"no_early_stop",
+       [](ByteBrainOptions* o) { o->trainer.cluster.early_stop = false; },
+       {0xcf4bd2a8fb41a798ULL, 0x9f81c0c981b8dc39ULL, 0xe1bc3ed6b606f19dULL}},
+  };
+  const std::vector<std::string> logs = GoldenCorpus("Linux");
+  ASSERT_FALSE(logs.empty());
+  for (const Golden& golden : kGolden) {
+    ByteBrainOptions opts;
+    golden.configure(&opts);
+    for (int threads : {1, 4}) {
+      const RunDigests got = DigestRun(opts, logs, threads);
+      EXPECT_EQ(got.model, golden.digests.model)
+          << golden.name << " threads=" << threads;
+      EXPECT_EQ(got.assignments, golden.digests.assignments)
+          << golden.name << " threads=" << threads;
+      EXPECT_EQ(got.matches, golden.digests.matches)
           << golden.name << " threads=" << threads;
     }
   }
