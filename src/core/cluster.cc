@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/flat_table.h"
+
 namespace bytebrain {
 
 namespace {
@@ -61,19 +63,22 @@ double ClusterProfile::Similarity(const EncodedLog& log,
 namespace {
 
 // Dense re-encoding of the members' tokens at the active positions:
-// tokens become small consecutive value ids so cluster profiles can use
-// array indexing instead of hash lookups in the assignment inner loop.
+// each (position, token) pair becomes a cell of one flat array, so
+// cluster profiles use array indexing instead of hash lookups in the
+// assignment inner loop. Position k owns cells [offsets[k],
+// offsets[k + 1]), one per distinct token in first-seen order.
 // ClusterProfile (above) stays as the reference implementation exercised
 // by the unit tests.
 struct DenseView {
-  // values[i * num_positions + k] = value id of members[i] at active k.
-  std::vector<uint32_t> values;
-  std::vector<uint32_t> cardinality;  // distinct values per active position
+  // cells[i * num_positions + k] = cell of members[i]'s token at active k.
+  std::vector<uint32_t> cells;
+  std::vector<uint32_t> offsets;  // num_positions + 1 entries
   size_t num_positions = 0;
 
-  uint32_t at(size_t member_index, size_t k) const {
-    return values[member_index * num_positions + k];
+  const uint32_t* row(size_t member_index) const {
+    return cells.data() + member_index * num_positions;
   }
+  size_t num_cells() const { return offsets.back(); }
 };
 
 DenseView BuildDenseView(const std::vector<EncodedLog>& logs,
@@ -81,46 +86,51 @@ DenseView BuildDenseView(const std::vector<EncodedLog>& logs,
                          const std::vector<uint32_t>& active) {
   DenseView view;
   view.num_positions = active.size();
-  view.values.resize(members.size() * active.size());
-  view.cardinality.resize(active.size(), 0);
-  std::unordered_map<uint64_t, uint32_t> ids;
+  view.cells.resize(members.size() * active.size());
+  view.offsets.resize(active.size() + 1, 0);
+  // Each clustering thread reuses one table; it starts small and grows,
+  // so positions with few distinct tokens stay in cache.
+  thread_local FlatOrdinalTable<> ids;
   for (size_t k = 0; k < active.size(); ++k) {
-    ids.clear();
+    ids.Reset(0);
+    const uint32_t offset = view.offsets[k];
     for (size_t i = 0; i < members.size(); ++i) {
       const uint64_t tok = logs[members[i]].tokens[active[k]];
-      auto [it, inserted] =
-          ids.emplace(tok, static_cast<uint32_t>(ids.size()));
-      view.values[i * active.size() + k] = it->second;
+      view.cells[i * active.size() + k] = offset + ids.Insert(tok).first;
     }
-    view.cardinality[k] = static_cast<uint32_t>(ids.size());
+    view.offsets[k + 1] = offset + static_cast<uint32_t>(ids.size());
   }
   return view;
 }
 
-// Cluster profile over the dense view: per-position frequency arrays.
-// After a batch of Add calls, UpdateWeights must run before Similarity:
-// the Eq. 2 weights depend only on the profile, not on the log scored,
-// so they are computed once per rebuild instead of once per comparison.
+// Cluster profile over the dense view: per-cell frequencies. After a
+// batch of Add/Remove calls, UpdateWeights must run before Similarity:
+// the Eq. 2 terms depend only on the profile, not on the log scored, so
+// they are computed once per change instead of once per comparison.
 class DenseProfile {
  public:
   DenseProfile(const DenseView& view, bool use_position_importance)
-      : view_(view), use_position_importance_(use_position_importance) {
-    offsets_.resize(view.num_positions + 1, 0);
-    for (size_t k = 0; k < view.num_positions; ++k) {
-      offsets_[k + 1] = offsets_[k] + view.cardinality[k];
-    }
-    freq_.resize(offsets_.back(), 0);
-    distinct_.resize(view.num_positions, 0);
-    weights_.resize(view.num_positions, 0.0);
-  }
+      : view_(view),
+        use_position_importance_(use_position_importance),
+        freq_(view.num_cells(), 0),
+        score_(view.num_cells(), 0.0),
+        distinct_(view.num_positions, 0) {}
 
   void Add(size_t member_index) {
+    const uint32_t* cells = view_.row(member_index);
     for (size_t k = 0; k < view_.num_positions; ++k) {
-      uint32_t& f = freq_[offsets_[k] + view_.at(member_index, k)];
-      if (f == 0) ++distinct_[k];
-      ++f;
+      if (freq_[cells[k]]++ == 0) ++distinct_[k];
     }
     ++size_;
+  }
+
+  // Undoes Add(member_index); the member must be in the profile.
+  void Remove(size_t member_index) {
+    const uint32_t* cells = view_.row(member_index);
+    for (size_t k = 0; k < view_.num_positions; ++k) {
+      if (--freq_[cells[k]] == 0) --distinct_[k];
+    }
+    --size_;
   }
 
   void Clear() {
@@ -129,10 +139,14 @@ class DenseProfile {
     size_ = 0;
   }
 
-  // w_i per position and their sum, accumulated in position order (the
-  // order ClusterProfile::Similarity sums them in).
+  // Per cell, the Eq. 2 term w_k * f: w_k = 1/(n_k - 1) from position
+  // k's distinct count (or 1 without position importance) and f the
+  // cell's relative frequency; plus sum(w_k) in position order (the order
+  // ClusterProfile::Similarity sums them in).
   void UpdateWeights() {
     total_weight_ = 0.0;
+    const double inv_size =
+        size_ == 0 ? 0.0 : 1.0 / static_cast<double>(size_);
     for (size_t k = 0; k < view_.num_positions; ++k) {
       double wi = 1.0;
       if (use_position_importance_) {
@@ -140,37 +154,35 @@ class DenseProfile {
         wi = ni <= 1 ? kConstantPositionWeight
                      : 1.0 / static_cast<double>(ni - 1);
       }
-      weights_[k] = wi;
+      for (uint32_t c = view_.offsets[k]; c < view_.offsets[k + 1]; ++c) {
+        score_[c] = wi * (static_cast<double>(freq_[c]) * inv_size);
+      }
       total_weight_ += wi;
     }
-    inv_size_ = size_ == 0 ? 0.0 : 1.0 / static_cast<double>(size_);
   }
 
   // Eq. 2 similarity of members[member_index] to this cluster.
   double Similarity(size_t member_index) const {
     if (size_ == 0 || view_.num_positions == 0) return 0.0;
-    const uint32_t* values =
-        view_.values.data() + member_index * view_.num_positions;
+    const uint32_t* cells = view_.row(member_index);
     double weighted = 0.0;
     for (size_t k = 0; k < view_.num_positions; ++k) {
-      const double fi =
-          static_cast<double>(freq_[offsets_[k] + values[k]]) * inv_size_;
-      weighted += weights_[k] * fi;
+      weighted += score_[cells[k]];
     }
     return total_weight_ > 0.0 ? weighted / total_weight_ : 0.0;
   }
 
   uint32_t size() const { return size_; }
+  // Distinct tokens among the profile's members at active position k.
+  uint32_t distinct(size_t k) const { return distinct_[k]; }
 
  private:
   const DenseView& view_;
   bool use_position_importance_;
-  std::vector<uint32_t> offsets_;
   std::vector<uint32_t> freq_;
+  std::vector<double> score_;
   std::vector<uint32_t> distinct_;
-  std::vector<double> weights_;
   double total_weight_ = 0.0;
-  double inv_size_ = 0.0;
   uint32_t size_ = 0;
 };
 
@@ -282,9 +294,16 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   profiles[1].Add(seed2);
   for (auto& p : profiles) p.UpdateWeights();
 
+  // Members whose cluster changed since the profiles were last brought
+  // up to date: (member index, cluster it left).
+  struct Move {
+    uint32_t member;
+    uint32_t from;
+  };
+  std::vector<Move> moves;
   std::vector<uint32_t> tie_buffer;
   auto assign_all = [&]() -> bool {
-    bool changed = false;
+    const size_t moves_before = moves.size();
     for (size_t i = 0; i < members.size(); ++i) {
       double best = -1.0;
       tie_buffer.clear();
@@ -308,19 +327,31 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
       }
       if (assignment[i] != chosen) {
+        moves.push_back({static_cast<uint32_t>(i), assignment[i]});
         assignment[i] = chosen;
-        changed = true;
       }
     }
-    return changed;
+    return moves.size() > moves_before;
   };
 
+  // Brings the profiles up to date with `assignment`. Integer counts do
+  // not depend on how they were reached, so applying the moves yields the
+  // same profiles (and bit-identical weights) as re-adding every member;
+  // only the profiles a move touched recompute their weights.
+  std::vector<bool> touched;
   auto rebuild_profiles = [&]() {
-    for (auto& p : profiles) p.Clear();
-    for (size_t i = 0; i < members.size(); ++i) {
-      profiles[assignment[i]].Add(i);
+    touched.assign(num_clusters, false);
+    for (const Move& move : moves) {
+      const uint32_t to = assignment[move.member];
+      profiles[move.from].Remove(move.member);
+      profiles[to].Add(move.member);
+      touched[move.from] = true;
+      touched[to] = true;
     }
-    for (auto& p : profiles) p.UpdateWeights();
+    moves.clear();
+    for (uint32_t c = 0; c < num_clusters; ++c) {
+      if (touched[c]) profiles[c].UpdateWeights();
+    }
   };
 
   // groups[c] = members assigned to cluster c; group_stats[c] is filled
@@ -334,13 +365,32 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       groups[assignment[i]].push_back(members[i]);
     }
   };
+  // ComputePositionStats(logs, groups[c]) without rescanning what is
+  // already known: positions constant in the parent stay constant, and
+  // at the active positions the up-to-date profile holds the count. Only
+  // the parent's confirmed-variable positions are counted.
+  auto count_group = [&](uint32_t c) {
+    std::vector<uint32_t> distinct(parent_stats.num_positions, 0);
+    for (uint32_t i = 0; i < parent_stats.num_positions; ++i) {
+      if (parent_stats.distinct[i] == 1) distinct[i] = 1;
+    }
+    for (size_t k = 0; k < active.size(); ++k) {
+      distinct[active[k]] = profiles[c].distinct(k);
+    }
+    group_stats[c] = CompletePositionStats(logs, groups[c], std::move(distinct));
+  };
 
   // --- Iterate: reassign, check saturation, expand -------------------
   const uint32_t max_clusters =
       static_cast<uint32_t>(std::min<size_t>(members.size(), 64));
   int iterations_left = options.max_iterations;
+  // The first assignment replaces the seed-only profiles: the one full
+  // build. Every later change to the profiles is a move.
   assign_all();
-  rebuild_profiles();
+  moves.clear();
+  for (auto& p : profiles) p.Clear();
+  for (size_t i = 0; i < members.size(); ++i) profiles[assignment[i]].Add(i);
+  for (auto& p : profiles) p.UpdateWeights();
   while (true) {
     bool changed = false;
     for (int it = 0; it < 2 && iterations_left > 0; ++it, --iterations_left) {
@@ -361,7 +411,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         all_improved = false;
         break;
       }
-      group_stats[c] = ComputePositionStats(logs, groups[c]);
+      count_group(c);
       const double s = SaturationFromStats(group_stats[c], options.saturation);
       if (s <= parent_saturation + 1e-12) all_improved = false;
     }
@@ -385,6 +435,8 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       }
     }
     profiles.emplace_back(view, weighted);
+    moves.push_back({static_cast<uint32_t>(farthest_idx),
+                     assignment[farthest_idx]});
     assignment[farthest_idx] = num_clusters;
     ++num_clusters;
     rebuild_profiles();
@@ -393,18 +445,14 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   if (!options.ensure_saturation_increase) partition();
 
   // --- Materialize the partition --------------------------------------
+  size_t kept = 0;
+  for (const auto& group : groups) kept += group.empty() ? 0 : 1;
+  outcome.split = kept >= 2;
   for (uint32_t c = 0; c < num_clusters; ++c) {
     if (groups[c].empty()) continue;
+    if (outcome.split && group_stats[c].num_logs == 0) count_group(c);
     outcome.clusters.push_back(std::move(groups[c]));
     outcome.cluster_stats.push_back(std::move(group_stats[c]));
-  }
-  outcome.split = outcome.clusters.size() >= 2;
-  if (!outcome.split) return outcome;
-  for (size_t c = 0; c < outcome.clusters.size(); ++c) {
-    if (outcome.cluster_stats[c].num_logs == 0) {
-      outcome.cluster_stats[c] =
-          ComputePositionStats(logs, outcome.clusters[c]);
-    }
   }
   return outcome;
 }

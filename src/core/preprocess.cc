@@ -1,23 +1,21 @@
 #include "core/preprocess.h"
 
-#include <unordered_map>
-
 #include "core/tokenizer.h"
 #include "threading/thread_pool.h"
+#include "util/flat_table.h"
 #include "util/hashing.h"
 
 namespace bytebrain {
 
 namespace {
 
-// Per-shard dedup state: distinct logs found in one input shard. Shards
-// dedup locally while tokenizing (so token TEXTS are materialized only
-// once per distinct log — the dominant allocation cost), then the shards
-// are merged sequentially.
+// Distinct logs found in one input shard. Shards dedup locally while
+// tokenizing (so token TEXTS are materialized only once per distinct log
+// — the dominant allocation cost), then the shards are merged
+// sequentially.
 struct ShardResult {
   std::vector<EncodedLog> logs;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;  // key -> slots
-  std::vector<uint64_t> keys;  // dedup key per distinct slot
+  std::vector<uint64_t> keys;  // dedup key per distinct log
 };
 
 void ProcessShard(const std::vector<std::string_view>& raw_logs, size_t begin,
@@ -31,6 +29,10 @@ void ProcessShard(const std::vector<std::string_view>& raw_logs, size_t begin,
   std::string scratch;
   std::vector<std::string_view> views;
   std::vector<uint64_t> encoded;
+  // Keyed by the token-sequence hash; reused by every shard this thread
+  // runs, sized for the worst case (every log in the shard distinct).
+  thread_local DedupIndex index;
+  if (deduplicate) index.Reset(end - begin);
   for (size_t i = begin; i < end; ++i) {
     views.clear();
     if (fused) {
@@ -48,18 +50,14 @@ void ProcessShard(const std::vector<std::string_view>& raw_logs, size_t begin,
     const uint64_t key = HashTokenSequence(encoded.begin(), encoded.end());
 
     if (deduplicate) {
-      auto& bucket = shard->index[key];
-      bool merged = false;
-      for (uint32_t slot : bucket) {
-        if (shard->logs[slot].tokens == encoded) {
-          shard->logs[slot].count++;
-          shard->logs[slot].source_ids.push_back(static_cast<uint32_t>(i));
-          merged = true;
-          break;
-        }
+      const auto [slot, added] = index.FindOrAdd(key, [&](uint32_t d) {
+        return shard->logs[d].tokens == encoded;
+      });
+      if (!added) {
+        shard->logs[slot].count++;
+        shard->logs[slot].source_ids.push_back(static_cast<uint32_t>(i));
+        continue;
       }
-      if (merged) continue;
-      bucket.push_back(static_cast<uint32_t>(shard->logs.size()));
     }
     EncodedLog log;
     log.tokens = encoded;
@@ -117,26 +115,26 @@ PreprocessResult Preprocess(const std::vector<std::string_view>& raw_logs,
   if (threads == 1) {
     result.logs = std::move(shards[0].logs);
   } else if (options.deduplicate) {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> index;
+    size_t distinct_bound = 0;
+    for (const ShardResult& shard : shards) distinct_bound += shard.logs.size();
+    result.logs.reserve(distinct_bound);
+    thread_local DedupIndex index;
+    index.Reset(distinct_bound);
     for (ShardResult& shard : shards) {
       for (size_t s = 0; s < shard.logs.size(); ++s) {
         EncodedLog& log = shard.logs[s];
-        auto& bucket = index[shard.keys[s]];
-        bool merged = false;
-        for (uint32_t slot : bucket) {
-          if (result.logs[slot].tokens == log.tokens) {
-            result.logs[slot].count += log.count;
-            auto& ids = result.logs[slot].source_ids;
-            ids.insert(ids.end(), log.source_ids.begin(),
-                       log.source_ids.end());
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) {
-          bucket.push_back(static_cast<uint32_t>(result.logs.size()));
+        const auto [slot, added] =
+            index.FindOrAdd(shard.keys[s], [&](uint32_t d) {
+              return result.logs[d].tokens == log.tokens;
+            });
+        if (added) {
           result.logs.push_back(std::move(log));
+          continue;
         }
+        EncodedLog& merged = result.logs[slot];
+        merged.count += log.count;
+        merged.source_ids.insert(merged.source_ids.end(),
+                                 log.source_ids.begin(), log.source_ids.end());
       }
     }
   } else {

@@ -1,8 +1,9 @@
 #include "core/saturation.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+
+#include "util/flat_table.h"
 
 namespace bytebrain {
 
@@ -27,55 +28,6 @@ inline bool IsConfirmedVariable(uint32_t distinct, uint32_t num_logs) {
          distinct >= num_logs / 2;
 }
 
-// Set of 64-bit tokens that only counts distinct insertions: open
-// addressing with linear probing at load factor <= 1/2, emptied in O(1)
-// by bumping a generation stamp. Reused across positions and calls, so
-// counting allocates nothing once the table has grown to the largest
-// group seen.
-class DistinctCounter {
- public:
-  // Empties the set and sizes it for up to `max_distinct` keys.
-  void Reset(size_t max_distinct) {
-    size_t capacity = 16;
-    while (capacity < 2 * max_distinct) capacity <<= 1;
-    if (capacity > keys_.size()) {
-      keys_.assign(capacity, 0);
-      stamps_.assign(capacity, 0);
-      generation_ = 0;
-    }
-    mask_ = capacity - 1;
-    shift_ = 64 - static_cast<int>(std::countr_zero(capacity));
-    size_ = 0;
-    if (++generation_ == 0) {  // stamps wrapped: forget them for real
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      generation_ = 1;
-    }
-  }
-
-  void Insert(uint64_t key) {
-    // Fibonacci hashing: ordinal-encoded tokens are small consecutive
-    // integers, so the key's high bits must be mixed in.
-    size_t slot = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
-    while (stamps_[slot] == generation_) {
-      if (keys_[slot] == key) return;
-      slot = (slot + 1) & mask_;
-    }
-    stamps_[slot] = generation_;
-    keys_[slot] = key;
-    ++size_;
-  }
-
-  size_t size() const { return size_; }
-
- private:
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> stamps_;
-  uint32_t generation_ = 0;
-  size_t mask_ = 0;
-  int shift_ = 64;
-  size_t size_ = 0;
-};
-
 }  // namespace
 
 bool PositionStats::unresolved(size_t i) const {
@@ -87,28 +39,39 @@ bool PositionStats::unresolved(size_t i) const {
 
 PositionStats ComputePositionStats(const std::vector<EncodedLog>& logs,
                                    const std::vector<uint32_t>& members) {
+  if (members.empty()) return PositionStats{};
+  return CompletePositionStats(
+      logs, members,
+      std::vector<uint32_t>(logs[members[0]].tokens.size(), 0));
+}
+
+PositionStats CompletePositionStats(const std::vector<EncodedLog>& logs,
+                                    const std::vector<uint32_t>& members,
+                                    std::vector<uint32_t> distinct) {
   PositionStats stats;
   stats.num_logs = static_cast<uint32_t>(members.size());
-  if (members.empty()) return stats;
-  const size_t m = logs[members[0]].tokens.size();
-  stats.num_positions = static_cast<uint32_t>(m);
-  stats.distinct.resize(m, 0);
+  stats.num_positions = static_cast<uint32_t>(distinct.size());
+  stats.distinct = std::move(distinct);
 
   // Training clusters groups on several threads at once; each thread
-  // keeps its own counter.
-  thread_local DistinctCounter seen;
-  for (size_t pos = 0; pos < m; ++pos) {
-    seen.Reset(members.size());
-    for (uint32_t idx : members) {
-      seen.Insert(logs[idx].tokens[pos]);
-      // The set cannot exceed the member count; stop early once it shows
-      // the position is maximally distinct.
-      if (seen.size() == members.size()) break;
+  // keeps its own table, sized once per position for the worst case (every
+  // member distinct) so counting never grows it.
+  thread_local FlatOrdinalTable<> seen;
+  for (size_t pos = 0; pos < stats.num_positions; ++pos) {
+    uint32_t& nu = stats.distinct[pos];
+    if (nu == 0) {
+      seen.Reset(members.size());
+      for (uint32_t idx : members) {
+        seen.Insert(logs[idx].tokens[pos]);
+        // The set cannot exceed the member count; stop early once it
+        // shows the position is maximally distinct.
+        if (seen.size() == members.size()) break;
+      }
+      nu = static_cast<uint32_t>(seen.size());
     }
-    stats.distinct[pos] = static_cast<uint32_t>(seen.size());
-    if (seen.size() == 1) {
+    if (nu == 1) {
       ++stats.num_constant;
-    } else if (IsConfirmedVariable(stats.distinct[pos], stats.num_logs)) {
+    } else if (IsConfirmedVariable(nu, stats.num_logs)) {
       ++stats.num_variable;
     }
   }

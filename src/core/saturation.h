@@ -64,6 +64,13 @@ struct PositionStats {
 PositionStats ComputePositionStats(const std::vector<EncodedLog>& logs,
                                    const std::vector<uint32_t>& members);
 
+/// ComputePositionStats when some counts are already known: `distinct`
+/// has one entry per position, and only the zero entries are counted
+/// over the (non-empty) `members`.
+PositionStats CompletePositionStats(const std::vector<EncodedLog>& logs,
+                                    const std::vector<uint32_t>& members,
+                                    std::vector<uint32_t> distinct);
+
 /// Saturation from precomputed stats. Groups with <= 1 member or no
 /// unresolved positions score exactly 1.0.
 double SaturationFromStats(const PositionStats& stats,

@@ -1,9 +1,11 @@
-// Unit tests for src/util: Status/Result, hashing, strings, RNG.
+// Unit tests for src/util: Status/Result, hashing, flat tables, strings,
+// RNG.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <unordered_set>
 
+#include "util/flat_table.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -89,6 +91,103 @@ TEST(HashTest, SequenceHashIsOrderSensitive) {
   uint64_t b[] = {HashToken("y"), HashToken("x")};
   EXPECT_NE(HashTokenSequence(std::begin(a), std::end(a)),
             HashTokenSequence(std::begin(b), std::end(b)));
+}
+
+TEST(FlatTableTest, HandsOutFirstSeenOrdinals) {
+  FlatOrdinalTable<> table;
+  using Got = std::pair<uint32_t, bool>;
+  EXPECT_EQ(table.Insert(100), Got(0, true));
+  EXPECT_EQ(table.Insert(5), Got(1, true));
+  EXPECT_EQ(table.Insert(100), Got(0, false));
+  EXPECT_EQ(table.Insert(0), Got(2, true));
+  EXPECT_EQ(table.Insert(5), Got(1, false));
+  EXPECT_EQ(table.size(), 3u);
+  table.Reset(0);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Insert(5), Got(0, true));
+}
+
+TEST(FlatTableTest, GrowsAcrossRehashesKeepingOrdinals) {
+  // Consecutive integers (the ordinal encoder's tokens) and mixed hashes,
+  // from the minimum capacity up through many doublings.
+  for (bool mixed : {false, true}) {
+    auto key = [mixed](uint64_t i) { return mixed ? Mix64(i) : i; };
+    FlatOrdinalTable<> table;
+    table.Reset(0);
+    std::set<size_t> capacities = {table.capacity()};
+    constexpr uint32_t kKeys = 5000;
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      EXPECT_EQ(table.Insert(key(i)), std::make_pair(i, true)) << i;
+      EXPECT_GE(table.capacity(), 2 * table.size());
+      capacities.insert(table.capacity());
+    }
+    EXPECT_GE(capacities.size(), 8u);  // 16 -> 16384
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      EXPECT_EQ(table.Insert(key(i)), std::make_pair(i, false)) << i;
+    }
+    EXPECT_EQ(table.size(), kKeys);
+  }
+}
+
+TEST(FlatTableTest, GenerationStampWrapForgetsEveryKey) {
+  // An 8-bit stamp comes back to the same value after 255 generations. A
+  // slot written then and never touched since must not read as live.
+  for (int resets = 250; resets <= 260; ++resets) {
+    FlatOrdinalTable<uint8_t> table;
+    table.Insert(7);
+    table.Insert(9);
+    for (int r = 0; r < resets; ++r) table.Reset(0);
+    EXPECT_EQ(table.Insert(9), std::make_pair(0u, true)) << resets;
+    EXPECT_EQ(table.Insert(7), std::make_pair(1u, true)) << resets;
+  }
+  // Each round inserts 40 keys (growing the table, one generation per
+  // doubling, so wraps also land inside a rehash), half of them left
+  // over from the round before: all must read as new.
+  FlatOrdinalTable<uint8_t> table;
+  for (uint64_t round = 0; round < 400; ++round) {
+    table.Reset(0);
+    for (uint32_t j = 0; j < 40; ++j) {
+      ASSERT_EQ(table.Insert(round * 20 + j), std::make_pair(j, true))
+          << "round " << round << " key " << j;
+    }
+    for (uint32_t j = 0; j < 40; ++j) {
+      ASSERT_EQ(table.Insert(round * 20 + j), std::make_pair(j, false))
+          << "round " << round << " key " << j;
+    }
+  }
+}
+
+TEST(DedupIndexTest, SameKeyChainComparesItems) {
+  // Different sequences under one forced key (a 64-bit hash collision,
+  // which real token sequences practically never produce) must chain as
+  // distinct items and each still be found again by comparison.
+  using Seq = std::vector<uint64_t>;
+  std::vector<Seq> items;
+  DedupIndex index;
+  index.Reset(0);
+  auto add = [&](uint64_t key, const Seq& seq) {
+    const auto found = index.FindOrAdd(
+        key, [&](uint32_t item) { return items[item] == seq; });
+    if (found.second) {
+      EXPECT_EQ(found.first, items.size());
+      items.push_back(seq);
+    }
+    return found;
+  };
+  constexpr uint64_t kForced = 42;
+  using Got = std::pair<uint32_t, bool>;
+  EXPECT_EQ(add(kForced, {1, 2}), Got(0, true));
+  EXPECT_EQ(add(kForced, {3, 4}), Got(1, true));
+  EXPECT_EQ(add(kForced, {1, 2}), Got(0, false));
+  EXPECT_EQ(add(7, {1, 2}), Got(2, true));  // same items, other key
+  EXPECT_EQ(add(kForced, {5}), Got(3, true));
+  EXPECT_EQ(add(kForced, {3, 4}), Got(1, false));
+  EXPECT_EQ(add(kForced, {5}), Got(3, false));
+  EXPECT_EQ(add(7, {1, 2}), Got(2, false));
+  EXPECT_EQ(index.size(), 4u);
+  index.Reset(0);
+  items.clear();
+  EXPECT_EQ(add(kForced, {3, 4}), Got(0, true));
 }
 
 TEST(RngTest, SeededStreamsAreReproducible) {
