@@ -62,7 +62,7 @@ PositionStats CompletePositionStats(const std::vector<EncodedLog>& logs,
     if (nu == 0) {
       seen.Reset(members.size());
       for (uint32_t idx : members) {
-        seen.Insert(logs[idx].tokens[pos]);
+        seen.InsertPresized(logs[idx].tokens[pos]);
         // The set cannot exceed the member count; stop early once it
         // shows the position is maximally distinct.
         if (seen.size() == members.size()) break;

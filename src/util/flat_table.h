@@ -4,10 +4,9 @@
 // first distinct key inserted gets 0, the next 1, ...). It is the one
 // hash table under preprocessing's dedup index, the clusterer's dense
 // value view and saturation's distinct counts: Fibonacci hashing, linear
-// probing at load <= 1/2, slots of {key, ordinal, stamp} in one array.
-// Reset empties it in O(1) by bumping a generation stamp, so a table
-// reused across positions, nodes and calls allocates nothing once it has
-// grown to the largest key set seen.
+// probing at load <= 1/2. Reset empties it in O(1) by bumping a
+// generation stamp, so a table reused across positions, nodes and calls
+// allocates nothing once it has grown to the largest key set seen.
 //
 // DedupIndex layers a per-slot chain over it: distinct items that share
 // one 64-bit key (a hash collision) still get compared item by item.
@@ -15,6 +14,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,15 +40,13 @@ class FlatOrdinalTable {
 
   /// Returns the key's ordinal and whether this call inserted it.
   std::pair<uint32_t, bool> Insert(uint64_t key) {
-    if (2 * (size_ + 1) > capacity_) Grow();
-    size_t slot = Home(key);
-    while (slots_[slot].stamp == generation_) {
-      if (slots_[slot].key == key) return {slots_[slot].ordinal, false};
-      slot = (slot + 1) & mask_;
-    }
-    const uint32_t ordinal = static_cast<uint32_t>(size_++);
-    slots_[slot] = {key, ordinal, generation_};
-    return {ordinal, true};
+    return InsertImpl</*kMayGrow=*/true>(key);
+  }
+
+  /// Insert for a table Reset for at least as many keys as it will get:
+  /// no growth check, which the tightest loop (distinct counting) feels.
+  std::pair<uint32_t, bool> InsertPresized(uint64_t key) {
+    return InsertImpl</*kMayGrow=*/false>(key);
   }
 
   /// Number of distinct keys inserted since the last Reset.
@@ -57,12 +55,6 @@ class FlatOrdinalTable {
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Slot {
-    uint64_t key;
-    uint32_t ordinal;
-    Stamp stamp;
-  };
-
   static constexpr size_t kMinCapacity = 16;
 
   static size_t CapacityFor(size_t keys) {
@@ -75,11 +67,47 @@ class FlatOrdinalTable {
     return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
+  template <bool kMayGrow>
+  std::pair<uint32_t, bool> InsertImpl(uint64_t key) {
+    size_t slot = Home(key);
+    while (stamps_[slot] == generation_) {
+      if (keys_[slot] == key) return {ordinals_[slot], false};
+      slot = (slot + 1) & mask_;
+    }
+    // A new key: keep the load at or below 1/2 (checked here, off the
+    // path of keys already present).
+    if (2 * (size_ + 1) > capacity_) [[unlikely]] {
+      if constexpr (kMayGrow) {
+        Grow();
+        slot = FreeSlot(key);
+      } else {
+        assert(false && "InsertPresized past the Reset bound");
+      }
+    }
+    const uint32_t ordinal = static_cast<uint32_t>(size_++);
+    Place(slot, key, ordinal);
+    return {ordinal, true};
+  }
+
+  // The first empty slot on `key`'s probe path; the load bound keeps
+  // one.
+  size_t FreeSlot(uint64_t key) const {
+    size_t slot = Home(key);
+    while (stamps_[slot] == generation_) slot = (slot + 1) & mask_;
+    return slot;
+  }
+
+  void Place(size_t slot, uint64_t key, uint32_t ordinal) {
+    stamps_[slot] = generation_;
+    keys_[slot] = key;
+    ordinals_[slot] = ordinal;
+  }
+
   // A stamp no slot carries marks every slot empty; when the counter
   // wraps the stamps are cleared for real.
   void NextGeneration() {
     if (++generation_ == 0) {
-      for (Slot& s : slots_) s.stamp = 0;
+      std::fill(stamps_.begin(), stamps_.end(), 0);
       generation_ = 1;
     }
   }
@@ -87,30 +115,37 @@ class FlatOrdinalTable {
   // Uses the first `capacity` slots, allocating more if needed. Slots
   // added here carry stamp 0, which no generation uses.
   void Resize(size_t capacity) {
-    if (capacity > slots_.size()) slots_.resize(capacity, Slot{0, 0, 0});
+    if (capacity > keys_.size()) {
+      keys_.resize(capacity);
+      ordinals_.resize(capacity);
+      stamps_.resize(capacity, 0);
+    }
     capacity_ = capacity;
     mask_ = capacity - 1;
     shift_ = 64 - std::countr_zero(capacity);
   }
 
   // Doubles the capacity and re-inserts the live keys with their
-  // ordinals.
-  void Grow() {
-    std::vector<Slot> live;
+  // ordinals. Cold and out of line, so Insert stays small and inlined.
+  [[gnu::cold, gnu::noinline]] void Grow() {
+    std::vector<std::pair<uint64_t, uint32_t>> live;
     live.reserve(size_);
     for (size_t i = 0; i < capacity_; ++i) {
-      if (slots_[i].stamp == generation_) live.push_back(slots_[i]);
+      if (stamps_[i] == generation_) {
+        live.emplace_back(keys_[i], ordinals_[i]);
+      }
     }
     NextGeneration();
     Resize(2 * capacity_);
-    for (const Slot& s : live) {
-      size_t slot = Home(s.key);
-      while (slots_[slot].stamp == generation_) slot = (slot + 1) & mask_;
-      slots_[slot] = {s.key, s.ordinal, generation_};
+    for (const auto& [key, ordinal] : live) {
+      Place(FreeSlot(key), key, ordinal);
     }
   }
 
-  std::vector<Slot> slots_;
+  // Parallel slot arrays: probing reads only the stamps and keys.
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> ordinals_;
+  std::vector<Stamp> stamps_;
   Stamp generation_ = 0;
   size_t size_ = 0;
   size_t capacity_ = 0;

@@ -105,6 +105,14 @@ TEST(FlatTableTest, HandsOutFirstSeenOrdinals) {
   table.Reset(0);
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.Insert(5), Got(0, true));
+  // Presized inserts hand out the same ordinals without ever growing.
+  table.Reset(3);
+  const size_t capacity = table.capacity();
+  EXPECT_EQ(table.InsertPresized(100), Got(0, true));
+  EXPECT_EQ(table.InsertPresized(5), Got(1, true));
+  EXPECT_EQ(table.InsertPresized(100), Got(0, false));
+  EXPECT_EQ(table.InsertPresized(0), Got(2, true));
+  EXPECT_EQ(table.capacity(), capacity);
 }
 
 TEST(FlatTableTest, GrowsAcrossRehashesKeepingOrdinals) {
