@@ -303,7 +303,6 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   std::vector<Move> moves;
   std::vector<uint32_t> tie_buffer;
   auto assign_all = [&]() -> bool {
-    const size_t moves_before = moves.size();
     for (size_t i = 0; i < members.size(); ++i) {
       double best = -1.0;
       tie_buffer.clear();
@@ -331,15 +330,15 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
         assignment[i] = chosen;
       }
     }
-    return moves.size() > moves_before;
+    return !moves.empty();  // every round starts with none pending
   };
 
   // Brings the profiles up to date with `assignment`. Integer counts do
   // not depend on how they were reached, so applying the moves yields the
-  // same profiles (and bit-identical weights) as re-adding every member;
-  // only the profiles a move touched recompute their weights.
+  // same profiles (and bit-identical Eq. 2 terms) as re-adding every
+  // member; only the profiles a move touched recompute their terms.
   std::vector<bool> touched;
-  auto rebuild_profiles = [&]() {
+  auto apply_moves = [&]() {
     touched.assign(num_clusters, false);
     for (const Move& move : moves) {
       const uint32_t to = assignment[move.member];
@@ -395,7 +394,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     bool changed = false;
     for (int it = 0; it < 2 && iterations_left > 0; ++it, --iterations_left) {
       changed = assign_all();
-      rebuild_profiles();
+      apply_moves();
       if (!changed) break;
     }
 
@@ -439,7 +438,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
                      assignment[farthest_idx]});
     assignment[farthest_idx] = num_clusters;
     ++num_clusters;
-    rebuild_profiles();
+    apply_moves();
     iterations_left = std::max(iterations_left, 2);  // allow a settle round
   }
   if (!options.ensure_saturation_increase) partition();

@@ -7,6 +7,15 @@
 // Clusters are added adaptively: whenever a cluster stops improving, a new
 // cluster is seeded with the log farthest from all existing clusters. The
 // expansion is bounded by the number of token positions / member logs.
+//
+// The implementation scores members against dense cluster profiles: each
+// (active position, token) pair is a cell numbered by first-seen order,
+// and a profile keeps per-cell counts plus the Eq. 2 term w_k * f of
+// every cell. Profiles are built in full once; every later reassignment
+// (and each expansion seed) is a move applied as Remove + Add, and only
+// the profiles a move touched recompute their terms. The terms are
+// computed with the same operations in the same order whichever way the
+// counts were reached, so the partition does not depend on it.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +57,8 @@ struct ClusterOutcome {
   std::vector<std::vector<uint32_t>> clusters;
   /// cluster_stats[c] = ComputePositionStats over clusters[c], computed
   /// once here so the caller can score and template the children without
-  /// recounting them.
+  /// recounting them. Only the parent's confirmed-variable positions are
+  /// scanned: constants stay constant and the profiles hold the rest.
   std::vector<PositionStats> cluster_stats;
   /// false -> the node should become a leaf (no useful split exists).
   bool split = false;

@@ -29,10 +29,12 @@ void ProcessShard(const std::vector<std::string_view>& raw_logs, size_t begin,
   std::string scratch;
   std::vector<std::string_view> views;
   std::vector<uint64_t> encoded;
-  // Keyed by the token-sequence hash; reused by every shard this thread
-  // runs, sized for the worst case (every log in the shard distinct).
+  // Keyed by the token-sequence hash and reused by every shard this
+  // thread runs. It starts small and grows with the distinct logs:
+  // sizing it for the shard would cost memory in proportion to the raw
+  // logs, most of which are repeats on real streams.
   thread_local DedupIndex index;
-  if (deduplicate) index.Reset(end - begin);
+  if (deduplicate) index.Reset(0);
   for (size_t i = begin; i < end; ++i) {
     views.clear();
     if (fused) {

@@ -4,6 +4,12 @@
 // The output is the deduplicated set of encoded logs; each distinct log
 // keeps its occurrence count and the indices of the raw logs it covers,
 // so later stages can map cluster assignments back to every input record.
+//
+// Shards dedup in parallel and are then merged serially, both through a
+// flat DedupIndex (util/flat_table.h) keyed by the token-sequence hash;
+// logs whose hashes collide are chained and compared token by token.
+// Distinct logs keep first-seen order, so the output does not depend on
+// the shard count.
 #pragma once
 
 #include <cstdint>

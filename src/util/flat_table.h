@@ -158,8 +158,6 @@ class FlatOrdinalTable {
 /// per-item `next` link chains later items whose key collided with it.
 class DedupIndex {
  public:
-  static constexpr uint32_t kNone = UINT32_MAX;
-
   /// Empties the index, sized for `expected_items`.
   void Reset(size_t expected_items) {
     table_.Reset(expected_items);
@@ -193,6 +191,8 @@ class DedupIndex {
   size_t size() const { return next_.size(); }
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
   FlatOrdinalTable<> table_;
   std::vector<uint32_t> head_;  // key ordinal -> first item under the key
   std::vector<uint32_t> next_;  // item -> next item under its key
