@@ -69,7 +69,7 @@ StorageSeries RunStorageSeries(const Dataset& ds, bool disk) {
                       });
     out.scan_mps = static_cast<double>(store->size()) /
                    scan_timer.ElapsedSeconds() / 1e6;
-    out.segments = store->sealed_segment_count();
+    out.segments = store->stats().storage_sealed_segments;
   }
   if (disk) {
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {

@@ -18,7 +18,6 @@
 #include "api/frontend.h"
 #include "api/messages.h"
 #include "datagen/loghub_loader.h"
-#include "util/string_util.h"
 
 using namespace bytebrain;
 
@@ -35,8 +34,8 @@ int main(int argc, char** argv) {
   const uint32_t max_templates =
       argc > 3 ? static_cast<uint32_t>(std::atoll(argv[3])) : 50;
 
-  auto dataset = EndsWith(path, ".csv") ? LoadStructuredCsv(path)
-                                        : LoadPlainLog(path);
+  auto dataset =
+      path.ends_with(".csv") ? LoadStructuredCsv(path) : LoadPlainLog(path);
   if (!dataset.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  dataset.status().ToString().c_str());

@@ -267,13 +267,13 @@ using QueryResponseFields =
 
 using GetStatsRequestFields = Fields<Bytes<1, &GetStatsRequest::topic>>;
 
+// Tag 7 (memo_hits) is retired: skipped on decode.
 using ShardStatsFields = Fields<Scalar<1, &ShardStats::records>,
                                 Scalar<2, &ShardStats::bytes>,
                                 Scalar<3, &ShardStats::matched_shared>,
                                 Scalar<4, &ShardStats::matched_pending>,
                                 Scalar<5, &ShardStats::adopted>,
-                                Scalar<6, &ShardStats::merges>,
-                                Scalar<7, &ShardStats::memo_hits>>;
+                                Scalar<6, &ShardStats::merges>>;
 
 using TenantMeterFields = Fields<Scalar<1, &TenantMeter::admitted_requests>,
                                  Scalar<2, &TenantMeter::denied_requests>,

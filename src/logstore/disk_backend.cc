@@ -194,24 +194,23 @@ uint64_t SegmentedDiskBackend::size() const {
   return sealed_records_ + active_count();
 }
 
-uint64_t SegmentedDiskBackend::sealed_segment_count() const {
-  return sealed_->size();
-}
-
-uint64_t SegmentedDiskBackend::mapped_bytes() const {
-  return cache_->owner_stats(cache_owner_).resident_bytes;
-}
-
-uint64_t SegmentedDiskBackend::cache_hits() const {
-  return cache_->owner_stats(cache_owner_).hits;
-}
-
-uint64_t SegmentedDiskBackend::cache_misses() const {
-  return cache_->owner_stats(cache_owner_).misses;
-}
-
-uint64_t SegmentedDiskBackend::cache_evictions() const {
-  return cache_->owner_stats(cache_owner_).evictions;
+StorageStats SegmentedDiskBackend::stats() const {
+  const SegmentCache::OwnerStats cache = cache_->owner_stats(cache_owner_);
+  StorageStats s;
+  s.storage_sealed_segments = sealed_->size();
+  s.storage_mapped_bytes = cache.resident_bytes;
+  s.storage_cache_hits = cache.hits;
+  s.storage_cache_misses = cache.misses;
+  s.storage_cache_evictions = cache.evictions;
+  s.storage_index_rebuilds = index_rebuilds_;
+  s.storage_scan_record_visits = scan_visits_.load(std::memory_order_relaxed);
+  if (wal_ != nullptr) {
+    s.wal_bytes = wal_->bytes();
+    s.wal_group_commits = wal_->group_commits();
+    s.wal_fsyncs = wal_->fsyncs();
+  }
+  s.wal_replayed_records = wal_replayed_;
+  return s;
 }
 
 size_t SegmentedDiskBackend::SeekOffset(const char* data,
@@ -1102,18 +1101,6 @@ Status SegmentedDiskBackend::WaitDurable() {
   // once at Open and the WriteAheadLog is internally synchronized.
   if (wal_ == nullptr) return Status::OK();
   return wal_->WaitDurable();
-}
-
-uint64_t SegmentedDiskBackend::wal_bytes() const {
-  return wal_ != nullptr ? wal_->wal_bytes() : 0;
-}
-
-uint64_t SegmentedDiskBackend::wal_group_commits() const {
-  return wal_ != nullptr ? wal_->group_commits() : 0;
-}
-
-uint64_t SegmentedDiskBackend::wal_fsyncs() const {
-  return wal_ != nullptr ? wal_->fsyncs() : 0;
 }
 
 }  // namespace bytebrain

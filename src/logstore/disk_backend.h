@@ -94,20 +94,9 @@ class SegmentedDiskBackend : public StorageBackend {
   const std::string& metadata() const override { return metadata_; }
   std::shared_ptr<const SealedRecordView> SnapshotSealed() const override;
   bool persistent() const override { return true; }
-  uint64_t sealed_segment_count() const override;
-  uint64_t mapped_bytes() const override;
-  uint64_t cache_hits() const override;
-  uint64_t cache_misses() const override;
-  uint64_t cache_evictions() const override;
-  uint64_t index_rebuilds() const override { return index_rebuilds_; }
-  uint64_t scan_record_visits() const override {
-    return scan_visits_.load(std::memory_order_relaxed);
-  }
+  /// Reads the segment cache's slice for this backend once.
+  StorageStats stats() const override;
   Status WaitDurable() override;
-  uint64_t wal_bytes() const override;
-  uint64_t wal_group_commits() const override;
-  uint64_t wal_fsyncs() const override;
-  uint64_t wal_replayed_records() const override { return wal_replayed_; }
 
  private:
   /// One sealed segment. Immutable after construction except for
@@ -232,7 +221,7 @@ class SegmentedDiskBackend : public StorageBackend {
   std::string metadata_;
   /// Sealed-segment indexes rebuilt at Open (.idx missing/corrupt/
   /// stale) and records touched by Scan/ScanTemplates/partial
-  /// TemplateCounts — see StorageBackend for the contract.
+  /// TemplateCounts — see StorageStats for the contract.
   uint64_t index_rebuilds_ = 0;
   mutable std::atomic<uint64_t> scan_visits_{0};
   /// Sticky first append-path IO failure (disk full, lost mount, seal

@@ -143,28 +143,8 @@ class FaultInjectingBackend : public StorageBackend {
     return inner_->SnapshotSealed();
   }
   bool persistent() const override { return inner_->persistent(); }
-  uint64_t sealed_segment_count() const override {
-    return inner_->sealed_segment_count();
-  }
-  uint64_t mapped_bytes() const override { return inner_->mapped_bytes(); }
-  uint64_t cache_hits() const override { return inner_->cache_hits(); }
-  uint64_t cache_misses() const override { return inner_->cache_misses(); }
-  uint64_t cache_evictions() const override {
-    return inner_->cache_evictions();
-  }
-  uint64_t index_rebuilds() const override { return inner_->index_rebuilds(); }
-  uint64_t scan_record_visits() const override {
-    return inner_->scan_record_visits();
-  }
+  StorageStats stats() const override { return inner_->stats(); }
   Status WaitDurable() override { return inner_->WaitDurable(); }
-  uint64_t wal_bytes() const override { return inner_->wal_bytes(); }
-  uint64_t wal_group_commits() const override {
-    return inner_->wal_group_commits();
-  }
-  uint64_t wal_fsyncs() const override { return inner_->wal_fsyncs(); }
-  uint64_t wal_replayed_records() const override {
-    return inner_->wal_replayed_records();
-  }
 
  private:
   std::unique_ptr<StorageBackend> inner_;

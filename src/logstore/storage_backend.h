@@ -15,14 +15,13 @@
 //   * writers — AppendBatch, AssignTemplates, SealActive and the
 //     training snapshot (SnapshotSealed) — run under `mu_` EXCLUSIVE;
 //   * const readers — Read, Scan, the query primitives, the three
-//     replication reads and the stats getters — run under `mu_`
-//     SHARED, concurrently with each other, so a const method may
-//     mutate only internally synchronized state (the SegmentCache, the
+//     replication reads and stats() — run under `mu_` SHARED,
+//     concurrently with each other, so a const method may mutate only
+//     internally synchronized state (the SegmentCache, the WAL, the
 //     relaxed scan-visit tally);
-//   * WaitDurable() and the wal_* stats need no lock: the WAL is
-//     internally synchronized, and holding the lock through a
-//     group-commit fsync wait would serialize the very batches it
-//     coalesces;
+//   * WaitDurable() needs no lock: the WAL is internally synchronized,
+//     and holding the lock through a group-commit fsync wait would
+//     serialize the very batches it coalesces;
 //   * Checkpoint() runs under `mu_` SHARED, one at a time (the owner's
 //     checkpoint mutex): shared excludes every writer, and a
 //     checkpoint (with the Flush inside it) mutates only write-path
@@ -145,6 +144,49 @@ class SealedRecordView {
   virtual Status ScanTexts(
       uint64_t begin, uint64_t end,
       const std::function<void(uint64_t, std::string_view)>& fn) const = 0;
+};
+
+/// A backend's counters, read as one snapshot by StorageBackend::stats().
+/// TopicStats derives from this struct, so each field reaches GetStats
+/// and the benches under the name it has here. Zero where a backend
+/// keeps no such state: MemoryBackend fills only
+/// storage_scan_record_visits, and the wal_* fields need a WAL
+/// (DurabilityMode other than kNone).
+struct StorageStats {
+  /// Sealed (immutable, mmap'd) segment files.
+  uint64_t storage_sealed_segments = 0;
+  /// Bytes of sealed-segment data the segment cache currently holds
+  /// resident (pinned or reclaimable) for this backend — truthful under
+  /// eviction, not the sum of all sealed files.
+  uint64_t storage_mapped_bytes = 0;
+  /// Segment-cache traffic attributed to this backend: pin requests
+  /// served by an already-resident mapping vs ones that had to mmap,
+  /// and mappings dropped by LRU eviction under the process-wide
+  /// budget. Read with storage_mapped_bytes under one cache lock, so
+  /// the four cache fields describe the same moment.
+  uint64_t storage_cache_hits = 0;
+  uint64_t storage_cache_misses = 0;
+  uint64_t storage_cache_evictions = 0;
+  /// Sealed-segment sparse indexes rebuilt at Open (.idx missing,
+  /// corrupt, or stale). Nonzero after a crash is normal; nonzero after
+  /// a clean restart means index persistence is misbehaving.
+  uint64_t storage_index_rebuilds = 0;
+  /// Records individually visited since Open by Scan and by the
+  /// per-record portions of ScanTemplates and partial TemplateCounts —
+  /// the regression budget for "page N does O(page) work":
+  /// postings-answered counts and postings-skipped segments add NOTHING
+  /// here.
+  uint64_t storage_scan_record_visits = 0;
+  /// Frame bytes appended to the tail WAL since the last seal/rotation.
+  uint64_t wal_bytes = 0;
+  /// Acknowledged group-commit waits (each one covered by some fsync);
+  /// group_commits / fsyncs is the amortization ratio under load.
+  uint64_t wal_group_commits = 0;
+  /// WAL fsyncs issued by the commit thread.
+  uint64_t wal_fsyncs = 0;
+  /// Records replayed from the WAL (beyond the segment file's own tail)
+  /// at Open.
+  uint64_t wal_replayed_records = 0;
 };
 
 /// Append-only record store for one topic. Callers hold the owning
@@ -282,35 +324,14 @@ class StorageBackend {
   /// contract).
   virtual Status WaitDurable() { return Status::OK(); }
 
-  /// Observability (TopicStats::storage); zeros for volatile backends.
-  virtual uint64_t sealed_segment_count() const { return 0; }
-  /// Bytes of sealed-segment data currently resident (mapped) in the
-  /// segment cache on this backend's behalf — truthful under eviction,
-  /// unlike the pre-cache "every sealed byte forever" number.
-  virtual uint64_t mapped_bytes() const { return 0; }
-  /// Segment-cache accounting attributed to this backend; zeros for
-  /// backends that do not use the cache.
-  virtual uint64_t cache_hits() const { return 0; }
-  virtual uint64_t cache_misses() const { return 0; }
-  virtual uint64_t cache_evictions() const { return 0; }
-  /// Sealed-segment sparse indexes rebuilt at Open (missing, corrupt,
-  /// or stale .idx files).
-  virtual uint64_t index_rebuilds() const { return 0; }
-  /// Records materialized or filtered by Scan/ScanTemplates/partial
-  /// TemplateCounts since Open — the query-cost meter the pagination
-  /// regression test asserts on. Postings-answered counts add nothing.
-  virtual uint64_t scan_record_visits() const { return 0; }
-  /// WAL observability (TopicStats::wal_*); zeros when no WAL is
-  /// configured. Like WaitDurable, safe to call without the topic lock.
-  virtual uint64_t wal_bytes() const { return 0; }
-  virtual uint64_t wal_group_commits() const { return 0; }
-  virtual uint64_t wal_fsyncs() const { return 0; }
-  virtual uint64_t wal_replayed_records() const { return 0; }
+  /// One snapshot of the backend's counters; a const reader (see the
+  /// threading contract).
+  virtual StorageStats stats() const = 0;
 };
 
-/// Tallies one const call's record visits (scan_record_visits) in a
-/// local and publishes them with ONE relaxed add on every return path:
-/// const readers run concurrently, so a shared counter bumped per
+/// Tallies one const call's record visits (storage_scan_record_visits)
+/// in a local and publishes them with ONE relaxed add on every return
+/// path: const readers run concurrently, so a shared counter bumped per
 /// record would be a data race and a contended cache line.
 class ScanVisitTally {
  public:
@@ -351,8 +372,9 @@ class MemoryBackend : public StorageBackend {
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return metadata_; }
   bool persistent() const override { return false; }
-  uint64_t scan_record_visits() const override {
-    return scan_visits_.load(std::memory_order_relaxed);
+  StorageStats stats() const override {
+    return {.storage_scan_record_visits =
+                scan_visits_.load(std::memory_order_relaxed)};
   }
 
  private:

@@ -249,7 +249,7 @@ void WriteAheadLog::CommitLoop() {
   }
 }
 
-uint64_t WriteAheadLog::wal_bytes() const {
+uint64_t WriteAheadLog::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return file_bytes_;
 }

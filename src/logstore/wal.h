@@ -96,10 +96,10 @@ class WriteAheadLog {
   /// (see the header comment).
   Status Rotate(uint64_t new_index, uint64_t new_base_seq);
 
-  /// Observability (TopicStats::wal_*). group_commits counts durable
+  /// Observability (StorageStats::wal_*). group_commits counts durable
   /// acks served, fsyncs counts fsync calls issued — the ratio is the
   /// amortization group commit buys.
-  uint64_t wal_bytes() const;
+  uint64_t bytes() const;
   uint64_t group_commits() const;
   uint64_t fsyncs() const;
 

@@ -1095,17 +1095,7 @@ TopicStats ManagedTopic::stats() const {
   snapshot.pending_trainings = training_in_flight_ ? 1 : 0;
   snapshot.storage_persistent = store_->persistent();
   snapshot.storage_ok = storage_status_.ok();
-  snapshot.storage_sealed_segments = store_->sealed_segment_count();
-  snapshot.storage_mapped_bytes = store_->mapped_bytes();
-  snapshot.storage_cache_hits = store_->cache_hits();
-  snapshot.storage_cache_misses = store_->cache_misses();
-  snapshot.storage_cache_evictions = store_->cache_evictions();
-  snapshot.storage_index_rebuilds = store_->index_rebuilds();
-  snapshot.storage_scan_record_visits = store_->scan_record_visits();
-  snapshot.wal_bytes = store_->wal_bytes();
-  snapshot.wal_group_commits = store_->wal_group_commits();
-  snapshot.wal_fsyncs = store_->wal_fsyncs();
-  snapshot.wal_replayed_records = store_->wal_replayed_records();
+  static_cast<StorageStats&>(snapshot) = store_->stats();
   snapshot.shards.reserve(shards_.size());
   for (const std::unique_ptr<IngestShard>& shard : shards_) {
     // Shard counters are written under the shard's exclusive lock while
@@ -1223,14 +1213,16 @@ Status ManagedTopic::ApplyReplicatedModel(const std::string& blob) {
 
 Status ManagedTopic::SealTail(bool* sealed) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  const uint64_t before = store_->sealed_segment_count();
+  const uint64_t before = store_->stats().storage_sealed_segments;
   Status s = store_->SealActive();
   if (s.IsNotSupported()) {
     // Memory-backed topic: no frame representation, nothing to seal.
     if (sealed != nullptr) *sealed = false;
     return Status::OK();
   }
-  if (sealed != nullptr) *sealed = store_->sealed_segment_count() > before;
+  if (sealed != nullptr) {
+    *sealed = store_->stats().storage_sealed_segments > before;
+  }
   return s;
 }
 

@@ -164,12 +164,13 @@ struct ShardStats {
   /// Fold operations that moved this shard's pendings into the shared
   /// model (at most one per batch that routed novel shapes here).
   uint64_t merges = 0;
-  /// Retired, always 0 (wire tag 7 stays reserved).
-  uint64_t memo_hits = 0;
 };
 
-/// Statistics the service exposes per topic (Table 5's columns).
-struct TopicStats {
+/// Statistics the service exposes per topic (Table 5's columns). The
+/// storage and WAL counters come from the topic's backend in one
+/// snapshot; their fields and docs are StorageStats's
+/// (logstore/storage_backend.h).
+struct TopicStats : StorageStats {
   uint64_t ingested_records = 0;
   uint64_t ingested_bytes = 0;
   /// Completed training cycles (waited for or not).
@@ -212,9 +213,6 @@ struct TopicStats {
   /// a training commit or recovery): the records it covered keep ids
   /// the model may no longer resolve until the next training.
   bool storage_ok = true;
-  /// Sealed (immutable, mmap'd) segment files and their mapped bytes.
-  uint64_t storage_sealed_segments = 0;
-  uint64_t storage_mapped_bytes = 0;
   /// Records recovered from storage when the topic was (re)opened.
   uint64_t recovered_records = 0;
   /// Split of the last training snapshot: records COPIED under the
@@ -225,36 +223,6 @@ struct TopicStats {
   /// cost no longer scales with max_train_records.
   uint64_t last_snapshot_copied_records = 0;
   uint64_t last_snapshot_mapped_records = 0;
-  // --- write-ahead log (TopicConfig::durability != kNone only) ---
-  /// Frame bytes appended to the tail WAL since the last seal/rotation.
-  uint64_t wal_bytes = 0;
-  /// Acknowledged group-commit waits (each one covered by some fsync);
-  /// group_commits / fsyncs is the amortization ratio under load.
-  uint64_t wal_group_commits = 0;
-  /// WAL fsyncs issued by the commit thread.
-  uint64_t wal_fsyncs = 0;
-  /// Records replayed from the WAL (beyond the segment file's own tail)
-  /// when the topic was (re)opened.
-  uint64_t wal_replayed_records = 0;
-  // --- segment cache / query index ---
-  /// Segment-cache traffic attributed to this topic's backend: pin
-  /// requests served by an already-resident mapping vs ones that had to
-  /// mmap, and mappings dropped by LRU eviction under the process-wide
-  /// budget. storage_mapped_bytes above is the RESIDENT bytes the cache
-  /// currently holds for this topic (pinned or reclaimable) — no longer
-  /// the sum of all sealed files.
-  uint64_t storage_cache_hits = 0;
-  uint64_t storage_cache_misses = 0;
-  uint64_t storage_cache_evictions = 0;
-  /// Sealed-segment sparse indexes rebuilt at open (.idx missing,
-  /// corrupt, or stale). Nonzero after a crash is normal; nonzero after
-  /// a clean restart means index persistence is misbehaving.
-  uint64_t storage_index_rebuilds = 0;
-  /// Records individually visited by storage scans (full Scan plus the
-  /// per-record portions of template-filtered reads). The regression
-  /// budget for "page N does O(page) work": postings-answered counts
-  /// and postings-skipped segments add NOTHING here.
-  uint64_t storage_scan_record_visits = 0;
   // --- replication ---
   /// How far this node trails its primary, as of the last replication
   /// pull: primary totals minus locally applied. All zero on a primary

@@ -1,114 +1,8 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace bytebrain {
-
-std::vector<std::string_view> SplitString(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::vector<std::string_view> SplitWhitespace(std::string_view s) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  const size_t n = s.size();
-  while (i < n) {
-    while (i < n && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < n && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-namespace {
-template <typename T>
-std::string JoinImpl(const std::vector<T>& parts, std::string_view sep) {
-  std::string out;
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size() + sep.size();
-  out.reserve(total);
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-}  // namespace
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
-std::string JoinStrings(const std::vector<std::string_view>& parts,
-                        std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
-std::string_view TrimString(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool IsAllDigits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-bool LooksNumeric(std::string_view s) {
-  if (s.empty()) return false;
-  size_t i = 0;
-  if (s[0] == '+' || s[0] == '-') i = 1;
-  if (i >= s.size()) return false;
-  // Hex literal.
-  if (s.size() - i > 2 && s[i] == '0' && (s[i + 1] == 'x' || s[i + 1] == 'X')) {
-    for (size_t j = i + 2; j < s.size(); ++j) {
-      if (!std::isxdigit(static_cast<unsigned char>(s[j]))) return false;
-    }
-    return true;
-  }
-  bool saw_digit = false;
-  bool saw_dot = false;
-  for (size_t j = i; j < s.size(); ++j) {
-    char c = s[j];
-    if (c >= '0' && c <= '9') {
-      saw_digit = true;
-    } else if (c == '.' && !saw_dot) {
-      saw_dot = true;
-    } else {
-      return false;
-    }
-  }
-  return saw_digit;
-}
 
 std::string FormatBytes(uint64_t bytes) {
   const char* units[] = {"B", "KB", "MB", "GB", "TB"};

@@ -1,35 +1,10 @@
-// Small string helpers shared across modules.
+// Human-readable number formatting for benches and examples.
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace bytebrain {
-
-/// Splits on a single delimiter character; empty fields are kept.
-std::vector<std::string_view> SplitString(std::string_view s, char delim);
-
-/// Splits on any whitespace; empty fields are dropped.
-std::vector<std::string_view> SplitWhitespace(std::string_view s);
-
-/// Joins parts with `sep`.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
-std::string JoinStrings(const std::vector<std::string_view>& parts,
-                        std::string_view sep);
-
-/// Removes leading/trailing ASCII whitespace.
-std::string_view TrimString(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// True if every character is an ASCII digit (and s is non-empty).
-bool IsAllDigits(std::string_view s);
-
-/// True if s looks numeric: digits with optional sign / single dot / 0x hex.
-bool LooksNumeric(std::string_view s);
 
 /// Formats a byte count as "12.3 KB" / "4.5 MB" etc.
 std::string FormatBytes(uint64_t bytes);

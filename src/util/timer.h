@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace bytebrain {
 
@@ -15,12 +14,6 @@ class Timer {
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now() - start_)
-        .count();
   }
 
  private:

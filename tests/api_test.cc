@@ -277,7 +277,6 @@ TEST(ApiMessagesTest, QueryAndStatsAndAnomalyRoundTrip) {
   s.stats.storage_ok = false;
   s.stats.shards.resize(2);
   s.stats.shards[1].records = 42;
-  s.stats.shards[1].memo_hits = 7;
   s.stats.wal_bytes = 4096;
   s.stats.wal_group_commits = 10;
   s.stats.wal_fsyncs = 3;
@@ -302,7 +301,6 @@ TEST(ApiMessagesTest, QueryAndStatsAndAnomalyRoundTrip) {
   EXPECT_FALSE(s2.stats.storage_ok);
   ASSERT_EQ(s2.stats.shards.size(), 2u);
   EXPECT_EQ(s2.stats.shards[1].records, 42u);
-  EXPECT_EQ(s2.stats.shards[1].memo_hits, 7u);
   EXPECT_EQ(s2.stats.wal_bytes, 4096u);
   EXPECT_EQ(s2.stats.wal_group_commits, 10u);
   EXPECT_EQ(s2.stats.wal_fsyncs, 3u);
@@ -746,7 +744,6 @@ struct Golden<GetStatsResponse> : BodyMessage {
       shard.matched_pending = 400 + i;
       shard.adopted = 500 + i;
       shard.merges = 600 + i;
-      shard.memo_hits = 700 + i;
       s.shards.push_back(shard);
     }
     s.wal_bytes = 23;
@@ -781,14 +778,13 @@ struct Golden<GetStatsResponse> : BodyMessage {
       "0f00000004000000010000001000000004000000000000001100000008000000"
       "1100000000000000120000000800000012000000000000001300000008000000"
       "1300000000000000140000000800000014000000000000001500000008000000"
-      "1500000000000000160000007000000001000000080000006400000000000000"
+      "1500000000000000160000006000000001000000080000006400000000000000"
       "0200000008000000c80000000000000003000000080000002c01000000000000"
       "040000000800000090010000000000000500000008000000f401000000000000"
-      "060000000800000058020000000000000700000008000000bc02000000000000"
-      "1600000070000000010000000800000065000000000000000200000008000000"
-      "c90000000000000003000000080000002d010000000000000400000008000000"
-      "91010000000000000500000008000000f5010000000000000600000008000000"
-      "59020000000000000700000008000000bd020000000000001700000008000000"
+      "0600000008000000580200000000000016000000600000000100000008000000"
+      "65000000000000000200000008000000c9000000000000000300000008000000"
+      "2d01000000000000040000000800000091010000000000000500000008000000"
+      "f501000000000000060000000800000059020000000000001700000008000000"
       "1700000000000000180000000800000018000000000000001900000008000000"
       "19000000000000001a000000080000001a000000000000001b00000060000000"
       "01000000080000000f0100000000000002000000080000001001000000000000"
@@ -1042,6 +1038,43 @@ TEST(ApiMessagesTest, RetiredTopicConfigTagIsSkipped) {
   CreateTopicRequest decoded;
   ASSERT_TRUE(decoded.DecodeFrom(Unhex(kWithTag8)).ok());
   EXPECT_EQ(Hex(Encode(decoded)), Golden<CreateTopicRequest>::kHex);
+}
+
+TEST(ApiMessagesTest, RetiredShardStatsTagIsSkipped) {
+  // The golden bytes from before ShardStats tag 7 (memo_hits) retired:
+  // each shard message still carries it.
+  constexpr std::string_view kWithTag7 =
+      "0100000008000000010000000000000002000000080000000200000000000000"
+      "0300000008000000030000000000000004000000080000000400000000000000"
+      "0500000008000000050000000000000006000000080000000600000000000000"
+      "07000000080000000000000000001e4008000000080000000800000000000000"
+      "090000000800000009000000000000000a000000080000000a00000000000000"
+      "0b000000080000000b000000000000000c000000080000000c00000000000000"
+      "0d000000080000000000000000802a400e000000080000000e00000000000000"
+      "0f00000004000000010000001000000004000000000000001100000008000000"
+      "1100000000000000120000000800000012000000000000001300000008000000"
+      "1300000000000000140000000800000014000000000000001500000008000000"
+      "1500000000000000160000007000000001000000080000006400000000000000"
+      "0200000008000000c80000000000000003000000080000002c01000000000000"
+      "040000000800000090010000000000000500000008000000f401000000000000"
+      "060000000800000058020000000000000700000008000000bc02000000000000"
+      "1600000070000000010000000800000065000000000000000200000008000000"
+      "c90000000000000003000000080000002d010000000000000400000008000000"
+      "91010000000000000500000008000000f5010000000000000600000008000000"
+      "59020000000000000700000008000000bd020000000000001700000008000000"
+      "1700000000000000180000000800000018000000000000001900000008000000"
+      "19000000000000001a000000080000001a000000000000001b00000060000000"
+      "01000000080000000f0100000000000002000000080000001001000000000000"
+      "0300000008000000110100000000000004000000080000001201000000000000"
+      "0500000008000000130100000000000006000000080000001401000000000000"
+      "1c000000080000001c000000000000001d000000080000001d00000000000000"
+      "1e000000080000001e000000000000001f000000080000001f00000000000000"
+      "2000000008000000200000000000000021000000080000002100000000000000"
+      "2200000008000000220000000000000023000000080000002300000000000000"
+      "240000000400000001000000";
+  GetStatsResponse decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(Unhex(kWithTag7)).ok());
+  EXPECT_EQ(Hex(Encode(decoded)), Golden<GetStatsResponse>::kHex);
 }
 
 TEST(ApiFrontendTest, DispatchOnGarbageNeverCrashes) {

@@ -450,14 +450,14 @@ TEST_P(IndexDurabilityTest, DamagedSidecarsRebuildWithIdenticalResults) {
         ASSERT_TRUE(backend.AssignTemplates(seq, {1 + rng.NextBelow(9)}).ok());
       }
       ASSERT_TRUE(backend.Flush().ok());
-      ASSERT_GE(backend.sealed_segment_count(), 2u);
+      ASSERT_GE(backend.stats().storage_sealed_segments, 2u);
     }
 
     IndexBaseline baseline;
     {
       SegmentedDiskBackend clean(cfg);
       ASSERT_TRUE(clean.Open().ok());
-      EXPECT_EQ(clean.index_rebuilds(), 0u) << dir;
+      EXPECT_EQ(clean.stats().storage_index_rebuilds, 0u) << dir;
       baseline = CollectBaseline(&clean);
     }
 
@@ -502,7 +502,7 @@ TEST_P(IndexDurabilityTest, DamagedSidecarsRebuildWithIdenticalResults) {
     {
       SegmentedDiskBackend reopened(cfg);
       ASSERT_TRUE(reopened.Open().ok()) << dir;
-      EXPECT_GE(reopened.index_rebuilds(), 1u) << dir;
+      EXPECT_GE(reopened.stats().storage_index_rebuilds, 1u) << dir;
       const IndexBaseline after = CollectBaseline(&reopened);
       ASSERT_EQ(after.records.size(), baseline.records.size());
       for (size_t i = 0; i < after.records.size(); ++i) {
@@ -523,7 +523,7 @@ TEST_P(IndexDurabilityTest, DamagedSidecarsRebuildWithIdenticalResults) {
     {
       SegmentedDiskBackend again(cfg);
       ASSERT_TRUE(again.Open().ok());
-      EXPECT_EQ(again.index_rebuilds(), 0u) << dir;
+      EXPECT_EQ(again.stats().storage_index_rebuilds, 0u) << dir;
     }
     std::filesystem::remove_all(dir);
   }

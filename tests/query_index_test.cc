@@ -81,7 +81,7 @@ TEST(QueryIndexTest, FencepostSeekReadsAndScansExactly) {
   for (uint64_t seq = 0; seq < kRecords; ++seq) {
     ASSERT_TRUE(backend.AppendBatch({{seq * 10, TextFor(seq), seq % 5}}).ok());
   }
-  ASSERT_GE(backend.sealed_segment_count(), 3u);
+  ASSERT_GE(backend.stats().storage_sealed_segments, 3u);
 
   // Point reads across every segment, in a scattered order.
   for (uint64_t step = 0; step < 7; ++step) {
@@ -151,7 +151,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   for (uint64_t seq = 0; seq < 100; ++seq) {
     ASSERT_TRUE(backend.AppendBatch({{seq, "x", seq / 10 + 1}}).ok());
   }
-  ASSERT_EQ(backend.sealed_segment_count(), 10u);
+  ASSERT_EQ(backend.stats().storage_sealed_segments, 10u);
   ASSERT_EQ(backend.size(), 100u);
   const uint64_t misses_before = cache.totals().misses;
 
@@ -162,7 +162,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   ASSERT_EQ(counts.size(), 10u);
   for (const auto& [tid, n] : counts) EXPECT_EQ(n, 10u) << tid;
   EXPECT_EQ(cache.totals().misses, misses_before);
-  EXPECT_EQ(backend.scan_record_visits(), 0u);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 0u);
 
   // Template-filtered scan for ONE segment's template: exactly that
   // segment faults in; the other nine stay unmapped.
@@ -177,7 +177,7 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   EXPECT_EQ(seqs, (std::vector<uint64_t>{30, 31, 32, 33, 34, 35, 36, 37, 38,
                                          39}));
   EXPECT_EQ(cache.totals().misses, misses_before + 1);
-  EXPECT_EQ(backend.scan_record_visits(), 10u);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 10u);
 
   // A template no segment holds: nothing mapped, nothing visited.
   ASSERT_TRUE(backend
@@ -194,7 +194,7 @@ TEST(QueryIndexTest, PostingsFollowTemplateReassignment) {
   for (uint64_t seq = 0; seq < 30; ++seq) {
     ASSERT_TRUE(backend.AppendBatch({{seq, "x", 1}}).ok());
   }
-  ASSERT_EQ(backend.sealed_segment_count(), 3u);
+  ASSERT_EQ(backend.stats().storage_sealed_segments, 3u);
   // Rewrite sealed records' templates (a one-record and a ten-record
   // range) and expect the postings-backed counts to track them.
   ASSERT_TRUE(backend.AssignTemplates(5, {7}).ok());
@@ -228,7 +228,7 @@ TEST(QueryIndexTest, AssignTemplatesPWritesOnlyChangedSealedIds) {
     ids.push_back(seq % 3 + 1);
     ASSERT_TRUE(backend.AppendBatch({{seq, "x", ids.back()}}).ok());
   }
-  ASSERT_EQ(backend.sealed_segment_count(), 10u);
+  ASSERT_EQ(backend.stats().storage_sealed_segments, 10u);
   ids[4] = 9;
   ids[57] = 9;
   ids[102] = 9;  // active tail

@@ -70,7 +70,7 @@ std::unique_ptr<SegmentedDiskBackend> MakeBackend(const std::string& dir,
   for (uint64_t seq = 0; seq < kRecords; ++seq) {
     EXPECT_TRUE(backend->AppendBatch({{seq, TextFor(seq), seq % 3}}).ok());
   }
-  EXPECT_GE(backend->sealed_segment_count(), 4u);
+  EXPECT_GE(backend->stats().storage_sealed_segments, 4u);
   return backend;
 }
 
@@ -81,7 +81,7 @@ TEST(SegmentCacheTest, EvictsDownToBudgetAndCounts) {
 
   // Seals register without mapping: nothing resident yet.
   EXPECT_EQ(cache.totals().resident_bytes, 0u);
-  EXPECT_EQ(backend->mapped_bytes(), 0u);
+  EXPECT_EQ(backend->stats().storage_mapped_bytes, 0u);
 
   // A full scan walks every segment; with only ~2 segments' budget the
   // LRU must evict along the way, and once the scan's transient pins
@@ -99,7 +99,7 @@ TEST(SegmentCacheTest, EvictsDownToBudgetAndCounts) {
   EXPECT_GT(totals.misses, 0u);
   EXPECT_GT(totals.evictions, 0u);
   EXPECT_LE(totals.resident_bytes, 4096u);
-  EXPECT_EQ(backend->mapped_bytes(), totals.resident_bytes);
+  EXPECT_EQ(backend->stats().storage_mapped_bytes, totals.resident_bytes);
 
   // The first segment was evicted long ago (LRU): reading it again is
   // a miss that transparently re-maps.

@@ -274,7 +274,6 @@ TEST(ShardedIngestTest, SingleShardTopicRoutesThroughItsShard) {
   // The fold made the adopted shapes shared: the repeat batch matches
   // every distinct shape, trained and folded, against the shared model.
   EXPECT_EQ(shard.matched_shared, 2 * first_shared + kShapes);
-  EXPECT_EQ(shard.memo_hits, 0u);
   for (uint64_t id : RecordAssignments(topic)) {
     EXPECT_NE(id, kInvalidTemplateId);
   }
@@ -570,7 +569,6 @@ TEST_P(ShardCountTest, RepeatShapesMatchSharedAcrossBatches) {
             static_cast<uint64_t>(kShapes));
   EXPECT_EQ(sum(sharded, &ShardStats::matched_shared),
             first_shared + 2 * (first_shared + kShapes));
-  EXPECT_EQ(sum(sharded, &ShardStats::memo_hits), 0u);
 
   // End state identical to the single-shard topic.
   EXPECT_EQ(TemplateTexts(unsharded), TemplateTexts(sharded));

@@ -394,8 +394,8 @@ TEST(StorageBackendTest, BackendsReachIdenticalEndState) {
     EXPECT_EQ(a.timestamp_us, b.timestamp_us);
     EXPECT_EQ(a.template_id, b.template_id);
   }
-  EXPECT_GT(disk->sealed_segment_count(), 0u);
-  EXPECT_GT(disk->mapped_bytes(), 0u);
+  EXPECT_GT(disk->stats().storage_sealed_segments, 0u);
+  EXPECT_GT(disk->stats().storage_mapped_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -415,12 +415,12 @@ TEST(StorageBackendTest, ReopenRecoversRecordsSealsAndMetadata) {
                       .ok());
     }
     ASSERT_TRUE(store->Checkpoint("model-snapshot-bytes").ok());
-    sealed = store->sealed_segment_count();
+    sealed = store->stats().storage_sealed_segments;
     ASSERT_GT(sealed, 0u);
   }
   auto store = OpenBackend(DiskConfig(dir.path()));
   ASSERT_EQ(store->size(), 50u);
-  EXPECT_EQ(store->sealed_segment_count(), sealed);
+  EXPECT_EQ(store->stats().storage_sealed_segments, sealed);
   EXPECT_EQ(store->metadata(), "model-snapshot-bytes");
   for (int i = 0; i < 50; ++i) {
     const LogRecord rec = ReadOrDie(*store, i);
@@ -438,7 +438,7 @@ TEST(StorageBackendTest, SealedAssignTemplateSurvivesReopen) {
           store->AppendBatch({{0, "rewrite target " + std::to_string(i), 1}})
               .ok());
     }
-    ASSERT_GT(store->sealed_segment_count(), 0u);
+    ASSERT_GT(store->stats().storage_sealed_segments, 0u);
     // Record 0 is sealed by now: the rewrite pwrites into the sealed
     // file (checksums exclude the template id by design).
     ASSERT_TRUE(store->AssignTemplates(0, {777}).ok());
@@ -470,7 +470,7 @@ std::string WriteCrashImage(const std::string& dir, int n,
                     .ok());
   }
   EXPECT_TRUE(backend.Flush().ok());
-  *sealed_count = backend.sealed_segment_count();
+  *sealed_count = backend.stats().storage_sealed_segments;
   EXPECT_GT(*sealed_count, 0u);
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06llu.log",
@@ -493,7 +493,7 @@ TEST(StorageBackendTest, TruncatedTailDropsOnlyTornRecords) {
   ASSERT_TRUE(backend.Open().ok());
   // All sealed data kept; the active tail lost exactly its torn last
   // record, and what remains reads back intact and in order.
-  EXPECT_EQ(backend.sealed_segment_count(), sealed_count);
+  EXPECT_EQ(backend.stats().storage_sealed_segments, sealed_count);
   ASSERT_LT(backend.size(), 40u);
   ASSERT_GT(backend.size(), 0u);
   for (uint64_t seq = 0; seq < backend.size(); ++seq) {
@@ -520,7 +520,7 @@ TEST(StorageBackendTest, FlippedTailByteDropsSuffixKeepsSealed) {
 
   SegmentedDiskBackend backend(DiskConfig(dir.path()));
   ASSERT_TRUE(backend.Open().ok());
-  EXPECT_EQ(backend.sealed_segment_count(), sealed_count);
+  EXPECT_EQ(backend.stats().storage_sealed_segments, sealed_count);
   ASSERT_GT(backend.size(), 0u);
   ASSERT_LT(backend.size(), 40u);
   for (uint64_t seq = 0; seq < backend.size(); ++seq) {

@@ -230,50 +230,6 @@ TEST(RngTest, NextBelowRespectsBound) {
   }
 }
 
-TEST(StringTest, SplitKeepsEmptyFields) {
-  auto parts = SplitString("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-}
-
-TEST(StringTest, SplitWhitespaceDropsEmpty) {
-  auto parts = SplitWhitespace("  a \t b\nc  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(StringTest, JoinRoundTrips) {
-  std::vector<std::string> v = {"a", "b", "c"};
-  EXPECT_EQ(JoinStrings(v, " "), "a b c");
-  EXPECT_EQ(JoinStrings(std::vector<std::string>{}, " "), "");
-}
-
-TEST(StringTest, Trim) {
-  EXPECT_EQ(TrimString("  x \t"), "x");
-  EXPECT_EQ(TrimString(""), "");
-  EXPECT_EQ(TrimString(" \n "), "");
-}
-
-TEST(StringTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("blk_123", "blk_"));
-  EXPECT_FALSE(StartsWith("bl", "blk_"));
-  EXPECT_TRUE(EndsWith("file.log", ".log"));
-  EXPECT_FALSE(EndsWith("g", ".log"));
-}
-
-TEST(StringTest, NumericDetection) {
-  EXPECT_TRUE(IsAllDigits("0123"));
-  EXPECT_FALSE(IsAllDigits(""));
-  EXPECT_FALSE(IsAllDigits("12a"));
-  EXPECT_TRUE(LooksNumeric("-12.5"));
-  EXPECT_TRUE(LooksNumeric("0xdeadBEEF"));
-  EXPECT_FALSE(LooksNumeric("12.5.6"));
-  EXPECT_FALSE(LooksNumeric("x12"));
-}
-
 TEST(StringTest, Formatting) {
   EXPECT_EQ(FormatBytes(512), "512.00 B");
   EXPECT_EQ(FormatBytes(2048), "2.00 KB");

@@ -103,7 +103,7 @@ TEST(WriteAheadLogTest, FreshOpenCreatesEmptyFile) {
   ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
   EXPECT_TRUE(replayed.empty());
   EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path(), 0)));
-  EXPECT_EQ(wal.wal_bytes(), 0u);
+  EXPECT_EQ(wal.bytes(), 0u);
 }
 
 TEST(WriteAheadLogTest, AppendedFramesReplayOnReopen) {
@@ -187,7 +187,7 @@ TEST(WriteAheadLogTest, RotateDeletesOldFileAndStartsFresh) {
   ASSERT_TRUE(wal.Rotate(1, 1).ok());
   EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 0)));
   EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path(), 1)));
-  EXPECT_EQ(wal.wal_bytes(), 0u);
+  EXPECT_EQ(wal.bytes(), 0u);
   // A waiter arriving after the rotation is already durable (the seal
   // fsynced its bytes): WaitDurable returns without a new append.
   ASSERT_TRUE(wal.WaitDurable().ok());
@@ -267,7 +267,7 @@ TEST(WalBackendTest, WalReplaysRecordsTheSegmentFileNeverReceived) {
       WalConfig(dir.path(), DurabilityMode::kWalGroupCommit));
   ASSERT_TRUE(reopened.Open().ok());
   ASSERT_EQ(reopened.size(), written.size());
-  EXPECT_EQ(reopened.wal_replayed_records(), written.size());
+  EXPECT_EQ(reopened.stats().wal_replayed_records, written.size());
   for (size_t i = 0; i < written.size(); ++i) {
     LogRecord out;
     ASSERT_TRUE(reopened.Read(i, &out).ok());
@@ -318,7 +318,7 @@ TEST(WalBackendTest, SealRotatesTheWalFile) {
                     .ok());
   }
   ASSERT_TRUE(backend.WaitDurable().ok());
-  EXPECT_GE(backend.sealed_segment_count(), 1u);
+  EXPECT_GE(backend.stats().storage_sealed_segments, 1u);
   // Exactly one wal file remains — the active segment's; every sealed
   // segment's file was rotated away.
   size_t wal_files = 0;
@@ -341,8 +341,85 @@ TEST(WalBackendTest, DurabilityNoneWritesNoWalFile) {
   ASSERT_TRUE(backend.Open().ok());
   ASSERT_TRUE(backend.AppendBatch({MakeRecord("x", 1)}).ok());
   ASSERT_TRUE(backend.WaitDurable().ok());  // trivially OK
-  EXPECT_EQ(backend.wal_bytes(), 0u);
+  EXPECT_EQ(backend.stats().wal_bytes, 0u);
   EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 0)));
+}
+
+// The fault decorator forwards the inner backend's stats() snapshot:
+// after a seal, a windowed query and a WAL-replaying reopen that
+// rebuilds an index, every counter reads the same through both.
+TEST(WalBackendTest, StatsPassThroughTheFaultDecorator) {
+  static_assert(sizeof(StorageStats) == 11 * sizeof(uint64_t),
+                "compare every StorageStats field below");
+  const auto expect_same = [](const StorageBackend& wrapped,
+                              const StorageBackend& inner) {
+    const StorageStats a = wrapped.stats();
+    const StorageStats b = inner.stats();
+    EXPECT_EQ(a.storage_sealed_segments, b.storage_sealed_segments);
+    EXPECT_EQ(a.storage_mapped_bytes, b.storage_mapped_bytes);
+    EXPECT_EQ(a.storage_cache_hits, b.storage_cache_hits);
+    EXPECT_EQ(a.storage_cache_misses, b.storage_cache_misses);
+    EXPECT_EQ(a.storage_cache_evictions, b.storage_cache_evictions);
+    EXPECT_EQ(a.storage_index_rebuilds, b.storage_index_rebuilds);
+    EXPECT_EQ(a.storage_scan_record_visits, b.storage_scan_record_visits);
+    EXPECT_EQ(a.wal_bytes, b.wal_bytes);
+    EXPECT_EQ(a.wal_group_commits, b.wal_group_commits);
+    EXPECT_EQ(a.wal_fsyncs, b.wal_fsyncs);
+    EXPECT_EQ(a.wal_replayed_records, b.wal_replayed_records);
+  };
+  const auto open = [](const std::string& dir, FileOps* ops,
+                       SegmentedDiskBackend** inner) {
+    auto disk = std::make_unique<SegmentedDiskBackend>(
+        WalConfig(dir, DurabilityMode::kWalGroupCommit, 256, ops));
+    *inner = disk.get();
+    return std::make_unique<FaultInjectingBackend>(std::move(disk),
+                                                   BackendFaultSchedule{});
+  };
+  TempDir dir;
+  FaultInjectingFileOps ops;
+  {
+    SegmentedDiskBackend* inner = nullptr;
+    auto backend = open(dir.path(), &ops, &inner);
+    ASSERT_TRUE(backend->Open().ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(backend
+                      ->AppendBatch({MakeRecord(
+                          "seal-forcing record text " + std::to_string(i), i)})
+                      .ok());
+    }
+    // Seal what is left (the decorator does not forward SealActive), so
+    // the two records below are the whole unsealed tail.
+    ASSERT_TRUE(inner->SealActive().ok());
+    ASSERT_TRUE(backend
+                    ->AppendBatch({MakeRecord("tail 20", 20),
+                                   MakeRecord("tail 21", 21)})
+                    .ok());
+    ASSERT_TRUE(backend->WaitDurable().ok());
+    // A window that cuts through the sealed segments: they are pinned
+    // and filtered record by record.
+    std::unordered_map<TemplateId, uint64_t> counts;
+    ASSERT_TRUE(backend->TemplateCounts(0, 22, 3, 12, &counts).ok());
+    const StorageStats s = backend->stats();
+    EXPECT_GE(s.storage_sealed_segments, 2u);
+    EXPECT_GT(s.storage_mapped_bytes, 0u);
+    EXPECT_GT(s.storage_cache_misses, 0u);
+    EXPECT_GT(s.storage_scan_record_visits, 0u);
+    EXPECT_GT(s.wal_bytes, 0u);
+    EXPECT_GT(s.wal_group_commits, 0u);
+    EXPECT_GT(s.wal_fsyncs, 0u);
+    expect_same(*backend, *inner);
+    // "Process death": the unsealed tail survives only in the WAL.
+    ops.CrashNow();
+  }
+  ASSERT_TRUE(std::filesystem::remove(dir.path() + "/seg-000000.idx"));
+  SegmentedDiskBackend* inner = nullptr;
+  auto reopened = open(dir.path(), nullptr, &inner);
+  ASSERT_TRUE(reopened->Open().ok());
+  EXPECT_EQ(reopened->size(), 22u);
+  const StorageStats s = reopened->stats();
+  EXPECT_EQ(s.wal_replayed_records, 2u);
+  EXPECT_EQ(s.storage_index_rebuilds, 1u);
+  expect_same(*reopened, *inner);
 }
 
 // ---------------------------------------------------------------------
