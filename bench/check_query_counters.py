@@ -1,87 +1,63 @@
 #!/usr/bin/env python3
 """Exact work-counter gate for bench_query.
 
-Reads bench_query's output, takes the record visits, cache misses and
-cache hits of its six query rows plus the eviction count of its
-"budget cap" line, and compares them with the Query* rows of
-BENCH_matcher.json. Any difference, or a row missing on either side,
-prints the mismatches and exits 1. Wall times are never compared.
+Reads bench_query's output on stdin. Its table rows and counter columns
+carry BENCH_matcher.json names, so each counter a Query* row of
+BENCH_matcher.json records (record visits, cache misses, hits and
+evictions) is compared with the table cell of the same row and column.
+Any difference, or a cell missing from the output, prints the
+mismatches and exits 1. Wall times are never compared.
 
     ./build/bench_query | python3 bench/check_query_counters.py
-
---expected PATH compares against another results file.
 """
-import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
-# bench_query row label -> BENCH_matcher.json benchmark name.
-ROWS = {
-    "count-only (postings)": "QueryCountOnly_postings",
-    "filtered tail page, cold": "QueryFilteredPage_cold",
-    "filtered tail page, warm": "QueryFilteredPage_warm",
-    "full scan, cold-ish": "QueryFullScan_coldish",
-    "full scan, warm": "QueryFullScan_warm",
-    "full scan, budget=sealed/2": "QueryFullScan_budget_half",
-}
-# Row columns after the label: ms, then these counters in order.
-COLUMNS = ("record_visits", "cache_misses", "cache_hits")
-EVICTIONS = ("QueryFullScan_budget_half", "cache_evictions")
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_matcher.json"
+COUNTERS = ("record_visits", "cache_misses", "cache_hits", "cache_evictions")
 
 
 def measured(text):
     got = {}
+    columns = None
     for line in text.splitlines():
-        for label, name in ROWS.items():
-            if line.startswith(label + " "):
-                values = line[len(label):].split()[1:]
-                for column, value in zip(COLUMNS, values):
-                    got[(name, column)] = int(value)
-        match = re.match(r"budget cap: .*, (\d+) evictions", line)
-        if match:
-            got[EVICTIONS] = int(match.group(1))
+        cells = line.split()
+        if cells[:2] == ["Query", "ms"]:
+            columns = cells
+        elif columns and len(cells) == len(columns) and \
+                cells[0].startswith("Query"):
+            for column, value in zip(columns, cells):
+                if column in COUNTERS:
+                    got[(cells[0], column)] = int(value)
     return got
 
 
-def expected(path):
-    rows = {b["name"]: b for b in json.loads(path.read_text())["benchmarks"]}
-    want = {}
-    for name in ROWS.values():
-        for column in COLUMNS:
-            want[(name, column)] = int(rows[name][column])
-    want[EVICTIONS] = int(rows[EVICTIONS[0]][EVICTIONS[1]])
-    return want
+def expected():
+    return {
+        (row["name"], column): int(row[column])
+        for row in json.loads(BASELINE.read_text())["benchmarks"]
+        if row["name"].startswith("Query")
+        for column in COUNTERS
+        if column in row
+    }
 
 
-def mismatches(want, got):
-    return [
+def main():
+    want = expected()
+    got = measured(sys.stdin.read())
+    failed = [
         f"{name} {column}: expected {value}, got {got.get((name, column))}"
         for (name, column), value in want.items()
         if got.get((name, column)) != value
     ]
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("output", nargs="?", type=argparse.FileType("r"),
-                        default=sys.stdin, help="bench_query output")
-    parser.add_argument(
-        "--expected", type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_matcher.json")
-    args = parser.parse_args()
-
-    want = expected(args.expected)
-    got = measured(args.output.read())
-    failed = mismatches(want, got)
     for line in failed:
         print(f"MISMATCH {line}")
     if failed:
         print(f"query counters: {len(failed)} of {len(want)} differ "
-              f"from {args.expected.name}")
+              f"from {BASELINE.name}")
         return 1
-    print(f"query counters: all {len(want)} match {args.expected.name}")
+    print(f"query counters: all {len(want)} match {BASELINE.name}")
     return 0
 
 
