@@ -1,10 +1,10 @@
 // Durability-vs-throughput: batch ingest through SegmentedDiskBackend
-// under the three DurabilityMode settings, plus recovery (reopen +
-// WAL replay) cost. The acceptance bar for ISSUE 6: wal_group_commit
-// within 2x of none at batch sizes >= 256 — group commit amortizes the
-// fsync across the batch (and across concurrent batches; this
-// single-threaded bench only sees the per-batch amortization, so it is
-// the conservative bound).
+// under the three DurabilityMode settings, the cost of one seal cycle,
+// plus recovery (reopen + WAL replay) cost. The acceptance bar for the
+// WAL: wal_group_commit within 2x of none at batch sizes >= 256 — group
+// commit amortizes the fsync across the batch (and across concurrent
+// batches; this single-threaded bench only sees the per-batch
+// amortization, so it is the conservative bound).
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -31,11 +31,12 @@ std::string FreshDir() {
   return path;
 }
 
-StorageConfig BenchConfig(const std::string& dir, DurabilityMode mode) {
+StorageConfig BenchConfig(const std::string& dir, DurabilityMode mode,
+                          uint64_t segment_bytes = 8ull * 1024 * 1024) {
   StorageConfig cfg;
   cfg.kind = StorageConfig::Kind::kSegmentedDisk;
   cfg.directory = dir;
-  cfg.segment_data_bytes = 8ull * 1024 * 1024;
+  cfg.segment_data_bytes = segment_bytes;
   cfg.durability = mode;
   return cfg;
 }
@@ -91,6 +92,44 @@ void BM_WalAppend_group_commit(benchmark::State& state) {
 BENCHMARK(BM_WalAppend_none)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_WalAppend_async)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_WalAppend_group_commit)->Arg(64)->Arg(256)->Arg(1024);
+
+// One seal cycle under wal_group_commit at 64 KiB segments: each
+// iteration appends 64-record batches (acked after their group commit)
+// until the active segment seals, so the time per iteration is one
+// segment's appends plus its seal (flush + fsync, index sidecar,
+// manifest write, WAL rotation). Wall time: the fsyncs are off-CPU. A
+// fixed 200 cycles: every cycle leaves a segment behind, and removing
+// thousands of them at the end would cost more than the timed loop.
+void BM_SealCycle(benchmark::State& state) {
+  const std::string dir = FreshDir();
+  {
+    SegmentedDiskBackend backend(
+        BenchConfig(dir, DurabilityMode::kWalGroupCommit, 64 * 1024));
+    if (!backend.Open().ok()) state.SkipWithError("open failed");
+    const std::vector<LogRecord> proto = MakeBatch(64);
+    uint64_t records = 0;
+    for (auto _ : state) {
+      const uint64_t sealed = backend.stats().storage_sealed_segments;
+      while (backend.stats().storage_sealed_segments == sealed) {
+        std::vector<LogRecord> batch = proto;
+        if (!backend.AppendBatch(std::move(batch)).ok() ||
+            !backend.WaitDurable().ok()) {
+          state.SkipWithError("append failed");
+          break;
+        }
+        records += proto.size();
+      }
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(records));
+    state.counters["seals"] =
+        static_cast<double>(backend.stats().storage_sealed_segments);
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_SealCycle)
+    ->UseRealTime()
+    ->Iterations(200)
+    ->Unit(benchmark::kMillisecond);
 
 // Reopen cost with a WAL tail to replay: `range(0)` records were
 // appended durably (in the WAL) but never drained to the segment file —

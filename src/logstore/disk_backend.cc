@@ -22,6 +22,7 @@ namespace bytebrain {
 // WAL appends and replays the same frame bytes.
 using logframe::FillFrameHeader;
 using logframe::Frame;
+using logframe::kFrameCrcOffset;
 using logframe::kFrameHeaderBytes;
 using logframe::kFrameTidOffset;
 using logframe::MaterializeFrame;
@@ -29,13 +30,16 @@ using logframe::ParseFrame;
 
 namespace {
 
-// MANIFEST layout: magic u64 | version u32 | sealed_count u64 |
-// { first_seq u64, records u64, checksum u64 } per sealed segment |
-// metadata string | checksum-of-all-preceding u64. Rewritten atomically
-// (tmp + rename) on every seal and checkpoint, so a reader always sees
-// a complete manifest — old or new, never torn.
+// Manifest slot layout (MANIFEST-0 / MANIFEST-1): length u64 (bytes
+// after it) | magic u64 | version u32 | generation u64 | sealed_count
+// u64 | { first_seq u64, records u64, checksum u64 } per sealed segment
+// | metadata string | HashBytesFast(everything before it) u64. Every
+// seal and checkpoint writes generation g+1 into slot (g+1) % 2 in
+// place — one pwrite at offset 0 and one fsync, never a rename — so the
+// other slot always holds the previous complete manifest. Bytes past
+// the length are leftovers of a longer earlier write and are ignored.
 constexpr uint64_t kManifestMagic = 0x4242544d'414e4946ULL;  // "BBTMANIF"
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 
 Status IOErrorFor(const std::string& what, const std::string& path) {
   return Status::IOError(what + ": " + path);
@@ -48,16 +52,9 @@ Status IOErrorFor(const std::string& what, const std::string& path) {
 // and than writev()'s per-iovec cost at log-record frame sizes.
 constexpr size_t kWriteBufferBytes = 1 << 18;
 
-Status SyncFile(std::FILE* f, const std::string& path, FileOps* ops) {
-  if (std::fflush(f) != 0 || ops->Fsync(fileno(f)) != 0) {
-    return IOErrorFor("cannot sync", path);
-  }
-  return Status::OK();
-}
-
 void SyncDirectory(const std::string& dir) {
-  // Durability of the rename itself; best effort (some filesystems
-  // reject directory fsync — the rename is still atomic either way).
+  // Durability of a new file's directory entry; best effort (some
+  // filesystems reject directory fsync).
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd >= 0) {
     (void)::fsync(fd);
@@ -82,6 +79,49 @@ Status ReadWholeFile(const std::string& path, std::string* out,
   std::fclose(f);
   if (failed) return IOErrorFor("read error", path);
   return Status::OK();
+}
+
+/// One decoded manifest slot.
+struct ManifestImage {
+  uint64_t generation = 0;  // 0: no slot decoded
+  std::vector<uint64_t> records;    // per sealed segment
+  std::vector<uint64_t> checksums;  // per sealed segment
+  std::string metadata;
+};
+
+/// Decodes a manifest slot's bytes; false when they are torn or
+/// corrupt.
+bool DecodeManifestSlot(std::string_view data, ManifestImage* out) {
+  uint64_t len = 0;
+  if (data.size() < 8) return false;
+  std::memcpy(&len, data.data(), 8);
+  if (len < 8 || len > data.size() - 8) return false;
+  // The checksum is the slot's last 8 bytes and covers all before it.
+  uint64_t stored = 0;
+  std::memcpy(&stored, data.data() + len, 8);
+  if (stored != HashBytesFast(data.substr(0, len))) return false;
+  ByteReader reader(data.data() + 8, len - 8);
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  uint64_t sealed_count = 0;
+  if (!reader.GetU64(&magic) || magic != kManifestMagic ||
+      !reader.GetU32(&version) || version != kManifestVersion ||
+      !reader.GetU64(&out->generation) || out->generation == 0 ||
+      !reader.GetU64(&sealed_count)) {
+    return false;
+  }
+  uint64_t next_seq = 0;
+  for (uint64_t i = 0; i < sealed_count; ++i) {
+    uint64_t first_seq = 0, records = 0, checksum = 0;
+    if (!reader.GetU64(&first_seq) || !reader.GetU64(&records) ||
+        !reader.GetU64(&checksum) || first_seq != next_seq) {
+      return false;
+    }
+    next_seq += records;
+    out->records.push_back(records);
+    out->checksums.push_back(checksum);
+  }
+  return reader.GetString(&out->metadata) && reader.AtEnd();
 }
 
 }  // namespace
@@ -186,8 +226,8 @@ std::string SegmentedDiskBackend::SegmentPath(uint64_t index) const {
   return config_.directory + "/" + name;
 }
 
-std::string SegmentedDiskBackend::ManifestPath() const {
-  return config_.directory + "/MANIFEST";
+std::string SegmentedDiskBackend::ManifestSlotPath(uint64_t slot) const {
+  return config_.directory + "/MANIFEST-" + std::to_string(slot);
 }
 
 uint64_t SegmentedDiskBackend::size() const {
@@ -240,13 +280,23 @@ Status SegmentedDiskBackend::Open() {
   std::error_code ec;
   std::filesystem::create_directories(config_.directory, ec);
   if (ec) return IOErrorFor("cannot create directory", config_.directory);
+  // The layout before manifest slots and the recycled wal.log: its
+  // catalog would be ignored and the store would open empty. There is
+  // no migration, so refuse it.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(config_.directory, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "MANIFEST" ||
+        (name.rfind("wal-", 0) == 0 && name.ends_with(".log"))) {
+      return Status::NotSupported("old storage layout (" + name +
+                                  "), no migration: " + config_.directory);
+    }
+  }
 
-  uint64_t sealed_count = 0;
   std::vector<uint64_t> records_per_segment;
   std::vector<uint64_t> checksums;
-  bool found = false;
-  BB_RETURN_IF_ERROR(
-      LoadManifest(&sealed_count, &records_per_segment, &checksums, &found));
+  BB_RETURN_IF_ERROR(LoadManifest(&records_per_segment, &checksums));
+  const uint64_t sealed_count = records_per_segment.size();
 
   auto set = std::make_shared<SealedSet>();
   uint64_t next_seq = 0;
@@ -267,8 +317,8 @@ Status SegmentedDiskBackend::Open() {
     wal_ = std::make_unique<WriteAheadLog>(config_.directory,
                                            config_.durability, ops_);
     std::vector<LogRecord> walied;
-    BB_RETURN_IF_ERROR(
-        wal_->OpenAndReplay(active_index_, sealed_records_, &walied));
+    wal_salt_ = logframe::WalSalt(sealed_records_);
+    BB_RETURN_IF_ERROR(wal_->OpenAndReplay(sealed_records_, &walied));
     if (walied.size() > active_count()) {
       // The WAL is written ahead of the segment drain, so after a crash
       // it usually holds MORE than the active file: stream the excess
@@ -299,7 +349,7 @@ Status SegmentedDiskBackend::Open() {
         const LogRecord& rec = active_[i];
         const uint64_t crc = RecordChecksum(rec.timestamp_us, rec.text);
         char header[kFrameHeaderBytes];
-        FillFrameHeader(header, rec, crc);
+        FillFrameHeader(header, rec, crc ^ wal_salt_);
         catchup.append(header, kFrameHeaderBytes);
         catchup.append(rec.text);
       }
@@ -311,52 +361,46 @@ Status SegmentedDiskBackend::Open() {
 }
 
 Status SegmentedDiskBackend::LoadManifest(
-    uint64_t* sealed_count, std::vector<uint64_t>* records_per_segment,
-    std::vector<uint64_t>* checksums, bool* found) {
-  *found = false;
-  *sealed_count = 0;
-  std::string data;
-  bool exists = false;
-  BB_RETURN_IF_ERROR(ReadWholeFile(ManifestPath(), &data, &exists));
-  if (!exists) return Status::OK();  // fresh store
-
-  const Status corrupt = Status::Corruption("bad manifest: " + ManifestPath());
-  if (data.size() < 8) return corrupt;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + data.size() - 8, 8);
-  if (stored !=
-      HashBytesFast(std::string_view(data.data(), data.size() - 8))) {
-    return corrupt;
-  }
-  ByteReader reader(data.data(), data.size() - 8);
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  if (!reader.GetU64(&magic) || magic != kManifestMagic ||
-      !reader.GetU32(&version) || version != kManifestVersion ||
-      !reader.GetU64(sealed_count)) {
-    return corrupt;
-  }
-  uint64_t next_seq = 0;
-  for (uint64_t i = 0; i < *sealed_count; ++i) {
-    uint64_t first_seq = 0, records = 0, checksum = 0;
-    if (!reader.GetU64(&first_seq) || !reader.GetU64(&records) ||
-        !reader.GetU64(&checksum) || first_seq != next_seq) {
-      return corrupt;
+    std::vector<uint64_t>* records_per_segment,
+    std::vector<uint64_t>* checksums) {
+  ManifestImage newest;
+  bool invalid_slot = false;
+  for (uint64_t slot = 0; slot < 2; ++slot) {
+    std::string data;
+    bool exists = false;
+    BB_RETURN_IF_ERROR(ReadWholeFile(ManifestSlotPath(slot), &data, &exists));
+    if (!exists) continue;
+    ManifestImage image;
+    if (!DecodeManifestSlot(data, &image)) {
+      invalid_slot = true;
+    } else if (image.generation > newest.generation) {
+      newest = std::move(image);
     }
-    next_seq += records;
-    records_per_segment->push_back(records);
-    checksums->push_back(checksum);
   }
-  if (!reader.GetString(&metadata_) || !reader.AtEnd()) return corrupt;
-  *found = true;
+  // An undecodable slot is the newer one torn mid-write (the other then
+  // holds the previous manifest) or an older one — unless the seal that
+  // wrote it completed, which the next active segment's file proves: it
+  // is created only after the seal's manifest write. No valid slot at
+  // all and no seg-000001.log is a fresh store whose first write tore.
+  if (invalid_slot &&
+      std::filesystem::exists(SegmentPath(newest.records.size() + 1))) {
+    return Status::Corruption("bad manifest slot: " + config_.directory);
+  }
+  manifest_generation_ = newest.generation;
+  metadata_ = std::move(newest.metadata);
+  *records_per_segment = std::move(newest.records);
+  *checksums = std::move(newest.checksums);
   return Status::OK();
 }
 
 Status SegmentedDiskBackend::WriteManifest() const {
-  std::string payload;
-  ByteWriter writer(&payload);
+  const uint64_t generation = manifest_generation_ + 1;
+  std::string slot;
+  ByteWriter writer(&slot);
+  writer.PutU64(0);  // length, patched below
   writer.PutU64(kManifestMagic);
   writer.PutU32(kManifestVersion);
+  writer.PutU64(generation);
   writer.PutU64(sealed_->size());
   for (const auto& seg : *sealed_) {
     writer.PutU64(seg->first_seq);
@@ -364,22 +408,26 @@ Status SegmentedDiskBackend::WriteManifest() const {
     writer.PutU64(seg->checksum);
   }
   writer.PutString(metadata_);
-  writer.PutU64(HashBytesFast(payload));
+  // Bytes after the length prefix, the checksum included.
+  const uint64_t len = slot.size();
+  std::memcpy(slot.data(), &len, 8);
+  writer.PutU64(HashBytesFast(slot));
 
-  const std::string tmp = ManifestPath() + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return IOErrorFor("cannot open for write", tmp);
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  Status sync = written == payload.size() ? SyncFile(f, tmp, ops_)
-                                          : IOErrorFor("short write", tmp);
-  if (std::fclose(f) != 0 && sync.ok()) {
-    sync = IOErrorFor("close failed", tmp);
-  }
-  if (!sync.ok()) return sync;
-  if (std::rename(tmp.c_str(), ManifestPath().c_str()) != 0) {
-    return IOErrorFor("cannot rename manifest", tmp);
-  }
-  SyncDirectory(config_.directory);
+  // In place over the slot two generations back: no tmp file, no
+  // rename, no truncate — nothing on this path frees disk blocks.
+  const std::string path = ManifestSlotPath(generation % 2);
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
+  const bool created = fd >= 0;
+  if (!created) fd = ::open(path.c_str(), O_RDWR);
+  if (fd < 0) return IOErrorFor("cannot open manifest slot", path);
+  const bool synced = PWriteFully(ops_, fd, slot, 0) && ops_->Fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return IOErrorFor("cannot write manifest slot", path);
+  if (created) SyncDirectory(config_.directory);
+  // Advanced only once the slot is durable: a failed write is retried
+  // into the same slot, never into the one holding the last good
+  // manifest.
+  manifest_generation_ = generation;
   return Status::OK();
 }
 
@@ -560,8 +608,11 @@ void SegmentedDiskBackend::AppendRecordLocked(LogRecord record,
     write_buffer_.append(header, kFrameHeaderBytes);
     write_buffer_.append(record.text);
     if (wal_ != nullptr && !wal_replaying_) {
-      // Same frame bytes, staged for one WAL write per batch. Replay
-      // skips this: the frames being replayed came FROM the WAL.
+      // Same frame with the generation's salted checksum, staged for
+      // one WAL write per batch. Replay skips this: the frames being
+      // replayed came FROM the WAL.
+      const uint64_t salted = crc ^ wal_salt_;
+      std::memcpy(header + kFrameCrcOffset, &salted, 8);
       wal_scratch_.append(header, kFrameHeaderBytes);
       wal_scratch_.append(record.text);
     }
@@ -746,8 +797,9 @@ Status SegmentedDiskBackend::SealActiveImplLocked() {
   BB_RETURN_IF_ERROR(OpenActiveFile());
   if (wal_ != nullptr) {
     // Checkpoint-on-seal: the sealed segment's fsync covers every
-    // logged frame, so the WAL starts over for the new active segment.
-    return wal_->Rotate(active_index_, sealed_records_);
+    // logged frame, so the WAL starts a new generation in place.
+    wal_salt_ = logframe::WalSalt(sealed_records_);
+    return wal_->Rotate(sealed_records_);
   }
   return Status::OK();
 }

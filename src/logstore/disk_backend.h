@@ -3,24 +3,39 @@
 // protocol, §8 for the sparse index and the segment cache).
 //
 // Layout of a topic directory:
-//   MANIFEST            sealed-segment catalog + metadata blob, atomic
-//                       tmp+rename rewrites, whole-file checksum
+//   MANIFEST-0          two manifest slots (sealed-segment catalog +
+//   MANIFEST-1          metadata blob + generation, checksummed). Each
+//                       seal or checkpoint rewrites the older slot in
+//                       place; Open loads the valid slot with the
+//                       higher generation
 //   seg-000000.log ...  fixed-size segment files of record frames; the
 //                       file AFTER the last manifest entry is the
 //                       active (append) segment
 //   seg-000000.idx ...  per-sealed-segment sparse index (fenceposts +
 //                       template postings + time range; see
-//                       logstore/segment_index.h). Derived data:
-//                       missing/corrupt/stale files are rebuilt at
-//                       Open from the verified segment, never an error
-//   wal-NNNNNN.log      tail write-ahead log for the active segment
+//                       logstore/segment_index.h), rewritten in place.
+//                       Derived data: missing/corrupt/stale files are
+//                       rebuilt at Open from the verified segment,
+//                       never an error
+//   wal.log             tail write-ahead log for the active segment
 //                       (StorageConfig::durability != kNone only; see
-//                       logstore/wal.h — rotated at every seal)
+//                       logstore/wal.h — recycled at every seal)
+// The seal and checkpoint path creates only the next segment file and
+// frees none: no rename-over, no remove, no truncate. On a filesystem
+// mounted with `discard`, each freed file costs tens of milliseconds
+// under the topic's exclusive lock. A directory that still holds the
+// old layout (MANIFEST, wal-NNNNNN.log) fails Open; there is no
+// migration.
 //
 // Record frame (logstore/frame_format.h; util/hashing.h RecordChecksum
 // covers ts + text, NOT the template id, which retraining rewrites in
 // place):
 //   text_len u32 | timestamp u64 | template_id u64 | checksum u64 | text
+//
+// Manifest load (recovery): a slot that fails its checksum is the newer
+// one torn mid-write, and the older slot is used — unless
+// seg-(count+1).log exists, which proves the seal that wrote the newer
+// slot completed; then the store is Corruption.
 //
 // Sealed segments are immutable except for 8-byte template-id rewrites
 // (pwrite; excluded from every checksum). Their mappings live in a
@@ -131,7 +146,7 @@ class SegmentedDiskBackend : public StorageBackend {
   class View;
 
   std::string SegmentPath(uint64_t index) const;
-  std::string ManifestPath() const;
+  std::string ManifestSlotPath(uint64_t slot) const;
   uint64_t active_count() const { return active_offsets_.size(); }
   /// Byte offset of record `ridx` within the mapped segment `data`:
   /// seek to the nearest fencepost, hop at most K-1 frame headers.
@@ -154,10 +169,16 @@ class SegmentedDiskBackend : public StorageBackend {
   void FlushWalScratchLocked(Status* error);
   /// Drains write_buffer_ to active_fd_ with plain write()s.
   Status FlushWriteBuffer();
+  /// Writes the next manifest generation into its slot in place
+  /// (pwrite + fsync through ops_). Const, yet it advances
+  /// manifest_generation_: its callers are the seal (topic lock
+  /// EXCLUSIVE) and Checkpoint (SHARED, serialized by
+  /// ManagedTopic::checkpoint_mu_), which never overlap.
   Status WriteManifest() const;
-  Status LoadManifest(uint64_t* sealed_count,
-                      std::vector<uint64_t>* records_per_segment,
-                      std::vector<uint64_t>* checksums, bool* found);
+  /// Loads the newest valid slot (sealed-segment catalog, metadata_,
+  /// manifest_generation_); a fresh store loads empty.
+  Status LoadManifest(std::vector<uint64_t>* records_per_segment,
+                      std::vector<uint64_t>* checksums);
   Status OpenSealedSegment(uint64_t index, uint64_t first_seq,
                            uint64_t expect_records, uint64_t expect_checksum,
                            std::shared_ptr<const SealedSegment>* out);
@@ -190,6 +211,7 @@ class SegmentedDiskBackend : public StorageBackend {
   /// suppresses re-logging and mid-replay seals while recovered WAL
   /// frames stream back through the normal append path.
   std::unique_ptr<WriteAheadLog> wal_;
+  uint64_t wal_salt_ = 0;  // logframe::WalSalt of the WAL's generation
   std::string wal_scratch_;
   bool wal_replaying_ = false;
   uint64_t wal_replayed_ = 0;
@@ -219,6 +241,9 @@ class SegmentedDiskBackend : public StorageBackend {
 
   uint64_t text_bytes_ = 0;
   std::string metadata_;
+  /// Generation of the newest durable manifest slot (0: none yet); see
+  /// WriteManifest for why a const method may advance it.
+  mutable uint64_t manifest_generation_ = 0;
   /// Sealed-segment indexes rebuilt at Open (.idx missing/corrupt/
   /// stale) and records touched by Scan/ScanTemplates/partial
   /// TemplateCounts — see StorageStats for the contract.

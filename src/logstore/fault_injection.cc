@@ -32,6 +32,18 @@ FileOps* RealFileOps() {
   return ops;
 }
 
+bool PWriteFully(FileOps* ops, int fd, std::string_view bytes,
+                 uint64_t offset) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ops->PWrite(fd, bytes.data() + done,
+                                  bytes.size() - done, offset + done);
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
 ssize_t FaultInjectingFileOps::Write(int fd, const void* buf, size_t count) {
   const uint64_t op = NextOp();
   if (crashed_.load(std::memory_order_relaxed)) return FailEIO();

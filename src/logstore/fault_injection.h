@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "logstore/storage_backend.h"
 
@@ -45,6 +46,11 @@ class FileOps {
 
 /// The pass-through singleton (real syscalls). Never freed.
 FileOps* RealFileOps();
+
+/// Writes all of `bytes` at `offset` through ops->PWrite, continuing
+/// after short writes; false at the first failed call.
+bool PWriteFully(FileOps* ops, int fd, std::string_view bytes,
+                 uint64_t offset);
 
 /// When each fault fires, by 1-based GLOBAL op index (each Write/PWrite/
 /// Fsync call increments one shared counter). 0 disables a trigger.
@@ -105,8 +111,9 @@ struct BackendFaultSchedule {
 /// error — the fail-soft contract (the records must land, only
 /// durability is lost) means callers rely on size() advancing even on
 /// error, and the decorator must not break sequence numbering. Read,
-/// Scan, Flush and Checkpoint faults do not forward; AssignTemplates and
-/// both query primitives always forward.
+/// Scan, Flush and Checkpoint faults do not forward; AssignTemplates,
+/// both query primitives, SealActive and the three replication reads
+/// always forward.
 class FaultInjectingBackend : public StorageBackend {
  public:
   FaultInjectingBackend(std::unique_ptr<StorageBackend> inner,
@@ -136,6 +143,21 @@ class FaultInjectingBackend : public StorageBackend {
       const std::function<void(uint64_t, TemplateId)>& fn) const override {
     return inner_->ScanTemplates(begin, end, min_ts_us, max_ts_us, ids, fn);
   }
+  Status ReplicationRead(uint64_t segment_index, uint64_t offset,
+                         uint64_t max_bytes,
+                         ReplicationChunk* out) const override {
+    return inner_->ReplicationRead(segment_index, offset, max_bytes, out);
+  }
+  Status ReplicationPosition(uint64_t* segment_index,
+                             uint64_t* offset) const override {
+    return inner_->ReplicationPosition(segment_index, offset);
+  }
+  Status VerifySealedSegment(uint64_t segment_index, uint64_t expect_records,
+                             uint64_t expect_checksum) const override {
+    return inner_->VerifySealedSegment(segment_index, expect_records,
+                                       expect_checksum);
+  }
+  Status SealActive() override { return inner_->SealActive(); }
   Status Flush() override;
   Status Checkpoint(std::string_view metadata) override;
   const std::string& metadata() const override { return inner_->metadata(); }

@@ -8,6 +8,14 @@
 // (WAL frames — replay re-matches). The template id sits at a fixed
 // offset so AssignTemplates can rewrite it with one 8-byte pwrite.
 //
+// A WAL frame is a segment frame whose checksum field holds
+// RecordChecksum ^ WalSalt(base_seq), base_seq being the WAL
+// generation's first sequence number. The WAL file is recycled at every
+// seal (logstore/wal.h), so its tail may still hold frames of earlier
+// generations; their salt differs, so they never verify as frames of
+// the current one. Segment files, replication chunks and the wire carry
+// unsalted frames.
+//
 // These helpers used to live in disk_backend.cc's anonymous namespace;
 // the WAL appends and replays the SAME frame bytes, so the one parser
 // both use lives here — a frame-format change lands in this header and
@@ -27,6 +35,12 @@ namespace logframe {
 
 constexpr size_t kFrameHeaderBytes = 4 + 8 + 8 + 8;
 constexpr size_t kFrameTidOffset = 4 + 8;
+constexpr size_t kFrameCrcOffset = kFrameTidOffset + 8;
+
+/// The checksum salt of the WAL generation starting at `base_seq`.
+inline uint64_t WalSalt(uint64_t base_seq) {
+  return HashCombine(0x57414c53'414c5431ULL /* "WALSALT1" */, base_seq);
+}
 
 // Serializes the fixed-width frame header in place (no intermediate
 // string on the append path).
@@ -35,7 +49,7 @@ inline void FillFrameHeader(char* header, const LogRecord& rec, uint64_t crc) {
   std::memcpy(header, &len, 4);
   std::memcpy(header + 4, &rec.timestamp_us, 8);
   std::memcpy(header + kFrameTidOffset, &rec.template_id, 8);
-  std::memcpy(header + kFrameTidOffset + 8, &crc, 8);
+  std::memcpy(header + kFrameCrcOffset, &crc, 8);
 }
 
 /// One decoded frame, as parsed by ParseFrame.
@@ -50,9 +64,12 @@ struct Frame {
 
 // Decodes one frame at the reader's position (over the segment bytes
 // starting at `base`), bounds-checking the text and verifying the
-// stored checksum. Returns false on a torn or corrupt frame. The ONE
-// parser recovery, sealed verification, and WAL replay all use.
-inline bool ParseFrame(ByteReader* reader, const char* base, Frame* out) {
+// stored checksum against RecordChecksum ^ `salt` (0 for segment
+// frames, WalSalt for WAL frames). Returns false on a torn or corrupt
+// frame. The ONE parser recovery, sealed verification, and WAL replay
+// all use.
+inline bool ParseFrame(ByteReader* reader, const char* base, Frame* out,
+                       uint64_t salt = 0) {
   out->start = reader->position();
   if (!reader->GetU32(&out->text_len) || !reader->GetU64(&out->ts) ||
       !reader->GetU64(&out->tid) || !reader->GetU64(&out->crc) ||
@@ -62,7 +79,7 @@ inline bool ParseFrame(ByteReader* reader, const char* base, Frame* out) {
   out->text =
       std::string_view(base + out->start + kFrameHeaderBytes, out->text_len);
   (void)reader->Skip(out->text_len);
-  return out->crc == RecordChecksum(out->ts, out->text);
+  return out->crc == (RecordChecksum(out->ts, out->text) ^ salt);
 }
 
 // Copies the frame at `frame` (sealed mmap or active buffer) into a

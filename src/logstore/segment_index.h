@@ -14,7 +14,7 @@
 //     pwrote template ids into the segment after the .idx was written.
 //
 // The index is DERIVED data. It is written to `seg-NNNNNN.idx` beside
-// the segment (atomic tmp+rename, no fsync) at seal time and rewritten
+// the segment (in place, no fsync) at seal time and rewritten
 // when template reassignment dirties it, but the segment file stays
 // the single source of truth: at open the backend rebuilds the index
 // from the verified frames it is already parsing and uses the .idx
@@ -60,10 +60,12 @@ struct SegmentIndex {
   void EncodeTo(std::string* out) const;
   static Status DecodeFrom(std::string_view bytes, SegmentIndex* out);
 
-  /// Atomic tmp+rename write. Deliberately NOT fsynced and not routed
-  /// through StorageConfig::file_ops: the index is rebuildable derived
-  /// data, and keeping it off the fault-injection op stream keeps the
-  /// crash matrix's op indices stable.
+  /// In-place write (pwrite at offset 0; no tmp file, no rename, no
+  /// truncate). Deliberately NOT fsynced and not routed through
+  /// StorageConfig::file_ops: the index is rebuildable derived data — a
+  /// torn write fails the checksum and Open rebuilds it — and keeping
+  /// it off the fault-injection op stream keeps the crash matrix's op
+  /// indices stable.
   Status WriteTo(const std::string& path) const;
   /// *exists=false (and OK) when the file is absent. Any read or
   /// decode problem returns Corruption — callers rebuild, never fail.

@@ -27,7 +27,8 @@
 //     checkpoint (with the Flush inside it) mutates only write-path
 //     state no reader touches — the write buffer, the dirty template
 //     ids, the metadata blob (read back only by recovery, before the
-//     topic is shared), the index-dirty flags and the sticky IO error.
+//     topic is shared), the manifest generation, the index-dirty flags
+//     and the sticky IO error.
 // A SealedRecordView needs no lock at all: it is immutable by
 // construction (sealed segments never change after sealing and the
 // view keeps them alive via shared ownership).

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "logstore/fault_injection.h"
 #include "logstore/frame_format.h"
@@ -15,10 +14,11 @@ namespace bytebrain {
 namespace {
 
 // WAL file header: magic u64 | version u32 | base_seq u64. base_seq is
-// the global sequence number of the file's first frame (== the owning
-// backend's sealed_records_ when the file was created).
+// the global sequence number of the generation's first frame (== the
+// owning backend's sealed_records_ when the generation started).
+// Version 2: one recycled wal.log with salted frame checksums.
 constexpr uint64_t kWalMagic = 0x42425741'4c4f4731ULL;  // "BBWALOG1"
-constexpr uint32_t kWalVersion = 1;
+constexpr uint32_t kWalVersion = 2;
 constexpr size_t kWalHeaderBytes = 8 + 4 + 8;
 
 /// Reads `path` fully into `*out`; a missing file is reported through
@@ -42,7 +42,7 @@ Status ReadWhole(const std::string& path, std::string* out, bool* exists) {
 
 WriteAheadLog::WriteAheadLog(std::string directory, DurabilityMode mode,
                              FileOps* ops)
-    : directory_(std::move(directory)),
+    : path_(std::move(directory) + "/wal.log"),
       mode_(mode),
       ops_(ops),
       committer_([this] { CommitLoop(); }) {}
@@ -57,41 +57,16 @@ WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string WriteAheadLog::PathFor(uint64_t index) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%06llu.log",
-                static_cast<unsigned long long>(index));
-  return directory_ + "/" + name;
-}
-
-Status WriteAheadLog::OpenAndReplay(uint64_t index, uint64_t base_seq,
+Status WriteAheadLog::OpenAndReplay(uint64_t base_seq,
                                     std::vector<LogRecord>* replayed) {
   std::lock_guard<std::mutex> lock(mu_);
-  file_index_ = index;
-  const std::string path = PathFor(index);
-  const std::string current = std::filesystem::path(path).filename().string();
-
-  // Delete stale files from other segment generations. A crash between
-  // a seal's manifest write and its Rotate() leaves the previous
-  // segment's file behind — every frame in it is already in the sealed
-  // (fsynced, manifest-listed) segment, so it must not replay.
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(directory_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(0, 4, "wal-") == 0 &&
-        name != current) {
-      std::remove(entry.path().c_str());
-    }
-  }
-
   std::string data;
   bool exists = false;
-  BB_RETURN_IF_ERROR(ReadWhole(path, &data, &exists));
+  BB_RETURN_IF_ERROR(ReadWhole(path_, &data, &exists));
   if (!exists || data.size() < kWalHeaderBytes) {
     // Missing, or creation torn mid-header: no frame can follow a
     // header whose write never completed, so start fresh.
-    return CreateFileLocked(base_seq);
+    return ResetLocked(base_seq);
   }
   ByteReader reader(data.data(), data.size());
   uint64_t magic = 0;
@@ -100,20 +75,27 @@ Status WriteAheadLog::OpenAndReplay(uint64_t index, uint64_t base_seq,
   (void)reader.GetU64(&magic);
   (void)reader.GetU32(&version);
   (void)reader.GetU64(&stored_base);
-  if (magic != kWalMagic || version != kWalVersion ||
-      stored_base != base_seq) {
-    // A full header that does not match is not a crash artifact — it is
-    // a file in the wrong place, and replaying it would splice foreign
-    // records into the topic.
-    return Status::Corruption("bad wal header: " + path);
+  if (magic != kWalMagic || version != kWalVersion || stored_base > base_seq) {
+    // Not a crash artifact: a foreign file, or one claiming records the
+    // manifest never sealed — replaying it would splice them into the
+    // wrong position.
+    return Status::Corruption("bad wal header: " + path_);
+  }
+  if (stored_base < base_seq) {
+    // A crash between a seal's manifest write and its Rotate: every
+    // frame of that generation is in the sealed (fsynced, manifested)
+    // segment, so none may replay.
+    return ResetLocked(base_seq);
   }
 
-  // Frame-by-frame replay; the first torn or corrupt frame ends the
-  // trusted prefix and everything after it is truncated away.
+  // Frame-by-frame replay; the first torn, corrupt or earlier-generation
+  // frame (its salt differs) ends the trusted prefix, and everything
+  // after it is truncated away.
+  const uint64_t salt = logframe::WalSalt(base_seq);
   size_t frame_bytes = 0;
   while (!reader.AtEnd()) {
     logframe::Frame frame;
-    if (!logframe::ParseFrame(&reader, data.data(), &frame)) break;
+    if (!logframe::ParseFrame(&reader, data.data(), &frame, salt)) break;
     LogRecord rec;
     rec.timestamp_us = frame.ts;
     rec.template_id = frame.tid;
@@ -123,14 +105,14 @@ Status WriteAheadLog::OpenAndReplay(uint64_t index, uint64_t base_seq,
   }
   const size_t valid_bytes = kWalHeaderBytes + frame_bytes;
   if (valid_bytes < data.size()) {
-    if (::truncate(path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
-      return Status::IOError("cannot truncate torn wal tail: " + path);
+    if (::truncate(path_.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
+      return Status::IOError("cannot truncate torn wal tail: " + path_);
     }
   }
-  fd_ = ::open(path.c_str(), O_RDWR, 0644);
-  if (fd_ < 0) return Status::IOError("cannot open wal file: " + path);
+  fd_ = ::open(path_.c_str(), O_RDWR, 0644);
+  if (fd_ < 0) return Status::IOError("cannot open wal file: " + path_);
   if (::lseek(fd_, 0, SEEK_END) < 0) {
-    return Status::IOError("cannot seek wal file: " + path);
+    return Status::IOError("cannot seek wal file: " + path_);
   }
   file_bytes_ = frame_bytes;
   // The replayed prefix is on disk by definition; new appends start
@@ -140,20 +122,23 @@ Status WriteAheadLog::OpenAndReplay(uint64_t index, uint64_t base_seq,
   return Status::OK();
 }
 
-Status WriteAheadLog::CreateFileLocked(uint64_t base_seq) {
-  const std::string path = PathFor(file_index_);
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) {
-    error_ = Status::IOError("cannot create wal file: " + path);
-    cv_synced_.notify_all();
-    return error_;
-  }
+Status WriteAheadLog::ResetLocked(uint64_t base_seq) {
+  file_bytes_ = 0;
+  if (fd_ < 0) fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
   std::string header;
   ByteWriter writer(&header);
   writer.PutU64(kWalMagic);
   writer.PutU32(kWalVersion);
   writer.PutU64(base_seq);
-  return WriteFullyLocked(header);
+  // The frames that follow overwrite the previous generation's in
+  // place; their salt keeps the leftovers beyond them from replaying.
+  if (fd_ < 0 || !PWriteFully(ops_, fd_, header, 0) ||
+      ::lseek(fd_, static_cast<off_t>(header.size()), SEEK_SET) < 0) {
+    error_ = Status::IOError("cannot start wal generation: " + path_);
+    cv_synced_.notify_all();
+    return error_;
+  }
+  return Status::OK();
 }
 
 Status WriteAheadLog::WriteFullyLocked(std::string_view bytes) {
@@ -164,7 +149,7 @@ Status WriteAheadLog::WriteFullyLocked(std::string_view bytes) {
     if (n <= 0) {
       // The file now ends mid-frame (replay truncates it); sticky — and
       // waiters must not sleep for an fsync that will never cover them.
-      error_ = Status::IOError("wal write failed: " + PathFor(file_index_));
+      error_ = Status::IOError("wal write failed: " + path_);
       cv_synced_.notify_all();
       return error_;
     }
@@ -177,7 +162,7 @@ Status WriteAheadLog::Append(std::string_view frames) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!error_.ok()) return error_;
   if (fd_ < 0) {
-    error_ = Status::IOError("wal has no open file: " + PathFor(file_index_));
+    error_ = Status::IOError("wal has no open file: " + path_);
     return error_;
   }
   BB_RETURN_IF_ERROR(WriteFullyLocked(frames));
@@ -200,26 +185,20 @@ Status WriteAheadLog::WaitDurable() {
   return error_;
 }
 
-Status WriteAheadLog::Rotate(uint64_t new_index, uint64_t new_base_seq) {
+Status WriteAheadLog::Rotate(uint64_t new_base_seq) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_idle_.wait(lock, [&] { return !syncing_; });
   // Everything appended so far is durable through the sealed segment's
-  // own fsync: release every waiter, then swap files. The monotone
-  // counters are NOT reset — a waiter parked on a pre-rotation target
-  // must see synced_ pass it, never restart below.
+  // own fsync: release every waiter, then start the next generation in
+  // the same file. The monotone counters are NOT reset — a waiter
+  // parked on a pre-rotation target must see synced_ pass it, never
+  // restart below.
   synced_ = appended_;
   cv_synced_.notify_all();
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  std::remove(PathFor(file_index_).c_str());
-  file_index_ = new_index;
-  file_bytes_ = 0;
   // Rotation is only reached from a healthy seal, which starts a fresh
-  // file, so an old sticky failure no longer applies.
+  // generation, so an old sticky failure no longer applies.
   error_ = Status::OK();
-  return CreateFileLocked(new_base_seq);
+  return ResetLocked(new_base_seq);
 }
 
 void WriteAheadLog::CommitLoop() {
@@ -242,7 +221,7 @@ void WriteAheadLog::CommitLoop() {
     if (rc == 0) {
       if (target > synced_) synced_ = target;
     } else if (error_.ok()) {
-      error_ = Status::IOError("wal fsync failed: " + PathFor(file_index_));
+      error_ = Status::IOError("wal fsync failed: " + path_);
     }
     cv_synced_.notify_all();
     cv_idle_.notify_all();

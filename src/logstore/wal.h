@@ -11,20 +11,37 @@
 // dedicated commit thread has covered its bytes with an fsync — one
 // amortized fsync per group of concurrent batches, not one per batch.
 //
-// One WAL file per active segment, named wal-%06llu.log by the active
-// segment's index and living beside the segment files. Sealing a
-// segment is the WAL's checkpoint: the seal fsyncs the whole segment
-// file, making every WAL frame redundant, so Rotate() deletes the old
-// file and starts an empty one for the new active segment. Recovery is
-// therefore sealed segments + active-file replay + WAL replay of any
-// frames BEYOND the active file ("longest checksummed prefix wins" —
-// the WAL is written ahead of the segment drain, so after a crash it
-// usually holds more).
+// One WAL file per topic, `wal.log`, living beside the segment files
+// and recycled rather than replaced. Sealing a segment is the WAL's
+// checkpoint: the seal fsyncs the whole segment file, making every WAL
+// frame redundant, so Rotate() rewrites the 20-byte header in place
+// with the new generation's base_seq and appends continue right after
+// it, over the previous generation's frames. No file is created,
+// renamed, truncated or deleted on the seal path: on a filesystem
+// mounted with `discard`, freeing a file's blocks costs tens of
+// milliseconds under the topic's exclusive lock, an in-place pwrite a
+// fraction of one. Recovery is therefore sealed segments + active-file
+// replay + WAL replay of any frames BEYOND the active file ("longest
+// checksummed prefix wins" — the WAL is written ahead of the segment
+// drain, so after a crash it usually holds more).
 //
 // File layout: magic u64 | version u32 | base_seq u64, then record
-// frames identical to segment frames (logstore/frame_format.h). Frame i
-// of wal-N.log is record i of segment N; base_seq pins the mapping so a
-// stale or misplaced file can never replay into the wrong position.
+// frames in the segment frame format (logstore/frame_format.h) with a
+// salted checksum field: RecordChecksum ^ WalSalt(base_seq). Frame i is
+// global record base_seq + i. The salt is what makes recycling safe —
+// frames left over from an earlier generation fail the check, so the
+// replayed prefix ends at the first one. Replay compares the stored
+// base_seq with the expected one (the sealed record count):
+//   * equal — replay the salted frames; a torn tail is truncated away
+//     (at open only);
+//   * smaller — an earlier generation whose frames are all sealed (a
+//     crash between the seal's manifest write and its Rotate): the
+//     file is recycled with zero frames;
+//   * larger — Corruption: the WAL claims records the manifest never
+//     sealed, so replaying it would splice records into the wrong
+//     position.
+// The header rewrite is a 20-byte pwrite at offset 0, inside one disk
+// sector, so a crash leaves either the old base_seq or the new one.
 // WAL frames keep whatever template id the record had at append time —
 // retraining patches the SEGMENT file only, and replayed records are
 // re-matched by the service (the frame checksum excludes the id by
@@ -42,7 +59,7 @@
 // error — the owning backend degrades exactly like its segment append
 // path (fail-soft: acks continue from memory, TopicStats::storage_ok
 // flips false). Rotate() clears the sticky error: it is only reached
-// from a healthy seal, which starts a fresh file.
+// from a healthy seal, which starts a fresh generation.
 #pragma once
 
 #include <condition_variable>
@@ -70,19 +87,19 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Opens (and replays) the WAL file for active segment `index`, whose
-  /// first record is global sequence `base_seq`. Every valid frame is
-  /// returned through `*replayed` (the caller skips the prefix it
-  /// already recovered from the segment file); a torn tail is truncated
-  /// away; stale wal files from other segment indexes are deleted. A
-  /// base_seq mismatch is Corruption — a well-formed file in the wrong
-  /// place must never replay.
-  Status OpenAndReplay(uint64_t index, uint64_t base_seq,
-                       std::vector<LogRecord>* replayed);
+  /// Opens (creating it if missing) and replays wal.log for the
+  /// generation whose first record is global sequence `base_seq`. Every
+  /// valid frame is returned through `*replayed` (the caller skips the
+  /// prefix it already recovered from the segment file) and a torn tail
+  /// is truncated away. A file of an earlier generation replays nothing
+  /// and is recycled; a stored base_seq beyond `base_seq`, or a foreign
+  /// header, is Corruption.
+  Status OpenAndReplay(uint64_t base_seq, std::vector<LogRecord>* replayed);
 
-  /// Appends pre-materialized frame bytes (one write() for the whole
-  /// batch) and wakes the commit thread. Does NOT wait for durability —
-  /// that is WaitDurable's job. Sticky on failure.
+  /// Appends pre-materialized frame bytes, salted with
+  /// logframe::WalSalt(base_seq) of the current generation (one write()
+  /// for the whole batch), and wakes the commit thread. Does NOT wait
+  /// for durability — that is WaitDurable's job. Sticky on failure.
   Status Append(std::string_view frames);
 
   /// wal_group_commit: blocks until every byte appended before this
@@ -91,10 +108,11 @@ class WriteAheadLog {
   Status WaitDurable();
 
   /// Checkpoint-on-seal: everything logged so far is durable in the
-  /// sealed segment, so waiters are released, the old file is deleted,
-  /// and an empty wal-`new_index`.log begins. Clears the sticky error
-  /// (see the header comment).
-  Status Rotate(uint64_t new_index, uint64_t new_base_seq);
+  /// sealed segment, so waiters are released and the header is
+  /// rewritten in place for the generation starting at `new_base_seq`;
+  /// appends continue right after it. Clears the sticky error (see the
+  /// header comment).
+  Status Rotate(uint64_t new_base_seq);
 
   /// Observability (StorageStats::wal_*). group_commits counts durable
   /// acks served, fsyncs counts fsync calls issued — the ratio is the
@@ -104,14 +122,15 @@ class WriteAheadLog {
   uint64_t fsyncs() const;
 
  private:
-  std::string PathFor(uint64_t index) const;
-  /// Creates an empty WAL file with a fresh header; sticky on failure.
-  Status CreateFileLocked(uint64_t base_seq);
+  /// Starts generation `base_seq` with zero frames: opens (or creates)
+  /// the file if needed, pwrites the header at offset 0 and positions
+  /// appends right after it. Sticky on failure.
+  Status ResetLocked(uint64_t base_seq);
   /// Full write of `bytes` to fd_ via ops_; sticky on failure.
   Status WriteFullyLocked(std::string_view bytes);
   void CommitLoop();
 
-  const std::string directory_;
+  const std::string path_;  // <directory>/wal.log
   const DurabilityMode mode_;
   FileOps* const ops_;
 
@@ -120,20 +139,20 @@ class WriteAheadLog {
   std::condition_variable cv_synced_;    // wakes WaitDurable waiters
   std::condition_variable cv_idle_;      // wakes Rotate (no fsync in flight)
   int fd_ = -1;
-  uint64_t file_index_ = 0;
   /// Monotone byte counters, NEVER reset by rotation (a rotation marks
   /// everything appended-so-far synced instead): appended_ advances on
   /// Append, synced_ advances on fsync completion / rotation, and a
   /// waiter is durable once synced_ passes the appended_ it observed.
-  /// File offsets would break here — a post-rotation offset restarts at
-  /// 0 and could satisfy a pre-rotation waiter spuriously.
+  /// File offsets would break here — a post-rotation offset restarts
+  /// after the header and could satisfy a pre-rotation waiter
+  /// spuriously.
   uint64_t appended_ = 0;
   uint64_t synced_ = 0;
   bool syncing_ = false;  // commit thread holds fd_ off-lock
   bool stop_ = false;
   Status error_;  // sticky first IO failure
 
-  uint64_t file_bytes_ = 0;  // frame bytes in the current file
+  uint64_t file_bytes_ = 0;  // frame bytes of the current generation
   uint64_t fsyncs_ = 0;
   uint64_t group_commits_ = 0;
 

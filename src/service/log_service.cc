@@ -84,18 +84,23 @@ Status ValidateTopicConfig(const TopicConfig& config) {
 }
 
 ManagedTopic::ManagedTopic(std::string name, TopicConfig config)
+    : ManagedTopic(std::move(name), config,
+                   CreateStorageBackend(EffectiveStorage(config))) {}
+
+ManagedTopic::ManagedTopic(std::string name, TopicConfig config,
+                           std::unique_ptr<StorageBackend> store)
     : name_(std::move(name)),
       config_(std::move(config)),
+      store_(std::move(store)),
       parser_(config_.parser_options) {
-  const StorageConfig storage = EffectiveStorage(config_);
-  store_ = CreateStorageBackend(storage);
   storage_status_ = store_->Open();
   if (!storage_status_.ok()) {
     // Fail-soft: a constructor cannot return a Status and a half-broken
     // disk store must never crash, so the topic runs (empty) on an
     // in-memory store and keeps the open error; LogService::CreateTopic
     // surfaces it as the creation result.
-    store_ = std::make_unique<MemoryBackend>(storage.memory_segment_capacity);
+    store_ = std::make_unique<MemoryBackend>(
+        config_.storage.memory_segment_capacity);
   }
   const int num_shards = std::clamp(config_.num_ingest_shards, 1, 64);
   shards_.reserve(num_shards);
@@ -872,7 +877,7 @@ Status ManagedTopic::CommitTrainingLocked(
 
   // (e) Durability: STAGE the committed model for a manifest
   // checkpoint. The serialize is an O(model) copy; the expensive part
-  // (drain + fsyncs + manifest rename) runs in
+  // (drain + fsyncs + manifest slot write) runs in
   // MaybeFlushStorageCheckpoint once the caller releases the exclusive
   // lock, keeping this commit section O(1)-ish as designed.
   if (store_->persistent()) {

@@ -305,6 +305,11 @@ class ManagedTopic {
   /// the crash) are re-matched. Storage failures never throw — check
   /// StorageStatus() (LogService::CreateTopic does).
   ManagedTopic(std::string name, TopicConfig config);
+  /// As above over `store` (not yet opened) instead of the backend
+  /// `config.storage` describes — e.g. a FaultInjectingBackend wrapping
+  /// a disk backend.
+  ManagedTopic(std::string name, TopicConfig config,
+               std::unique_ptr<StorageBackend> store);
 
   /// Drains any in-flight background training (it still commits, so no
   /// records lose their assignments), then joins the training thread.

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "logstore/disk_backend.h"
+#include "logstore/fault_injection.h"
 #include "service/log_service.h"
 #include "util/rng.h"
 
@@ -530,12 +533,33 @@ TEST(StorageBackendTest, FlippedTailByteDropsSuffixKeepsSealed) {
   }
 }
 
+/// The manifest slot holding the higher generation (length u64 | magic
+/// u64 | version u32 | generation u64 | ...).
+std::string NewestManifestSlot(const std::string& dir) {
+  std::string newest;
+  uint64_t newest_generation = 0;
+  for (const char* slot : {"/MANIFEST-0", "/MANIFEST-1"}) {
+    std::ifstream in(dir + slot, std::ios::binary);
+    uint64_t generation = 0;
+    if (in.seekg(20) && in.read(reinterpret_cast<char*>(&generation), 8) &&
+        generation > newest_generation) {
+      newest_generation = generation;
+      newest = dir + slot;
+    }
+  }
+  return newest;
+}
+
 TEST(StorageBackendTest, FlippedManifestByteSurfacesCorruption) {
   TempDir dir;
   uint64_t sealed_count = 0;
   (void)WriteCrashImage(dir.path(), 40, &sealed_count);
 
-  const std::string manifest = dir.path() + "/MANIFEST";
+  // Flip the newest slot: the seal that wrote it completed (the next
+  // active segment file exists), so falling back to the older slot
+  // would silently drop a sealed segment.
+  const std::string manifest = NewestManifestSlot(dir.path());
+  ASSERT_FALSE(manifest.empty());
   FlipByte(manifest, FileSize(manifest) / 2);
 
   SegmentedDiskBackend backend(DiskConfig(dir.path()));
@@ -562,6 +586,82 @@ TEST(StorageBackendTest, FlippedManifestByteSurfacesCorruption) {
   auto created = service.CreateTopic("t", config);
   ASSERT_FALSE(created.ok());
   EXPECT_TRUE(created.status().IsCorruption());
+}
+
+/// Real syscalls, except that once armed the next pwrite lands only
+/// its first half and fails — a crash tearing that write.
+class TearNextPWriteOps : public FileOps {
+ public:
+  ssize_t Write(int fd, const void* buf, size_t count) override {
+    return RealFileOps()->Write(fd, buf, count);
+  }
+  ssize_t PWrite(int fd, const void* buf, size_t count,
+                 uint64_t offset) override {
+    if (!armed) return RealFileOps()->PWrite(fd, buf, count, offset);
+    armed = false;
+    (void)RealFileOps()->PWrite(fd, buf, count / 2, offset);
+    errno = EIO;
+    return -1;
+  }
+  int Fsync(int fd) override { return RealFileOps()->Fsync(fd); }
+  bool armed = false;
+};
+
+TEST(StorageBackendTest, TornNewerManifestSlotRecoversFromTheOlder) {
+  TempDir dir;
+  TearNextPWriteOps ops;
+  StorageConfig cfg = DiskConfig(dir.path());
+  cfg.file_ops = &ops;
+  uint64_t sealed_count = 0;
+  {
+    SegmentedDiskBackend backend(cfg);
+    ASSERT_TRUE(backend.Open().ok());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(backend
+                      .AppendBatch({{static_cast<uint64_t>(i),
+                                     "crash stream record " + std::to_string(i),
+                                     0}})
+                      .ok());
+    }
+    ASSERT_TRUE(backend.Checkpoint("model 1").ok());
+    ASSERT_TRUE(backend.Checkpoint("model 2").ok());
+    sealed_count = backend.stats().storage_sealed_segments;
+    ASSERT_GT(sealed_count, 0u);
+    // The third checkpoint tears its slot write: half of it lands over
+    // the slot "model 1" was in; the other slot keeps "model 2".
+    ops.armed = true;
+    EXPECT_FALSE(backend.Checkpoint("model 3").ok());
+  }
+  {
+    SegmentedDiskBackend reopened(DiskConfig(dir.path()));
+    const Status opened = reopened.Open();
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_EQ(reopened.metadata(), "model 2");
+    EXPECT_EQ(reopened.stats().storage_sealed_segments, sealed_count);
+    EXPECT_EQ(reopened.size(), 40u);
+    // The next write goes into the torn slot, never over "model 2".
+    ASSERT_TRUE(reopened.Checkpoint("model 4").ok());
+  }
+  SegmentedDiskBackend reopened(DiskConfig(dir.path()));
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.metadata(), "model 4");
+  EXPECT_EQ(reopened.size(), 40u);
+}
+
+TEST(StorageBackendTest, OldLayoutFailsOpen) {
+  // MANIFEST and wal-NNNNNN.log are the layout before manifest slots
+  // and the recycled wal.log. Opening it as an empty store would lose
+  // every record, so Open refuses it.
+  for (const char* old_file : {"MANIFEST", "wal-000003.log"}) {
+    SCOPED_TRACE(old_file);
+    TempDir dir;
+    uint64_t sealed_count = 0;
+    (void)WriteCrashImage(dir.path(), 40, &sealed_count);
+    std::ofstream(dir.path() + "/" + old_file) << "old layout";
+    SegmentedDiskBackend backend(DiskConfig(dir.path()));
+    const Status opened = backend.Open();
+    EXPECT_TRUE(opened.IsNotSupported()) << opened.ToString();
+  }
 }
 
 TEST(StorageBackendTest, FlippedSealedSegmentByteSurfacesCorruption) {

@@ -1,20 +1,24 @@
-// Write-ahead-log battery (ISSUE 6 tentpole): WriteAheadLog unit
-// behavior (replay, rotation, base_seq pinning, sticky fsync failure,
-// group-commit accounting), SegmentedDiskBackend WAL integration (WAL
-// replay beyond the segment tail, torn final frames, stale-file
-// cleanup), the crash matrix (a fault-injected "process death" at EVERY
-// syscall index of a mixed append/checkpoint/seal workload, then a
-// clean reopen asserting zero acknowledged-record loss and metadata
-// recovery), group-commit concurrency (TSAN-covered), and the
-// service-level surfacing (durability config, WAL stats, sticky
-// degradation on fsync failure).
+// Write-ahead-log battery: WriteAheadLog unit behavior (replay,
+// in-place recycling, base_seq pinning, salted frames, sticky fsync
+// failure, group-commit accounting), SegmentedDiskBackend WAL
+// integration (WAL replay beyond the segment tail, torn final frames,
+// one recycled wal.log, a seal path that frees no file), the crash
+// matrices (a fault-injected "process death" at EVERY syscall index of
+// a mixed append/checkpoint/seal workload, then a clean reopen
+// asserting zero acknowledged-record loss, no replayed stale
+// generation and metadata recovery), group-commit concurrency
+// (TSAN-covered), and the service-level surfacing (durability config,
+// WAL stats, sticky degradation on fsync failure).
 #include <gtest/gtest.h>
+#include <sys/inotify.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,23 +76,27 @@ LogRecord MakeRecord(std::string text, uint64_t ts) {
   return record;
 }
 
-std::string FrameBytes(const std::vector<LogRecord>& records) {
+/// WAL frames of the generation starting at `base_seq` (salted).
+std::string FrameBytes(const std::vector<LogRecord>& records,
+                       uint64_t base_seq = 0) {
   std::string out;
   for (const LogRecord& r : records) {
     char header[logframe::kFrameHeaderBytes];
     logframe::FillFrameHeader(header, r,
-                              RecordChecksum(r.timestamp_us, r.text));
+                              RecordChecksum(r.timestamp_us, r.text) ^
+                                  logframe::WalSalt(base_seq));
     out.append(header, sizeof(header));
     out.append(r.text);
   }
   return out;
 }
 
-std::string WalPath(const std::string& dir, uint64_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%06llu.log",
-                static_cast<unsigned long long>(index));
-  return dir + "/" + name;
+std::string WalPath(const std::string& dir) { return dir + "/wal.log"; }
+
+uint64_t Inode(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_ino)
+                                        : 0;
 }
 
 // ---------------------------------------------------------------------
@@ -100,9 +108,9 @@ TEST(WriteAheadLogTest, FreshOpenCreatesEmptyFile) {
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
                     RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+  ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   EXPECT_TRUE(replayed.empty());
-  EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path(), 0)));
+  EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path())));
   EXPECT_EQ(wal.bytes(), 0u);
 }
 
@@ -115,7 +123,7 @@ TEST(WriteAheadLogTest, AppendedFramesReplayOnReopen) {
     WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
                       RealFileOps());
     std::vector<LogRecord> replayed;
-    ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+    ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
     ASSERT_TRUE(wal.Append(FrameBytes(written)).ok());
     ASSERT_TRUE(wal.WaitDurable().ok());
     EXPECT_GE(wal.fsyncs(), 1u);
@@ -124,7 +132,7 @@ TEST(WriteAheadLogTest, AppendedFramesReplayOnReopen) {
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
                     RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+  ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   ASSERT_EQ(replayed.size(), written.size());
   for (size_t i = 0; i < written.size(); ++i) {
     EXPECT_EQ(replayed[i].text, written[i].text);
@@ -139,17 +147,17 @@ TEST(WriteAheadLogTest, TornTailIsTruncatedAway) {
   {
     WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
     std::vector<LogRecord> replayed;
-    ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+    ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
     ASSERT_TRUE(wal.Append(FrameBytes(written)).ok());
   }
   // Tear the final frame: drop its last 3 bytes.
-  const std::string path = WalPath(dir.path(), 0);
+  const std::string path = WalPath(dir.path());
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 3);
 
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+  ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   ASSERT_EQ(replayed.size(), 1u);
   EXPECT_EQ(replayed[0].text, "first");
   // The torn bytes are gone: appending now must produce a cleanly
@@ -157,7 +165,7 @@ TEST(WriteAheadLogTest, TornTailIsTruncatedAway) {
   ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("third", 3)})).ok());
   std::vector<LogRecord> again;
   WriteAheadLog wal2(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
-  ASSERT_TRUE(wal2.OpenAndReplay(0, 0, &again).ok());
+  ASSERT_TRUE(wal2.OpenAndReplay(0, &again).ok());
   ASSERT_EQ(again.size(), 2u);
   EXPECT_EQ(again[1].text, "third");
 }
@@ -167,51 +175,92 @@ TEST(WriteAheadLogTest, BaseSeqMismatchIsCorruption) {
   {
     WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
     std::vector<LogRecord> replayed;
-    ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
-    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)})).ok());
+    ASSERT_TRUE(wal.OpenAndReplay(5, &replayed).ok());
+    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)}, 5)).ok());
   }
+  // The stored base (5) is beyond what the manifest sealed (0): the
+  // file claims records that must never splice into position 0.
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
   std::vector<LogRecord> replayed;
-  const Status opened = wal.OpenAndReplay(0, 5, &replayed);
+  const Status opened = wal.OpenAndReplay(0, &replayed);
   EXPECT_FALSE(opened.ok());
   EXPECT_TRUE(opened.IsCorruption());
+  EXPECT_TRUE(replayed.empty());
 }
 
-TEST(WriteAheadLogTest, RotateDeletesOldFileAndStartsFresh) {
+TEST(WriteAheadLogTest, RotateRecyclesTheFileAndStartsFresh) {
   TempDir dir;
+  const std::string long_text(200, 'L');
+  {
+    WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
+                      RealFileOps());
+    std::vector<LogRecord> replayed;
+    ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
+    const uint64_t inode = Inode(WalPath(dir.path()));
+    ASSERT_NE(inode, 0u);
+    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1),
+                                       MakeRecord(long_text, 2),
+                                       MakeRecord(long_text, 3)}))
+                    .ok());
+    const auto long_size = std::filesystem::file_size(WalPath(dir.path()));
+    ASSERT_TRUE(wal.Rotate(3).ok());
+    // Same file, same length: the header was rewritten in place and
+    // nothing was truncated or deleted.
+    EXPECT_EQ(Inode(WalPath(dir.path())), inode);
+    EXPECT_EQ(std::filesystem::file_size(WalPath(dir.path())), long_size);
+    EXPECT_EQ(wal.bytes(), 0u);
+    // A waiter arriving after the rotation is already durable (the seal
+    // fsynced its bytes): WaitDurable returns without a new append.
+    ASSERT_TRUE(wal.WaitDurable().ok());
+    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("y", 4)}, 3)).ok());
+    ASSERT_TRUE(wal.WaitDurable().ok());
+  }
+  // "y" overwrote "x" exactly, so the earlier generation's two long
+  // frames still follow it, whole and frame-aligned: only their salt
+  // keeps them from replaying.
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
                     RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
-  ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)})).ok());
-  ASSERT_TRUE(wal.Rotate(1, 1).ok());
-  EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 0)));
-  EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path(), 1)));
-  EXPECT_EQ(wal.bytes(), 0u);
-  // A waiter arriving after the rotation is already durable (the seal
-  // fsynced its bytes): WaitDurable returns without a new append.
-  ASSERT_TRUE(wal.WaitDurable().ok());
-  ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("y", 2)})).ok());
-  ASSERT_TRUE(wal.WaitDurable().ok());
+  ASSERT_TRUE(wal.OpenAndReplay(3, &replayed).ok());
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].text, "y");
 }
 
-TEST(WriteAheadLogTest, StaleFilesFromOtherSegmentsAreDeleted) {
+TEST(WriteAheadLogTest, EarlierGenerationReplaysNothing) {
   TempDir dir;
-  // A crash between the seal's manifest write and Rotate leaves the
-  // previous segment's wal file behind; the next open must remove it.
-  std::ofstream(WalPath(dir.path(), 3)) << "stale-not-even-a-header";
+  // A crash between the seal's manifest write and its Rotate leaves the
+  // previous generation in wal.log; every frame of it is sealed, so the
+  // next open must replay none and recycle the file.
+  {
+    WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
+    std::vector<LogRecord> replayed;
+    ASSERT_TRUE(wal.OpenAndReplay(96, &replayed).ok());
+    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("sealed 96", 1),
+                                       MakeRecord("sealed 97", 2)},
+                                      96))
+                    .ok());
+  }
+  const uint64_t inode = Inode(WalPath(dir.path()));
+  {
+    WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
+    std::vector<LogRecord> replayed;
+    ASSERT_TRUE(wal.OpenAndReplay(100, &replayed).ok());
+    EXPECT_TRUE(replayed.empty());
+    EXPECT_EQ(Inode(WalPath(dir.path())), inode);
+    ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("live 100", 3)}, 100)).ok());
+  }
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(4, 100, &replayed).ok());
-  EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 3)));
-  EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path(), 4)));
+  ASSERT_TRUE(wal.OpenAndReplay(100, &replayed).ok());
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].text, "live 100");
 }
 
 TEST(WriteAheadLogTest, AsyncModeNeverBlocksInWaitDurable) {
   TempDir dir;
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalAsync, RealFileOps());
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+  ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)})).ok());
   ASSERT_TRUE(wal.WaitDurable().ok());  // immediate: no group commit
   EXPECT_EQ(wal.group_commits(), 0u);
@@ -226,7 +275,7 @@ TEST(WriteAheadLogTest, FsyncFailureGoesStickyAndRotateClearsIt) {
   FaultInjectingFileOps ops(schedule);
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit, &ops);
   std::vector<LogRecord> replayed;
-  ASSERT_TRUE(wal.OpenAndReplay(0, 0, &replayed).ok());
+  ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)})).ok());
   EXPECT_FALSE(wal.WaitDurable().ok());
   // Sticky: later appends and waits keep failing without touching IO.
@@ -234,8 +283,8 @@ TEST(WriteAheadLogTest, FsyncFailureGoesStickyAndRotateClearsIt) {
   EXPECT_FALSE(wal.WaitDurable().ok());
   // Rotate (a healthy seal elsewhere) starts a clean file and clears
   // the error: the WAL is usable again.
-  ASSERT_TRUE(wal.Rotate(1, 2).ok());
-  ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("z", 3)})).ok());
+  ASSERT_TRUE(wal.Rotate(2).ok());
+  ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("z", 3)}, 2)).ok());
   ASSERT_TRUE(wal.WaitDurable().ok());
 }
 
@@ -291,7 +340,7 @@ TEST(WalBackendTest, TornFinalWalFrameLosesOnlyThatFrame) {
     }
     ops.CrashNow();
   }
-  const std::string wal_path = WalPath(dir.path(), 0);
+  const std::string wal_path = WalPath(dir.path());
   ASSERT_TRUE(std::filesystem::exists(wal_path));
   std::filesystem::resize_file(wal_path,
                                std::filesystem::file_size(wal_path) - 2);
@@ -319,14 +368,14 @@ TEST(WalBackendTest, SealRotatesTheWalFile) {
   }
   ASSERT_TRUE(backend.WaitDurable().ok());
   EXPECT_GE(backend.stats().storage_sealed_segments, 1u);
-  // Exactly one wal file remains — the active segment's; every sealed
-  // segment's file was rotated away.
+  // Exactly one wal file, recycled by every seal rather than replaced.
   size_t wal_files = 0;
   for (const auto& entry :
        std::filesystem::directory_iterator(dir.path())) {
-    if (entry.path().filename().string().rfind("wal-", 0) == 0) ++wal_files;
+    if (entry.path().filename().string().rfind("wal", 0) == 0) ++wal_files;
   }
   EXPECT_EQ(wal_files, 1u);
+  EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path())));
   // Reopen: all records recovered (sealed segments + tail WAL).
   SegmentedDiskBackend reopened(
       WalConfig(dir.path(), DurabilityMode::kWalGroupCommit, 256));
@@ -342,7 +391,7 @@ TEST(WalBackendTest, DurabilityNoneWritesNoWalFile) {
   ASSERT_TRUE(backend.AppendBatch({MakeRecord("x", 1)}).ok());
   ASSERT_TRUE(backend.WaitDurable().ok());  // trivially OK
   EXPECT_EQ(backend.stats().wal_bytes, 0u);
-  EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path(), 0)));
+  EXPECT_FALSE(std::filesystem::exists(WalPath(dir.path())));
 }
 
 // The fault decorator forwards the inner backend's stats() snapshot:
@@ -387,9 +436,9 @@ TEST(WalBackendTest, StatsPassThroughTheFaultDecorator) {
                           "seal-forcing record text " + std::to_string(i), i)})
                       .ok());
     }
-    // Seal what is left (the decorator does not forward SealActive), so
-    // the two records below are the whole unsealed tail.
-    ASSERT_TRUE(inner->SealActive().ok());
+    // Seal what is left through the decorator, so the two records below
+    // are the whole unsealed tail.
+    ASSERT_TRUE(backend->SealActive().ok());
     ASSERT_TRUE(backend
                     ->AppendBatch({MakeRecord("tail 20", 20),
                                    MakeRecord("tail 21", 21)})
@@ -422,6 +471,130 @@ TEST(WalBackendTest, StatsPassThroughTheFaultDecorator) {
   expect_same(*reopened, *inner);
 }
 
+// The decorator forwards SealActive and the replication reads, so a
+// promote's SealTail over a fault-wrapped disk backend really seals.
+TEST(WalBackendTest, SealTailThroughTheFaultDecorator) {
+  TempDir dir;
+  TopicConfig config;
+  config.storage = WalConfig(dir.path(), DurabilityMode::kWalGroupCommit);
+  config.durability = DurabilityMode::kWalGroupCommit;
+  config.initial_train_records = 1000000;  // appends only: no training
+  config.train_interval_records = 1000000;
+  auto disk = std::make_unique<SegmentedDiskBackend>(config.storage);
+  SegmentedDiskBackend* inner = disk.get();
+  ManagedTopic topic("sealed-through-decorator", config,
+                     std::make_unique<FaultInjectingBackend>(
+                         std::move(disk), BackendFaultSchedule{}));
+  ASSERT_TRUE(topic.StorageStatus().ok());
+  std::vector<std::string> texts = {"tail 0", "tail 1", "tail 2"};
+  ASSERT_TRUE(topic.IngestBatch(std::move(texts), {0, 1, 2}).ok());
+  bool sealed = false;
+  ASSERT_TRUE(topic.SealTail(&sealed).ok());
+  EXPECT_TRUE(sealed);
+  EXPECT_EQ(inner->stats().storage_sealed_segments, 1u);
+  uint64_t segment = 0, offset = 0, inner_segment = 0, inner_offset = 0;
+  ASSERT_TRUE(topic.ReplicationPosition(&segment, &offset).ok());
+  ASSERT_TRUE(inner->ReplicationPosition(&inner_segment, &inner_offset).ok());
+  EXPECT_EQ(segment, inner_segment);
+  EXPECT_EQ(offset, inner_offset);
+  EXPECT_EQ(segment, 1u);
+}
+
+// The seal and checkpoint path frees no file. Each seal recycles
+// wal.log and writes a manifest slot in place, and every .idx rewrite
+// (at seal, and after AssignTemplates dirties a sealed segment) lands
+// in place too. So each tracked file keeps its inode from creation on,
+// nothing is deleted or renamed, and no tmp file ever appears — on any
+// filesystem, whether or not freeing blocks is slow there.
+TEST(WalBackendTest, SealPathFreesNoFile) {
+  TempDir dir;
+  // Every create/delete/rename in the directory, as it happens.
+  const int notify = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+  ASSERT_GE(notify, 0);
+  ASSERT_GE(::inotify_add_watch(notify, dir.path().c_str(),
+                                IN_CREATE | IN_DELETE | IN_MOVED_FROM |
+                                    IN_MOVED_TO),
+            0);
+  std::map<std::string, uint64_t> inodes;  // tracked name -> first st_ino
+  const auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    alignas(struct inotify_event) char buf[4096];
+    ssize_t n;
+    while ((n = ::read(notify, buf, sizeof(buf))) > 0) {
+      for (char* p = buf; p < buf + n;) {
+        const auto* ev = reinterpret_cast<const struct inotify_event*>(p);
+        const std::string name = ev->len > 0 ? ev->name : "";
+        EXPECT_EQ(ev->mask & (IN_DELETE | IN_MOVED_FROM | IN_MOVED_TO), 0u)
+            << "deleted or renamed: " << name;
+        EXPECT_FALSE(name.ends_with(".tmp")) << name;
+        p += sizeof(struct inotify_event) + ev->len;
+      }
+    }
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir.path())) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_FALSE(name.ends_with(".tmp")) << name;
+      if (name != "wal.log" && name.rfind("MANIFEST-", 0) != 0 &&
+          !name.ends_with(".idx")) {
+        continue;
+      }
+      const uint64_t inode = Inode(entry.path().string());
+      const auto [it, first] = inodes.emplace(name, inode);
+      EXPECT_EQ(it->second, inode) << name << " was replaced";
+    }
+  };
+  const auto append = [](SegmentedDiskBackend* backend, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(backend
+                      ->AppendBatch({MakeRecord(
+                          "seal-forcing record text " + std::to_string(i), i)})
+                      .ok());
+    }
+    ASSERT_TRUE(backend->WaitDurable().ok());
+  };
+  {
+    // Tiny segments: a few appends force a seal.
+    SegmentedDiskBackend backend(
+        WalConfig(dir.path(), DurabilityMode::kWalGroupCommit, 256));
+    ASSERT_TRUE(backend.Open().ok());
+    check("open");
+    for (int round = 0; round < 4; ++round) {
+      append(&backend, round * 8, round * 8 + 8);
+      check("appends " + std::to_string(round));
+    }
+    ASSERT_GE(backend.stats().storage_sealed_segments, 3u);
+    ASSERT_TRUE(backend.Checkpoint("model blob").ok());
+    check("checkpoint");
+    // A retrain moves every sealed record to a new template id: each
+    // sealed .idx goes stale and the Flush rewrites it.
+    const uint64_t sealed = backend.stats().storage_sealed_segments;
+    ASSERT_TRUE(
+        backend.AssignTemplates(0, std::vector<TemplateId>(32, 7)).ok());
+    ASSERT_TRUE(backend.Flush().ok());
+    check("retrain + flush");
+    // And once more through a seal, whose Flush rewrites them again.
+    ASSERT_TRUE(
+        backend.AssignTemplates(0, std::vector<TemplateId>(32, 9)).ok());
+    append(&backend, 32, 48);
+    ASSERT_GT(backend.stats().storage_sealed_segments, sealed);
+    check("retrain + seal");
+  }
+  check("close");
+  SegmentedDiskBackend reopened(
+      WalConfig(dir.path(), DurabilityMode::kWalGroupCommit, 256));
+  ASSERT_TRUE(reopened.Open().ok());
+  check("reopen");
+  EXPECT_EQ(reopened.size(), 48u);
+  EXPECT_EQ(reopened.metadata(), "model blob");
+  // Every in-place .idx was current: nothing to rebuild.
+  EXPECT_EQ(reopened.stats().storage_index_rebuilds, 0u);
+  EXPECT_EQ(inodes.count("wal.log"), 1u);
+  EXPECT_EQ(inodes.count("MANIFEST-0"), 1u);
+  EXPECT_EQ(inodes.count("MANIFEST-1"), 1u);
+  EXPECT_GE(inodes.size(), 3u + 3u);
+  ::close(notify);
+}
+
 // ---------------------------------------------------------------------
 // The crash matrix: kill the process (fault-injected) at EVERY syscall
 // index of a mixed workload, reopen clean, and assert the durability
@@ -434,13 +607,23 @@ struct CrashWorkloadResult {
   std::string acked_metadata;       // last blob whose Checkpoint acked
   std::vector<std::string> attempted_metadata;  // every blob offered
   uint64_t total_ops = 0;           // syscalls the clean run performed
+  uint64_t sealed_segments = 0;     // seals (= WAL rotations) completed
+};
+
+/// Record sizes of a crash workload: `batches` batches, of which the
+/// first `long_batches` carry ~350-byte texts and the rest the default
+/// short ones.
+struct CrashWorkloadShape {
+  int batches = 12;
+  int long_batches = 0;
 };
 
 /// Runs the seeded workload against a fresh backend in `dir` with
 /// `ops`; stops at the first failed call (the crash made every
 /// subsequent syscall fail anyway).
 CrashWorkloadResult RunCrashWorkload(const std::string& dir, uint64_t seed,
-                                     FaultInjectingFileOps* ops) {
+                                     FaultInjectingFileOps* ops,
+                                     CrashWorkloadShape shape = {}) {
   CrashWorkloadResult result;
   Rng rng(seed);
   SegmentedDiskBackend backend(
@@ -450,13 +633,15 @@ CrashWorkloadResult RunCrashWorkload(const std::string& dir, uint64_t seed,
     return result;
   }
   uint64_t ts = 0;
-  for (int batch = 0; batch < 12; ++batch) {
+  for (int batch = 0; batch < shape.batches; ++batch) {
     const size_t batch_size = 1 + rng.NextBelow(6);
     std::vector<LogRecord> records;
     for (size_t i = 0; i < batch_size; ++i) {
       std::string text = "b" + std::to_string(batch) + "r" +
                          std::to_string(i) + " ";
-      const size_t pad = rng.NextBelow(40);
+      const size_t pad = batch < shape.long_batches
+                             ? 300 + rng.NextBelow(100)
+                             : rng.NextBelow(40);
       text.append(pad, 'x');
       records.push_back(MakeRecord(text, ++ts));
     }
@@ -473,6 +658,7 @@ CrashWorkloadResult RunCrashWorkload(const std::string& dir, uint64_t seed,
     }
   }
   result.total_ops = ops->ops_seen();
+  result.sealed_segments = backend.stats().storage_sealed_segments;
   return result;
 }
 
@@ -528,7 +714,7 @@ TEST(WalCrashMatrixTest, NoAckedRecordLossAtAnyCrashPoint) {
       ASSERT_EQ(out.text, run.written[i].text);
       ASSERT_EQ(out.timestamp_us, run.written[i].timestamp_us);
     }
-    // Metadata: the atomic tmp+rename manifest recovers either the last
+    // Metadata: the two manifest slots recover either the last
     // acknowledged checkpoint or a later attempted one — never a torn
     // in-between and never a regression past the acked blob.
     if (!run.acked_metadata.empty()) {
@@ -545,6 +731,50 @@ TEST(WalCrashMatrixTest, NoAckedRecordLossAtAnyCrashPoint) {
   }
   // Sanity: the workload is non-trivial.
   EXPECT_GT(clean_written, 10u);
+}
+
+// The recycled wal.log across generations: long frames first, so every
+// later generation of short frames overwrites only the start of the
+// file and leaves earlier generations' frames behind it. Killed at
+// every op index, a reopen must replay none of those leftovers (their
+// salt differs): what it recovers is exactly a prefix of what was
+// offered, with nothing acknowledged lost.
+TEST(WalCrashMatrixTest, StaleGenerationsNeverReplay) {
+  const char* env = std::getenv("BB_CRASH_SEED");
+  const uint64_t seed = env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
+  const CrashWorkloadShape shape{/*batches=*/12, /*long_batches=*/4};
+  uint64_t clean_ops = 0;
+  {
+    TempDir dir;
+    FaultInjectingFileOps ops;
+    const CrashWorkloadResult clean =
+        RunCrashWorkload(dir.path(), seed, &ops, shape);
+    ASSERT_EQ(clean.acked, clean.written.size());
+    ASSERT_GE(clean.sealed_segments, 4u) << "too few WAL rotations";
+    clean_ops = clean.total_ops;
+  }
+  for (uint64_t crash_at = 1; crash_at <= clean_ops; ++crash_at) {
+    SCOPED_TRACE("crash_at_op=" + std::to_string(crash_at) +
+                 " seed=" + std::to_string(seed));
+    TempDir dir;
+    FaultSchedule schedule;
+    schedule.crash_at_op = crash_at;
+    FaultInjectingFileOps ops(schedule);
+    const CrashWorkloadResult run =
+        RunCrashWorkload(dir.path(), seed, &ops, shape);
+    SegmentedDiskBackend reopened(
+        WalConfig(dir.path(), DurabilityMode::kWalGroupCommit, 512));
+    const Status opened = reopened.Open();
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    ASSERT_GE(reopened.size(), run.acked);
+    ASSERT_LE(reopened.size(), run.written.size());
+    for (uint64_t i = 0; i < reopened.size(); ++i) {
+      LogRecord out;
+      ASSERT_TRUE(reopened.Read(i, &out).ok());
+      ASSERT_EQ(out.text, run.written[i].text);
+      ASSERT_EQ(out.timestamp_us, run.written[i].timestamp_us);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
