@@ -96,8 +96,8 @@ BENCHMARK(BM_WalAppend_group_commit)->Arg(64)->Arg(256)->Arg(1024);
 // One seal cycle under wal_group_commit at 64 KiB segments: each
 // iteration appends 64-record batches (acked after their group commit)
 // until the active segment seals, so the time per iteration is one
-// segment's appends plus its seal (flush + fsync, index sidecar,
-// manifest write, WAL rotation). Wall time: the fsyncs are off-CPU. A
+// segment's appends plus its seal (flush + fsync, in-memory index
+// build, manifest write, WAL rotation). Wall time: the fsyncs are off-CPU. A
 // fixed 200 cycles: every cycle leaves a segment behind, and removing
 // thousands of them at the end would cost more than the timed loop.
 void BM_SealCycle(benchmark::State& state) {

@@ -317,7 +317,7 @@ using GetStatsResponseFields = Fields<
     StatField<28, &TopicStats::storage_cache_hits>,
     StatField<29, &TopicStats::storage_cache_misses>,
     StatField<30, &TopicStats::storage_cache_evictions>,
-    StatField<31, &TopicStats::storage_index_rebuilds>,
+    StatField<31, &TopicStats::storage_index_rebuilds>,  // retired: 0
     StatField<32, &TopicStats::storage_scan_record_visits>,
     StatField<33, &TopicStats::replication_lag_bytes>,
     StatField<34, &TopicStats::replication_lag_records>,

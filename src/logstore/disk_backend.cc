@@ -134,6 +134,21 @@ SegmentedDiskBackend::SealedSegment::~SealedSegment() {
   if (fd >= 0) ::close(fd);
 }
 
+void SegmentedDiskBackend::SealedSegment::AddRecord(uint64_t byte_offset,
+                                                    uint64_t timestamp_us,
+                                                    TemplateId tid) {
+  if (records % kFencepostInterval == 0) fenceposts.push_back(byte_offset);
+  ++postings[tid];
+  if (records == 0) {
+    min_timestamp_us = timestamp_us;
+    max_timestamp_us = timestamp_us;
+  } else {
+    min_timestamp_us = std::min(min_timestamp_us, timestamp_us);
+    max_timestamp_us = std::max(max_timestamp_us, timestamp_us);
+  }
+  ++records;
+}
+
 /// The off-lock sealed snapshot: shares ownership of the sealed set and
 /// pins each segment it reads for its own lifetime, so the text
 /// string_views it hands out stay valid regardless of what the backend
@@ -207,7 +222,7 @@ SegmentedDiskBackend::SegmentedDiskBackend(StorageConfig config)
   ops_ = config_.file_ops != nullptr ? config_.file_ops : RealFileOps();
   cache_ = config_.segment_cache != nullptr ? config_.segment_cache
                                             : SegmentCache::Global();
-  cache_owner_ = std::make_shared<SegmentCache::OwnerStats>();
+  cache_owner_ = std::make_shared<SegmentCache::Counters>();
   active_checksum_fold_ = kSegmentChecksumSeed;
 }
 
@@ -235,19 +250,19 @@ uint64_t SegmentedDiskBackend::size() const {
 }
 
 StorageStats SegmentedDiskBackend::stats() const {
-  const SegmentCache::OwnerStats cache = cache_->owner_stats(cache_owner_);
+  const SegmentCache::Counters cache = cache_->owner_stats(cache_owner_);
   StorageStats s;
   s.storage_sealed_segments = sealed_->size();
   s.storage_mapped_bytes = cache.resident_bytes;
   s.storage_cache_hits = cache.hits;
   s.storage_cache_misses = cache.misses;
   s.storage_cache_evictions = cache.evictions;
-  s.storage_index_rebuilds = index_rebuilds_;
   s.storage_scan_record_visits = scan_visits_.load(std::memory_order_relaxed);
   if (wal_ != nullptr) {
-    s.wal_bytes = wal_->bytes();
-    s.wal_group_commits = wal_->group_commits();
-    s.wal_fsyncs = wal_->fsyncs();
+    const WriteAheadLog::Stats wal = wal_->stats();
+    s.wal_bytes = wal.bytes;
+    s.wal_group_commits = wal.group_commits;
+    s.wal_fsyncs = wal.fsyncs;
   }
   s.wal_replayed_records = wal_replayed_;
   return s;
@@ -256,9 +271,10 @@ StorageStats SegmentedDiskBackend::stats() const {
 size_t SegmentedDiskBackend::SeekOffset(const char* data,
                                         const SealedSegment& seg,
                                         uint64_t ridx) {
-  const uint64_t fence = ridx / seg.fence_interval;
+  const uint64_t fence = ridx / SealedSegment::kFencepostInterval;
   size_t off = static_cast<size_t>(seg.fenceposts[fence]);
-  for (uint64_t r = fence * seg.fence_interval; r < ridx; ++r) {
+  for (uint64_t r = fence * SealedSegment::kFencepostInterval; r < ridx;
+       ++r) {
     uint32_t len;
     std::memcpy(&len, data + off, 4);
     off += kFrameHeaderBytes + len;
@@ -455,14 +471,12 @@ Status SegmentedDiskBackend::OpenSealedSegment(
   // stored checksum must match its bytes and the fold must match the
   // manifest. Sealed data is the durable contract — recovery refuses
   // to serve silently corrupted records (the caller surfaces the
-  // Status instead of crashing). The same pass rebuilds the
-  // authoritative sparse index at ~zero marginal cost; the persisted
-  // .idx below is only a cross-check.
+  // Status instead of crashing). The same pass builds the sparse index
+  // at ~zero marginal cost.
   SegmentCache::Pin pin;
   BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
   ByteReader reader(pin.data(), len);
   uint64_t fold = kSegmentChecksumSeed;
-  SegmentIndex built;
   for (uint64_t r = 0; r < expect_records; ++r) {
     Frame frame;
     if (!ParseFrame(&reader, pin.data(), &frame)) {
@@ -470,41 +484,14 @@ Status SegmentedDiskBackend::OpenSealedSegment(
           "truncated or corrupt frame in sealed segment: " + path);
     }
     fold = HashCombine(fold, frame.crc);
-    built.AddRecord(frame.start, frame.ts, frame.tid);
+    seg->AddRecord(frame.start, frame.ts, frame.tid);
     text_bytes_ += frame.text_len;
   }
   if (fold != expect_checksum || !reader.AtEnd()) {
     return Status::Corruption("sealed segment does not match manifest: " +
                               path);
   }
-  seg->records = expect_records;
   seg->checksum = expect_checksum;
-
-  // A missing, unreadable, corrupt, or stale (template ids pwritten
-  // after it was persisted — detected by tid_fold) .idx is rewritten
-  // from the just-verified frames. NEVER an open failure: the index is
-  // derived data and the segment is the source of truth.
-  const std::string idx_path = SegmentIndexPath(config_.directory, index);
-  SegmentIndex loaded;
-  bool idx_exists = false;
-  const Status read = SegmentIndex::ReadFrom(idx_path, &loaded, &idx_exists);
-  const bool fresh = read.ok() && idx_exists &&
-                     loaded.records == built.records &&
-                     loaded.tid_fold == built.tid_fold &&
-                     loaded.fencepost_interval == built.fencepost_interval &&
-                     loaded.fenceposts == built.fenceposts &&
-                     loaded.min_timestamp_us == built.min_timestamp_us &&
-                     loaded.max_timestamp_us == built.max_timestamp_us &&
-                     loaded.postings == built.postings;
-  if (!fresh) {
-    ++index_rebuilds_;
-    (void)built.WriteTo(idx_path);  // best effort — rebuilt again next open
-  }
-  seg->fence_interval = built.fencepost_interval;
-  seg->fenceposts = std::move(built.fenceposts);
-  seg->min_timestamp_us = built.min_timestamp_us;
-  seg->max_timestamp_us = built.max_timestamp_us;
-  seg->postings = std::move(built.postings);
   *out = std::move(seg);
   return Status::OK();
 }
@@ -697,40 +684,7 @@ Status SegmentedDiskBackend::Flush() {
   if (ops_->Fsync(active_fd_) != 0) {
     return IOErrorFor("cannot sync active segment", path);
   }
-  // Durability point: also refresh the .idx of sealed segments whose
-  // postings drifted (template pwrites), so a clean restart loads them
-  // without a rebuild.
-  RewriteDirtyIndexes();
   return Status::OK();
-}
-
-void SegmentedDiskBackend::RewriteDirtyIndexes() {
-  for (size_t si = 0; si < sealed_->size(); ++si) {
-    const SealedSegment& seg = *(*sealed_)[si];
-    if (!seg.index_dirty) continue;
-    SegmentCache::Pin pin;
-    if (!PinSegment(seg, &pin).ok()) continue;  // stays dirty; retried later
-    // tid_fold is order-dependent, so it cannot be patched
-    // incrementally like the postings — recompute it (and everything
-    // else, for symmetry with the open-time rebuild) with a
-    // header-only hop over the frames.
-    SegmentIndex idx;
-    idx.fencepost_interval = seg.fence_interval;
-    size_t off = 0;
-    for (uint64_t r = 0; r < seg.records; ++r) {
-      uint32_t len;
-      uint64_t ts;
-      TemplateId tid;
-      std::memcpy(&len, pin.data() + off, 4);
-      std::memcpy(&ts, pin.data() + off + 4, 8);
-      std::memcpy(&tid, pin.data() + off + kFrameTidOffset, 8);
-      idx.AddRecord(off, ts, tid);
-      off += kFrameHeaderBytes + len;
-    }
-    if (idx.WriteTo(SegmentIndexPath(config_.directory, si)).ok()) {
-      seg.index_dirty = false;
-    }
-  }
 }
 
 Status SegmentedDiskBackend::SealActiveLocked() {
@@ -754,27 +708,18 @@ Status SegmentedDiskBackend::SealActiveImplLocked() {
     if (fd < 0) return IOErrorFor("cannot reopen sealed segment", path);
     auto built = std::make_shared<SealedSegment>();
     built->first_seq = first_seq;
-    built->records = active_count();
     built->checksum = active_checksum_fold_;
     built->data_len = static_cast<size_t>(active_bytes_);
     built->fd = fd;
     // Registered but NOT mapped: the first query that needs this
     // segment faults it into the cache. The sparse index is built from
     // the mirror (the Flush above already patched every dirty template
-    // id onto the file, so mirror and file agree) and persisted beside
-    // the segment — best effort, Open rebuilds it if it goes missing.
+    // id onto the file, so mirror and file agree).
     built->entry = cache_->Register(fd, built->data_len, cache_owner_);
-    SegmentIndex idx;
     for (size_t i = 0; i < active_.size(); ++i) {
-      idx.AddRecord(active_offsets_[i], active_[i].timestamp_us,
-                    active_[i].template_id);
+      built->AddRecord(active_offsets_[i], active_[i].timestamp_us,
+                       active_[i].template_id);
     }
-    (void)idx.WriteTo(SegmentIndexPath(config_.directory, active_index_));
-    built->fence_interval = idx.fencepost_interval;
-    built->fenceposts = std::move(idx.fenceposts);
-    built->min_timestamp_us = idx.min_timestamp_us;
-    built->max_timestamp_us = idx.max_timestamp_us;
-    built->postings = std::move(idx.postings);
     seg = std::move(built);
   }
 
@@ -1115,7 +1060,6 @@ Status SegmentedDiskBackend::AssignTemplates(
             seg.postings.erase(pit);
           }
           ++seg.postings[id];
-          seg.index_dirty = true;
         } else if (first_error.ok()) {
           first_error = IOErrorFor("cannot patch template id", SegmentPath(si));
         }

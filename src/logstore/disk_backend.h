@@ -2,7 +2,7 @@
 // backends"; see ARCHITECTURE.md §5 for the format and the recovery
 // protocol, §8 for the sparse index and the segment cache).
 //
-// Layout of a topic directory:
+// Layout of a topic directory (nothing else is ever written there):
 //   MANIFEST-0          two manifest slots (sealed-segment catalog +
 //   MANIFEST-1          metadata blob + generation, checksummed). Each
 //                       seal or checkpoint rewrites the older slot in
@@ -11,12 +11,6 @@
 //   seg-000000.log ...  fixed-size segment files of record frames; the
 //                       file AFTER the last manifest entry is the
 //                       active (append) segment
-//   seg-000000.idx ...  per-sealed-segment sparse index (fenceposts +
-//                       template postings + time range; see
-//                       logstore/segment_index.h), rewritten in place.
-//                       Derived data: missing/corrupt/stale files are
-//                       rebuilt at Open from the verified segment,
-//                       never an error
 //   wal.log             tail write-ahead log for the active segment
 //                       (StorageConfig::durability != kNone only; see
 //                       logstore/wal.h — recycled at every seal)
@@ -58,10 +52,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "logstore/segment_cache.h"
-#include "logstore/segment_index.h"
 #include "logstore/storage_backend.h"
 
 namespace bytebrain {
@@ -115,31 +109,40 @@ class SegmentedDiskBackend : public StorageBackend {
 
  private:
   /// One sealed segment. Immutable after construction except for
-  /// template-id pwrites and the derived index state they maintain
-  /// (`postings` — mutated only under the exclusive topic lock;
-  /// `index_dirty` — set there too, cleared by a checkpoint under the
-  /// shared one; no reader touches it). The record bytes are mapped
+  /// template-id pwrites and the `postings` they maintain (mutated
+  /// only under the exclusive topic lock). The record bytes are mapped
   /// on demand through `entry` (segment_cache.h); the struct is shared
   /// by the backend and every outstanding SealedRecordView, so the
   /// backend cannot retire the file under a concurrent training scan.
+  ///
+  /// The sparse index lives here and only here, in memory: built from
+  /// the mirror at seal and from the verified frames at Open, never
+  /// persisted. Fenceposts and the time range never change after
+  /// sealing; postings track template rewrites.
   struct SealedSegment {
+    /// Fencepost spacing: byte offsets are kept for records 0, K, 2K,
+    /// …, so a point lookup hops at most K-1 frame headers.
+    static constexpr uint64_t kFencepostInterval = 64;
+
     ~SealedSegment();
+    /// Indexes record `records` (records must arrive in sequence
+    /// order) and counts it.
+    void AddRecord(uint64_t byte_offset, uint64_t timestamp_us,
+                   TemplateId tid);
+
     uint64_t first_seq = 0;
     uint64_t records = 0;
     uint64_t checksum = 0;   // fold of frame checksums (manifest copy)
     size_t data_len = 0;     // frame bytes in the segment file
     int fd = -1;             // kept open for AssignTemplates pwrites
     SegmentCache::EntryPtr entry;  // cache handle; maps lazily on pin
-    /// Sparse index (segment_index.h). Fenceposts and the time range
-    /// never change after sealing; postings track template rewrites.
-    uint64_t fence_interval = SegmentIndex::kDefaultInterval;
+    /// Byte offset (within the segment file) of record
+    /// i * kFencepostInterval.
     std::vector<uint64_t> fenceposts;
     uint64_t min_timestamp_us = 0;
     uint64_t max_timestamp_us = 0;
+    /// template id -> number of records currently carrying it.
     mutable std::unordered_map<TemplateId, uint64_t> postings;
-    /// Set when a template pwrite stales the persisted .idx; the next
-    /// Flush/Checkpoint rewrites the file (see RewriteDirtyIndexes).
-    mutable bool index_dirty = false;
   };
   using SealedSet = std::vector<std::shared_ptr<const SealedSegment>>;
 
@@ -154,10 +157,6 @@ class SegmentedDiskBackend : public StorageBackend {
                            uint64_t ridx);
   /// Maps (or LRU-bumps) the segment through the cache.
   Status PinSegment(const SealedSegment& seg, SegmentCache::Pin* pin) const;
-  /// Rewrites the .idx of every sealed segment whose postings drifted
-  /// from the persisted file (template pwrites). Best effort — the
-  /// index is derived data and Open rebuilds it anyway.
-  void RewriteDirtyIndexes();
   /// AppendBatch's per-record core: mirrors one record, buffers its
   /// frame while `*buffering` (into the write buffer AND the WAL
   /// scratch when a WAL is configured), runs the drain/seal checks; a
@@ -184,7 +183,7 @@ class SegmentedDiskBackend : public StorageBackend {
                            std::shared_ptr<const SealedSegment>* out);
   Status RecoverActiveSegment();
   Status OpenActiveFile();
-  /// Seals the active segment (flush + fsync + index write + manifest +
+  /// Seals the active segment (flush + fsync + index build + manifest +
   /// new active file). Any failure goes sticky via io_error_: a seal
   /// cannot be retried halfway (the active file may already be closed),
   /// so the backend degrades to mirror-only appends instead.
@@ -200,7 +199,7 @@ class SegmentedDiskBackend : public StorageBackend {
   /// unless the config supplies one. cache_owner_ is this backend's
   /// slice of its counters (shared with the entries it registers).
   SegmentCache* cache_ = nullptr;
-  std::shared_ptr<SegmentCache::OwnerStats> cache_owner_;
+  std::shared_ptr<SegmentCache::Counters> cache_owner_;
   bool opened_ = false;
 
   /// Tail WAL (config_.durability != kNone): internally synchronized,
@@ -244,10 +243,8 @@ class SegmentedDiskBackend : public StorageBackend {
   /// Generation of the newest durable manifest slot (0: none yet); see
   /// WriteManifest for why a const method may advance it.
   mutable uint64_t manifest_generation_ = 0;
-  /// Sealed-segment indexes rebuilt at Open (.idx missing/corrupt/
-  /// stale) and records touched by Scan/ScanTemplates/partial
-  /// TemplateCounts — see StorageStats for the contract.
-  uint64_t index_rebuilds_ = 0;
+  /// Records touched by Scan/ScanTemplates/partial TemplateCounts —
+  /// see StorageStats for the contract.
   mutable std::atomic<uint64_t> scan_visits_{0};
   /// Sticky first append-path IO failure (disk full, lost mount, seal
   /// failure). Once set, appends stop touching the file entirely — new

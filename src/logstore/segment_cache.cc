@@ -12,7 +12,7 @@ SegmentCache::Entry::~Entry() {
   std::lock_guard<std::mutex> lock(cache_->mu_);
   if (!resident_) return;
   cache_->lru_.erase(lru_it_);
-  cache_->resident_bytes_ -= len_;
+  cache_->totals_.resident_bytes -= len_;
   if (owner_) owner_->resident_bytes -= len_;
   if (map_ != nullptr) ::munmap(const_cast<char*>(map_), len_);
 }
@@ -60,7 +60,7 @@ uint64_t SegmentCache::budget_bytes() const {
 }
 
 SegmentCache::EntryPtr SegmentCache::Register(
-    int fd, size_t len, std::shared_ptr<OwnerStats> owner) {
+    int fd, size_t len, std::shared_ptr<Counters> owner) {
   EntryPtr entry(new Entry());
   entry->cache_ = this;
   entry->fd_ = fd;
@@ -84,8 +84,8 @@ Status SegmentCache::Acquire(const EntryPtr& e, Pin* pin) {
     }
     entry->resident_ = true;
     entry->lru_it_ = lru_.insert(lru_.end(), entry);
-    resident_bytes_ += entry->len_;
-    ++misses_;
+    totals_.resident_bytes += entry->len_;
+    ++totals_.misses;
     if (entry->owner_) {
       ++entry->owner_->misses;
       entry->owner_->resident_bytes += entry->len_;
@@ -93,7 +93,7 @@ Status SegmentCache::Acquire(const EntryPtr& e, Pin* pin) {
     EvictDownToBudgetLocked(entry);
   } else {
     lru_.splice(lru_.end(), lru_, entry->lru_it_);
-    ++hits_;
+    ++totals_.hits;
     if (entry->owner_) ++entry->owner_->hits;
   }
   ++entry->pins_;
@@ -105,7 +105,7 @@ Status SegmentCache::Acquire(const EntryPtr& e, Pin* pin) {
 
 void SegmentCache::EvictDownToBudgetLocked(const Entry* keep) {
   auto it = lru_.begin();
-  while (resident_bytes_ > budget_ && it != lru_.end()) {
+  while (totals_.resident_bytes > budget_ && it != lru_.end()) {
     Entry* victim = *it;
     if (victim->pins_ > 0 || victim == keep) {
       ++it;
@@ -113,8 +113,8 @@ void SegmentCache::EvictDownToBudgetLocked(const Entry* keep) {
     }
     it = lru_.erase(it);
     victim->resident_ = false;
-    resident_bytes_ -= victim->len_;
-    ++evictions_;
+    totals_.resident_bytes -= victim->len_;
+    ++totals_.evictions;
     if (victim->owner_) {
       ++victim->owner_->evictions;
       victim->owner_->resident_bytes -= victim->len_;
@@ -131,25 +131,20 @@ void SegmentCache::ReleasePin(Entry* entry) {
   --entry->pins_;
   // Pins can push residency over budget; settle back under it as soon
   // as the pin that demanded the overage lets go.
-  if (entry->pins_ == 0 && resident_bytes_ > budget_) {
+  if (entry->pins_ == 0 && totals_.resident_bytes > budget_) {
     EvictDownToBudgetLocked(nullptr);
   }
 }
 
-SegmentCache::OwnerStats SegmentCache::owner_stats(
-    const std::shared_ptr<OwnerStats>& owner) const {
+SegmentCache::Counters SegmentCache::owner_stats(
+    const std::shared_ptr<Counters>& owner) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return owner ? *owner : OwnerStats{};
+  return owner ? *owner : Counters{};
 }
 
-SegmentCache::Totals SegmentCache::totals() const {
+SegmentCache::Counters SegmentCache::totals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Totals t;
-  t.hits = hits_;
-  t.misses = misses_;
-  t.evictions = evictions_;
-  t.resident_bytes = resident_bytes_;
-  return t;
+  return totals_;
 }
 
 }  // namespace bytebrain

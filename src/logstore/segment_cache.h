@@ -37,18 +37,12 @@ namespace bytebrain {
 
 class SegmentCache {
  public:
-  /// Per-owner (per-backend) slice of the cache counters, so topic
-  /// stats can attribute hits/misses/evictions/resident bytes to one
-  /// topic. Owned jointly by the backend and its cache entries; all
-  /// fields are guarded by the cache mutex — read via owner_stats().
-  struct OwnerStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
-  };
-
-  struct Totals {
+  /// Cache traffic and residency: the whole cache's (totals()) or one
+  /// owner's slice of it (owner_stats()), so topic stats can attribute
+  /// hits/misses/evictions/resident bytes to one topic. An owner's
+  /// slice is owned jointly by the backend and its cache entries; every
+  /// instance the cache updates is guarded by the cache mutex.
+  struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
@@ -72,7 +66,7 @@ class SegmentCache {
     SegmentCache* cache_ = nullptr;
     int fd_ = -1;
     size_t len_ = 0;
-    std::shared_ptr<OwnerStats> owner_;
+    std::shared_ptr<Counters> owner_;
     // All below guarded by cache_->mu_.
     const char* map_ = nullptr;
     uint32_t pins_ = 0;
@@ -123,16 +117,17 @@ class SegmentCache {
   /// Registers a segment file without mapping it. `fd` must stay open
   /// (and the file contents meaningful) for the entry's lifetime; the
   /// cache never closes it. `owner` may be null.
-  EntryPtr Register(int fd, size_t len, std::shared_ptr<OwnerStats> owner);
+  EntryPtr Register(int fd, size_t len, std::shared_ptr<Counters> owner);
 
   /// Maps the entry if needed (counting a miss, then evicting LRU
   /// unpinned entries down to budget) or bumps it in the LRU (a hit),
   /// and hands out a Pin. Fails only if mmap itself fails.
   Status Acquire(const EntryPtr& entry, Pin* pin);
 
-  /// Consistent snapshot of one owner's counters.
-  OwnerStats owner_stats(const std::shared_ptr<OwnerStats>& owner) const;
-  Totals totals() const;
+  /// Consistent snapshots of one owner's counters and of the whole
+  /// cache's.
+  Counters owner_stats(const std::shared_ptr<Counters>& owner) const;
+  Counters totals() const;
 
  private:
   void EvictDownToBudgetLocked(const Entry* keep);
@@ -140,10 +135,7 @@ class SegmentCache {
 
   mutable std::mutex mu_;
   uint64_t budget_;
-  uint64_t resident_bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
+  Counters totals_;
   // Resident entries only, least recently used at the front. Raw
   // pointers: an entry removes itself under mu_ before destruction.
   std::list<Entry*> lru_;

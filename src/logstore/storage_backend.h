@@ -168,9 +168,10 @@ struct StorageStats {
   uint64_t storage_cache_hits = 0;
   uint64_t storage_cache_misses = 0;
   uint64_t storage_cache_evictions = 0;
-  /// Sealed-segment sparse indexes rebuilt at Open (.idx missing,
-  /// corrupt, or stale). Nonzero after a crash is normal; nonzero after
-  /// a clean restart means index persistence is misbehaving.
+  /// Retired: always 0. It counted persisted sparse-index files
+  /// rebuilt at Open; the index now lives only in memory and is built
+  /// at every Open. The field and its wire tag stay so that existing
+  /// decoders and the benchmark's readers of it keep working.
   uint64_t storage_index_rebuilds = 0;
   /// Records individually visited since Open by Scan and by the
   /// per-record portions of ScanTemplates and partial TemplateCounts —

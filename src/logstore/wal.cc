@@ -228,19 +228,9 @@ void WriteAheadLog::CommitLoop() {
   }
 }
 
-uint64_t WriteAheadLog::bytes() const {
+WriteAheadLog::Stats WriteAheadLog::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return file_bytes_;
-}
-
-uint64_t WriteAheadLog::group_commits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return group_commits_;
-}
-
-uint64_t WriteAheadLog::fsyncs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fsyncs_;
+  return {file_bytes_, group_commits_, fsyncs_};
 }
 
 }  // namespace bytebrain

@@ -114,12 +114,17 @@ class WriteAheadLog {
   /// header comment).
   Status Rotate(uint64_t new_base_seq);
 
-  /// Observability (StorageStats::wal_*). group_commits counts durable
-  /// acks served, fsyncs counts fsync calls issued — the ratio is the
+  /// Observability (StorageStats::wal_*). `bytes` is the frame bytes
+  /// of the current generation, `group_commits` counts durable acks
+  /// served, `fsyncs` counts fsync calls issued — the ratio is the
   /// amortization group commit buys.
-  uint64_t bytes() const;
-  uint64_t group_commits() const;
-  uint64_t fsyncs() const;
+  struct Stats {
+    uint64_t bytes = 0;
+    uint64_t group_commits = 0;
+    uint64_t fsyncs = 0;
+  };
+  /// All three counters under one lock, so they describe one moment.
+  Stats stats() const;
 
  private:
   /// Starts generation `base_seq` with zero frames: opens (or creates)

@@ -537,7 +537,8 @@ void ManagedTopic::FoldShardPendingsLocked() {
     IngestShard& shard = *shard_ptr;
     std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
     const size_t total = shard.pending.size();
-    size_t next = shard.remap.size();
+    const size_t folded_from = shard.remap.size();
+    size_t next = folded_from;
     if (next >= total) continue;
     ++shard.counters.merges;
     ++stats_.shard_merges;
@@ -572,7 +573,8 @@ void ManagedTopic::FoldShardPendingsLocked() {
     // Folded entries' raw representative copies are dead (only the
     // stale-fold path above reads them, never below the cursor) —
     // release the text without disturbing the id-aligned indexing.
-    for (size_t i = 0; i < shard.remap.size(); ++i) {
+    // Entries below `folded_from` were released by an earlier fold.
+    for (size_t i = folded_from; i < total; ++i) {
       if (!shard.reps[i].empty()) {
         std::string().swap(shard.reps[i]);
       }

@@ -73,7 +73,7 @@ std::string TextFor(uint64_t seq) {
 TEST(QueryIndexTest, FencepostSeekReadsAndScansExactly) {
   TempDir dir;
   // ~150 records per sealed segment with the texts above — comfortably
-  // past SegmentIndex::kDefaultInterval (64), so each segment has
+  // past the fencepost interval (64 records), so each segment has
   // multiple fenceposts and most seeks start at an interior one.
   SegmentedDiskBackend backend(DiskConfig(dir.path(), 5000));
   ASSERT_TRUE(backend.Open().ok());

@@ -95,7 +95,7 @@ TEST(SegmentCacheTest, EvictsDownToBudgetAndCounts) {
                          })
                   .ok());
   EXPECT_EQ(seen, kRecords);
-  const SegmentCache::Totals totals = cache.totals();
+  const SegmentCache::Counters totals = cache.totals();
   EXPECT_GT(totals.misses, 0u);
   EXPECT_GT(totals.evictions, 0u);
   EXPECT_LE(totals.resident_bytes, 4096u);

@@ -111,7 +111,7 @@ TEST(WriteAheadLogTest, FreshOpenCreatesEmptyFile) {
   ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   EXPECT_TRUE(replayed.empty());
   EXPECT_TRUE(std::filesystem::exists(WalPath(dir.path())));
-  EXPECT_EQ(wal.bytes(), 0u);
+  EXPECT_EQ(wal.stats().bytes, 0u);
 }
 
 TEST(WriteAheadLogTest, AppendedFramesReplayOnReopen) {
@@ -126,8 +126,9 @@ TEST(WriteAheadLogTest, AppendedFramesReplayOnReopen) {
     ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
     ASSERT_TRUE(wal.Append(FrameBytes(written)).ok());
     ASSERT_TRUE(wal.WaitDurable().ok());
-    EXPECT_GE(wal.fsyncs(), 1u);
-    EXPECT_EQ(wal.group_commits(), 1u);
+    const WriteAheadLog::Stats stats = wal.stats();
+    EXPECT_GE(stats.fsyncs, 1u);
+    EXPECT_EQ(stats.group_commits, 1u);
   }
   WriteAheadLog wal(dir.path(), DurabilityMode::kWalGroupCommit,
                     RealFileOps());
@@ -208,7 +209,7 @@ TEST(WriteAheadLogTest, RotateRecyclesTheFileAndStartsFresh) {
     // nothing was truncated or deleted.
     EXPECT_EQ(Inode(WalPath(dir.path())), inode);
     EXPECT_EQ(std::filesystem::file_size(WalPath(dir.path())), long_size);
-    EXPECT_EQ(wal.bytes(), 0u);
+    EXPECT_EQ(wal.stats().bytes, 0u);
     // A waiter arriving after the rotation is already durable (the seal
     // fsynced its bytes): WaitDurable returns without a new append.
     ASSERT_TRUE(wal.WaitDurable().ok());
@@ -263,7 +264,7 @@ TEST(WriteAheadLogTest, AsyncModeNeverBlocksInWaitDurable) {
   ASSERT_TRUE(wal.OpenAndReplay(0, &replayed).ok());
   ASSERT_TRUE(wal.Append(FrameBytes({MakeRecord("x", 1)})).ok());
   ASSERT_TRUE(wal.WaitDurable().ok());  // immediate: no group commit
-  EXPECT_EQ(wal.group_commits(), 0u);
+  EXPECT_EQ(wal.stats().group_commits, 0u);
 }
 
 TEST(WriteAheadLogTest, FsyncFailureGoesStickyAndRotateClearsIt) {
@@ -395,8 +396,8 @@ TEST(WalBackendTest, DurabilityNoneWritesNoWalFile) {
 }
 
 // The fault decorator forwards the inner backend's stats() snapshot:
-// after a seal, a windowed query and a WAL-replaying reopen that
-// rebuilds an index, every counter reads the same through both.
+// after a seal, a windowed query and a WAL-replaying reopen, every
+// counter reads the same through both.
 TEST(WalBackendTest, StatsPassThroughTheFaultDecorator) {
   static_assert(sizeof(StorageStats) == 11 * sizeof(uint64_t),
                 "compare every StorageStats field below");
@@ -460,14 +461,12 @@ TEST(WalBackendTest, StatsPassThroughTheFaultDecorator) {
     // "Process death": the unsealed tail survives only in the WAL.
     ops.CrashNow();
   }
-  ASSERT_TRUE(std::filesystem::remove(dir.path() + "/seg-000000.idx"));
   SegmentedDiskBackend* inner = nullptr;
   auto reopened = open(dir.path(), nullptr, &inner);
   ASSERT_TRUE(reopened->Open().ok());
   EXPECT_EQ(reopened->size(), 22u);
   const StorageStats s = reopened->stats();
   EXPECT_EQ(s.wal_replayed_records, 2u);
-  EXPECT_EQ(s.storage_index_rebuilds, 1u);
   expect_same(*reopened, *inner);
 }
 
@@ -501,11 +500,13 @@ TEST(WalBackendTest, SealTailThroughTheFaultDecorator) {
 }
 
 // The seal and checkpoint path frees no file. Each seal recycles
-// wal.log and writes a manifest slot in place, and every .idx rewrite
-// (at seal, and after AssignTemplates dirties a sealed segment) lands
-// in place too. So each tracked file keeps its inode from creation on,
-// nothing is deleted or renamed, and no tmp file ever appears — on any
-// filesystem, whether or not freeing blocks is slow there.
+// wal.log and writes a manifest slot in place, and template rewrites
+// after a retrain patch the sealed segment files in place. So each
+// tracked file keeps its inode from creation on, nothing is deleted or
+// renamed, and no tmp file ever appears — on any filesystem, whether or
+// not freeing blocks is slow there. Nor is any file written besides the
+// two manifest slots, wal.log and the segment files: the sparse index
+// of a sealed segment lives only in memory.
 TEST(WalBackendTest, SealPathFreesNoFile) {
   TempDir dir;
   // Every create/delete/rename in the directory, as it happens.
@@ -516,8 +517,10 @@ TEST(WalBackendTest, SealPathFreesNoFile) {
                                     IN_MOVED_TO),
             0);
   std::map<std::string, uint64_t> inodes;  // tracked name -> first st_ino
+  size_t segment_files = 0;  // seg-*.log files at the last check
   const auto check = [&](const std::string& step) {
     SCOPED_TRACE(step);
+    segment_files = 0;
     alignas(struct inotify_event) char buf[4096];
     ssize_t n;
     while ((n = ::read(notify, buf, sizeof(buf))) > 0) {
@@ -533,11 +536,13 @@ TEST(WalBackendTest, SealPathFreesNoFile) {
     for (const auto& entry :
          std::filesystem::directory_iterator(dir.path())) {
       const std::string name = entry.path().filename().string();
-      EXPECT_FALSE(name.ends_with(".tmp")) << name;
-      if (name != "wal.log" && name.rfind("MANIFEST-", 0) != 0 &&
-          !name.ends_with(".idx")) {
+      if (name.starts_with("seg-") && name.ends_with(".log")) {
+        ++segment_files;
         continue;
       }
+      EXPECT_TRUE(name == "wal.log" || name == "MANIFEST-0" ||
+                  name == "MANIFEST-1")
+          << "unexpected file: " << name;
       const uint64_t inode = Inode(entry.path().string());
       const auto [it, first] = inodes.emplace(name, inode);
       EXPECT_EQ(it->second, inode) << name << " was replaced";
@@ -565,14 +570,14 @@ TEST(WalBackendTest, SealPathFreesNoFile) {
     ASSERT_GE(backend.stats().storage_sealed_segments, 3u);
     ASSERT_TRUE(backend.Checkpoint("model blob").ok());
     check("checkpoint");
-    // A retrain moves every sealed record to a new template id: each
-    // sealed .idx goes stale and the Flush rewrites it.
+    // A retrain moves every sealed record to a new template id,
+    // patched into the sealed segment files in place.
     const uint64_t sealed = backend.stats().storage_sealed_segments;
     ASSERT_TRUE(
         backend.AssignTemplates(0, std::vector<TemplateId>(32, 7)).ok());
     ASSERT_TRUE(backend.Flush().ok());
     check("retrain + flush");
-    // And once more through a seal, whose Flush rewrites them again.
+    // And once more through a seal.
     ASSERT_TRUE(
         backend.AssignTemplates(0, std::vector<TemplateId>(32, 9)).ok());
     append(&backend, 32, 48);
@@ -586,12 +591,12 @@ TEST(WalBackendTest, SealPathFreesNoFile) {
   check("reopen");
   EXPECT_EQ(reopened.size(), 48u);
   EXPECT_EQ(reopened.metadata(), "model blob");
-  // Every in-place .idx was current: nothing to rebuild.
-  EXPECT_EQ(reopened.stats().storage_index_rebuilds, 0u);
+  // Exactly MANIFEST-0, MANIFEST-1, wal.log and the segment files.
   EXPECT_EQ(inodes.count("wal.log"), 1u);
   EXPECT_EQ(inodes.count("MANIFEST-0"), 1u);
   EXPECT_EQ(inodes.count("MANIFEST-1"), 1u);
-  EXPECT_GE(inodes.size(), 3u + 3u);
+  EXPECT_EQ(inodes.size(), 3u);
+  EXPECT_EQ(segment_files, reopened.stats().storage_sealed_segments + 1);
   ::close(notify);
 }
 
