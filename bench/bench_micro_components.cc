@@ -45,17 +45,6 @@ void BM_TokenizeDefault(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenizeDefault);
 
-void BM_TokenizeRegexEngine(benchmark::State& state) {
-  const auto& logs = SampleLogs();
-  auto tokenizer = RegexTokenizer::Create(kDefaultTokenizerPattern);
-  size_t i = 0;
-  for (auto _ : state) {
-    auto tokens = tokenizer->Tokenize(logs[i++ & 4095]);
-    benchmark::DoNotOptimize(tokens);
-  }
-}
-BENCHMARK(BM_TokenizeRegexEngine);
-
 void BM_HashToken(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(HashToken("PacketResponder"));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/flat_table.h"
 
@@ -257,21 +258,69 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   const std::vector<uint32_t> active = ActivePositions(parent_stats);
   const DenseView view = BuildDenseView(logs, members, active);
   const bool weighted = options.use_position_importance;
+  const uint32_t max_clusters =
+      static_cast<uint32_t>(std::min<size_t>(members.size(), 64));
+
+  // The clusters' profiles, and every member's similarity to each one:
+  // sims[i * stride + c] is members[i]'s Eq. 2 similarity to cluster c,
+  // or -inf while c is empty (so an empty cluster never wins, ties or
+  // raises a maximum). Only stale columns are rescored: a profile no
+  // move touched keeps its terms, its size and its total weight, so its
+  // cached column is exactly what Similarity would return.
+  uint32_t num_clusters = 0;
+  std::vector<DenseProfile> profiles;
+  profiles.reserve(8);
+  std::vector<char> stale;  // per cluster: profile changed since scored
+  std::vector<double> sims;
+  size_t stride = 0;
+  std::vector<uint32_t> rescored;
+  auto add_cluster = [&]() {
+    profiles.emplace_back(view, weighted);
+    stale.push_back(1);
+    ++num_clusters;
+  };
+  auto rescore = [&]() {
+    if (num_clusters > stride) {
+      const size_t wider = std::min<size_t>(
+          max_clusters, std::max<size_t>(num_clusters, 2 * stride));
+      std::vector<double> grown(members.size() * wider);
+      for (size_t i = 0; i < members.size(); ++i) {
+        std::copy_n(sims.data() + i * stride, stride,
+                    grown.data() + i * wider);
+      }
+      sims.swap(grown);
+      stride = wider;
+    }
+    rescored.clear();
+    for (uint32_t c = 0; c < num_clusters; ++c) {
+      if (stale[c]) rescored.push_back(c);
+      stale[c] = 0;
+    }
+    if (rescored.empty()) return;
+    constexpr double kEmpty = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < members.size(); ++i) {
+      double* row = sims.data() + i * stride;
+      for (uint32_t c : rescored) {
+        row[c] = profiles[c].size() == 0 ? kEmpty : profiles[c].Similarity(i);
+      }
+    }
+  };
 
   // --- Seeding -------------------------------------------------------
   // First seed uniformly at random; second is the member farthest from
   // the first (K-Means++ principle), or random under the ablation.
   const size_t seed1 = rng->NextBelow(members.size());
-  DenseProfile seed_profile(view, weighted);
-  seed_profile.Add(seed1);
-  seed_profile.UpdateWeights();
+  add_cluster();
+  profiles[0].Add(seed1);
+  profiles[0].UpdateWeights();
+  rescore();  // column 0: every member's similarity to the first seed
 
   size_t seed2 = seed1;
   if (options.kmeanspp_seeding) {
     double best = 2.0;  // similarity in [0,1]; pick the minimum
     for (size_t i = 0; i < members.size(); ++i) {
       if (i == seed1) continue;
-      const double sim = seed_profile.Similarity(i);
+      const double sim = sims[i * stride];
       if (sim < best) {
         best = sim;
         seed2 = i;
@@ -282,17 +331,12 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       seed2 = rng->NextBelow(members.size());
     }
   }
+  add_cluster();
+  profiles[1].Add(seed2);
+  profiles[1].UpdateWeights();
 
   // assignment[i]: cluster index of members[i].
   std::vector<uint32_t> assignment(members.size(), 0);
-  uint32_t num_clusters = 2;
-  std::vector<DenseProfile> profiles;
-  profiles.reserve(8);
-  profiles.emplace_back(view, weighted);
-  profiles.emplace_back(view, weighted);
-  profiles[0].Add(seed1);
-  profiles[1].Add(seed2);
-  for (auto& p : profiles) p.UpdateWeights();
 
   // Members whose cluster changed since the profiles were last brought
   // up to date: (member index, cluster it left).
@@ -303,27 +347,41 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   std::vector<Move> moves;
   std::vector<uint32_t> tie_buffer;
   auto assign_all = [&]() -> bool {
+    rescore();
     for (size_t i = 0; i < members.size(); ++i) {
-      double best = -1.0;
-      tie_buffer.clear();
-      for (uint32_t c = 0; c < num_clusters; ++c) {
-        if (profiles[c].size() == 0) continue;
-        const double sim = profiles[c].Similarity(i);
-        if (sim > best + kTieEpsilon) {
-          best = sim;
-          tie_buffer.clear();
-          tie_buffer.push_back(c);
-        } else if (sim >= best - kTieEpsilon) {
-          tie_buffer.push_back(c);
-        }
+      const double* row = sims.data() + i * stride;
+      // Fast path: when one cluster alone lies within 3 * kTieEpsilon
+      // of the row's maximum, it is the only cluster the tie loop below
+      // can keep (that loop's set lies within 2 * kTieEpsilon of the
+      // maximum; the third absorbs the rounding of best +- kTieEpsilon),
+      // so it is chosen without an RNG draw, as the loop would.
+      uint32_t chosen = 0;
+      for (uint32_t c = 1; c < num_clusters; ++c) {
+        chosen = row[c] > row[chosen] ? c : chosen;
       }
-      uint32_t chosen;
-      if (tie_buffer.size() == 1 || !options.balanced_grouping) {
-        chosen = tie_buffer.front();
-      } else {
-        // §4.6 balanced grouping: equidistant ties break uniformly at
-        // random so no cluster systematically absorbs the overflow.
-        chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
+      const double floor = row[chosen] - 3 * kTieEpsilon;
+      uint32_t near = 0;
+      for (uint32_t c = 0; c < num_clusters; ++c) near += row[c] >= floor;
+      if (near > 1) {
+        double best = -1.0;
+        tie_buffer.clear();
+        for (uint32_t c = 0; c < num_clusters; ++c) {
+          const double sim = row[c];
+          if (sim > best + kTieEpsilon) {
+            best = sim;
+            tie_buffer.clear();
+            tie_buffer.push_back(c);
+          } else if (sim >= best - kTieEpsilon) {
+            tie_buffer.push_back(c);
+          }
+        }
+        if (tie_buffer.size() == 1 || !options.balanced_grouping) {
+          chosen = tie_buffer.front();
+        } else {
+          // §4.6 balanced grouping: equidistant ties break uniformly at
+          // random so no cluster systematically absorbs the overflow.
+          chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
+        }
       }
       if (assignment[i] != chosen) {
         moves.push_back({static_cast<uint32_t>(i), assignment[i]});
@@ -336,20 +394,19 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   // Brings the profiles up to date with `assignment`. Integer counts do
   // not depend on how they were reached, so applying the moves yields the
   // same profiles (and bit-identical Eq. 2 terms) as re-adding every
-  // member; only the profiles a move touched recompute their terms.
-  std::vector<bool> touched;
+  // member; only the profiles a move touched recompute their terms and
+  // go stale.
   auto apply_moves = [&]() {
-    touched.assign(num_clusters, false);
     for (const Move& move : moves) {
       const uint32_t to = assignment[move.member];
       profiles[move.from].Remove(move.member);
       profiles[to].Add(move.member);
-      touched[move.from] = true;
-      touched[to] = true;
+      stale[move.from] = 1;
+      stale[to] = 1;
     }
     moves.clear();
     for (uint32_t c = 0; c < num_clusters; ++c) {
-      if (touched[c]) profiles[c].UpdateWeights();
+      if (stale[c]) profiles[c].UpdateWeights();
     }
   };
 
@@ -380,8 +437,6 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   };
 
   // --- Iterate: reassign, check saturation, expand -------------------
-  const uint32_t max_clusters =
-      static_cast<uint32_t>(std::min<size_t>(members.size(), 64));
   int iterations_left = options.max_iterations;
   // The first assignment replaces the seed-only profiles: the one full
   // build. Every later change to the profiles is a move.
@@ -389,7 +444,10 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   moves.clear();
   for (auto& p : profiles) p.Clear();
   for (size_t i = 0; i < members.size(); ++i) profiles[assignment[i]].Add(i);
-  for (auto& p : profiles) p.UpdateWeights();
+  for (uint32_t c = 0; c < num_clusters; ++c) {
+    profiles[c].UpdateWeights();
+    stale[c] = 1;
+  }
   while (true) {
     bool changed = false;
     for (int it = 0; it < 2 && iterations_left > 0; ++it, --iterations_left) {
@@ -420,24 +478,24 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
 
     // Expand: seed a new cluster with the member farthest from all
     // existing clusters (lowest best-similarity).
+    rescore();
     double worst_best = 2.0;
     size_t farthest_idx = 0;
     for (size_t i = 0; i < members.size(); ++i) {
+      const double* row = sims.data() + i * stride;
       double best_sim = 0.0;
       for (uint32_t c = 0; c < num_clusters; ++c) {
-        if (profiles[c].size() == 0) continue;
-        best_sim = std::max(best_sim, profiles[c].Similarity(i));
+        best_sim = std::max(best_sim, row[c]);
       }
       if (best_sim < worst_best) {
         worst_best = best_sim;
         farthest_idx = i;
       }
     }
-    profiles.emplace_back(view, weighted);
+    add_cluster();
     moves.push_back({static_cast<uint32_t>(farthest_idx),
                      assignment[farthest_idx]});
-    assignment[farthest_idx] = num_clusters;
-    ++num_clusters;
+    assignment[farthest_idx] = num_clusters - 1;
     apply_moves();
     iterations_left = std::max(iterations_left, 2);  // allow a settle round
   }

@@ -16,6 +16,15 @@
 // the profiles a move touched recompute their terms. The terms are
 // computed with the same operations in the same order whichever way the
 // counts were reached, so the partition does not depend on it.
+//
+// Every member's similarity to every cluster is cached in one
+// member-major matrix that the assignment rounds and the farthest-member
+// scan both read; only the columns of profiles a move (or the expansion
+// seed) touched are rescored. An assignment round takes a member's best
+// cluster straight from its row when no other cluster comes within three
+// tie epsilons of it, and otherwise runs the sequential tie loop, so the
+// RNG draws, and with them the partition, are those of rescoring
+// everything.
 #pragma once
 
 #include <cstdint>

@@ -267,22 +267,29 @@ TemplateId TemplateMatcher::Match(std::string_view raw_log) const {
 
 namespace {
 
+// Logs per MatchAll work item: enough to amortize the claim, small
+// enough that workers finishing early keep claiming.
+constexpr size_t kMatchChunk = 1024;
+
 // Shared by the string and string_view MatchAll overloads; Logs only
-// needs operator[] convertible to string_view and size().
+// needs operator[] convertible to string_view and size(). Workers claim
+// chunks from a shared counter, so a slow stretch of logs does not hold
+// the whole call on one thread.
 template <typename Logs>
 std::vector<TemplateId> MatchAllImpl(const TemplateMatcher& matcher,
                                      const Logs& raw_logs, int num_threads) {
-  std::vector<TemplateId> out(raw_logs.size(), kInvalidTemplateId);
-  ParallelForShards(raw_logs.size(),
-                    static_cast<size_t>(std::max(1, num_threads)),
-                    [&](size_t begin, size_t end) {
-                      // Per-thread, like Match(): a short batch must not
-                      // pay the scratch's allocations on every call.
-                      thread_local TemplateMatcher::MatchScratch scratch;
-                      for (size_t i = begin; i < end; ++i) {
-                        out[i] = matcher.Match(raw_logs[i], &scratch);
-                      }
-                    });
+  const size_t n = raw_logs.size();
+  std::vector<TemplateId> out(n, kInvalidTemplateId);
+  ParallelFor((n + kMatchChunk - 1) / kMatchChunk,
+              static_cast<size_t>(std::max(1, num_threads)), [&](size_t k) {
+                // Per-thread, like Match(): a short batch must not pay
+                // the scratch's allocations on every call.
+                thread_local TemplateMatcher::MatchScratch scratch;
+                const size_t end = std::min(n, (k + 1) * kMatchChunk);
+                for (size_t i = k * kMatchChunk; i < end; ++i) {
+                  out[i] = matcher.Match(raw_logs[i], &scratch);
+                }
+              });
   return out;
 }
 

@@ -225,23 +225,4 @@ void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
                      [out](std::string_view text) { out->push_back(text); });
 }
 
-Result<RegexTokenizer> RegexTokenizer::Create(
-    std::string_view delimiter_pattern) {
-  auto re = Regex::Compile(delimiter_pattern);
-  if (!re.ok()) return re.status();
-  return RegexTokenizer(std::move(re).value());
-}
-
-std::vector<std::string_view> RegexTokenizer::Tokenize(
-    std::string_view log) const {
-  std::vector<std::string_view> out;
-  size_t last = 0;
-  for (const RegexMatch& m : regex_.FindAll(log)) {
-    if (m.begin > last) out.push_back(log.substr(last, m.begin - last));
-    last = m.end;
-  }
-  if (last < log.size()) out.push_back(log.substr(last));
-  return out;
-}
-
 }  // namespace bytebrain

@@ -10,8 +10,8 @@
 // whitespace or end-of-line, so periods inside numbers survive), and
 // (d) escaped quotes. Empty tokens are dropped.
 //
-// A regex-engine-backed tokenizer is also provided for user-defined
-// per-topic rules; the scanner and the engine are differential-tested.
+// The scanner is differential-tested against the regex engine running
+// kDefaultTokenizerPattern.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "regex/regex.h"
-#include "util/status.h"
 
 namespace bytebrain {
 
@@ -65,22 +63,5 @@ uint64_t TokenizeReplacedIdsInto(std::string_view raw,
 /// TokenizeReplacedIdsInto: the replacer must report fused_fast_path().
 void TokenizeReplacedInto(std::string_view raw, std::string* mixed_buf,
                           std::vector<std::string_view>* out);
-
-/// Tokenizer driven by a user-supplied delimiter regex: every match of
-/// `delimiter` is a separator. Used for tenant-specific tokenization
-/// rules; slower than the scanner but fully customizable.
-class RegexTokenizer {
- public:
-  /// Compiles the delimiter pattern; rejects lookaround (NotSupported).
-  static Result<RegexTokenizer> Create(std::string_view delimiter_pattern);
-
-  std::vector<std::string_view> Tokenize(std::string_view log) const;
-
-  const Regex& regex() const { return regex_; }
-
- private:
-  explicit RegexTokenizer(Regex regex) : regex_(std::move(regex)) {}
-  Regex regex_;
-};
 
 }  // namespace bytebrain

@@ -31,7 +31,7 @@ std::vector<std::string> TemplateTokensFor(
   tokens.reserve(stats.num_positions);
   for (uint32_t i = 0; i < stats.num_positions; ++i) {
     if (stats.distinct[i] == 1) {
-      tokens.push_back(first.token_texts[i]);
+      tokens.emplace_back(first.text(i));
     } else {
       tokens.emplace_back(kWildcard);
     }
@@ -223,13 +223,9 @@ Result<TrainOutput> Trainer::Train(
   }
 
   // Expand distinct-log assignments back to raw inputs.
-  for (size_t d = 0; d < pre.logs.size(); ++d) {
-    const TemplateId id = distinct_assignment[d];
-    for (uint32_t src : pre.logs[d].source_ids) {
-      const uint32_t raw_index =
-          sample_map.empty() ? src : sample_map[src];
-      out.assignments[raw_index] = id;
-    }
+  for (size_t i = 0; i < pre.distinct_of.size(); ++i) {
+    const size_t raw_index = sample_map.empty() ? i : sample_map[i];
+    out.assignments[raw_index] = distinct_assignment[pre.distinct_of[i]];
   }
   return out;
 }

@@ -7,24 +7,10 @@
 #include <set>
 
 #include "core/cluster.h"
+#include "test_logs.h"
 
 namespace bytebrain {
 namespace {
-
-std::vector<EncodedLog> MakeLogs(
-    std::initializer_list<std::vector<std::string>> rows) {
-  std::vector<EncodedLog> logs;
-  for (const auto& row : rows) {
-    EncodedLog el;
-    el.count = 1;
-    for (const auto& tok : row) {
-      el.tokens.push_back(HashToken(tok));
-      el.token_texts.push_back(tok);
-    }
-    logs.push_back(std::move(el));
-  }
-  return logs;
-}
 
 std::vector<uint32_t> AllOf(const std::vector<EncodedLog>& logs) {
   std::vector<uint32_t> v(logs.size());
@@ -266,6 +252,114 @@ TEST(ClusterTest, DeterministicGivenSeed) {
   auto b = Cluster(logs, AllOf(logs), parent, kDefault, &rng2);
   EXPECT_EQ(a.split, b.split);
   EXPECT_EQ(Canon(a.clusters), Canon(b.clusters));
+}
+
+// FNV-1a over 64-bit words.
+void Fold(uint64_t* h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    *h ^= (v >> (8 * b)) & 0xff;
+    *h *= 0x100000001b3ULL;
+  }
+}
+
+// Distinct rows over a tiny vocabulary: many members score exactly alike
+// against several clusters (multi-way ties that balanced grouping breaks
+// with RNG draws), and some rounds move every member out of a cluster.
+// Only the first `varying` positions vary. With `with_id`, a last
+// position unique per row is a confirmed variable in groups of 50 or
+// more, which the clusterer skips, so rows equal elsewhere tie everywhere.
+std::vector<std::vector<std::string>> TieRows(Rng* rng, size_t n, size_t m,
+                                              size_t varying, uint32_t vocab,
+                                              bool with_id = false) {
+  std::set<std::vector<std::string>> seen;
+  std::vector<std::vector<std::string>> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<std::string> row;
+    for (size_t p = 0; p < m; ++p) {
+      const uint64_t v = p < varying ? rng->NextBelow(vocab) : 0;
+      row.push_back("p" + std::to_string(p) + "v" + std::to_string(v));
+    }
+    if (with_id) row.push_back("id" + std::to_string(i));
+    if (seen.insert(row).second) rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(ClusterTest, OutcomesMatchRecordedValuesUnderEveryOption) {
+  // The cached similarities rescore only the clusters a move touched and
+  // skip the tie loop when one cluster clearly wins; neither may change
+  // a partition, a cluster's stats or how often the RNG is drawn. The
+  // digests (clusters, their stats and the RNG's next output, over 420
+  // random tie-heavy corpora) were recorded from the clusterer that
+  // rescored every profile for every member in every round. Across the
+  // corpora, balanced grouping draws the RNG on thousands of ties, and
+  // moves empty clusters under the defaults, without balanced grouping
+  // and without early stop.
+  struct Variant {
+    const char* name;
+    void (*configure)(ClusterOptions*);
+    uint64_t digest;
+  };
+  const Variant kVariants[] = {
+      {"defaults", [](ClusterOptions*) {}, 0x098783a18b522882ULL},
+      {"no_position_importance",
+       [](ClusterOptions* o) { o->use_position_importance = false; },
+       0xebb17efbf571c8daULL},
+      {"no_balanced_grouping",
+       [](ClusterOptions* o) { o->balanced_grouping = false; },
+       0xa3067ad75d6d6681ULL},
+      {"no_kmeanspp_seeding",
+       [](ClusterOptions* o) { o->kmeanspp_seeding = false; },
+       0xaa48a7ff883ae437ULL},
+      {"no_ensure_saturation_increase",
+       [](ClusterOptions* o) { o->ensure_saturation_increase = false; },
+       0x5d3fd55fced27db3ULL},
+      {"no_early_stop", [](ClusterOptions* o) { o->early_stop = false; },
+       0xcdb8aa2a8aaa8604ULL},
+  };
+  Rng corpus_rng(2024);
+  std::vector<std::vector<EncodedLog>> corpora;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = 4 + corpus_rng.NextBelow(trial % 2 ? 40 : 200);
+    const size_t m = 2 + corpus_rng.NextBelow(4);
+    const uint32_t vocab = 2 + static_cast<uint32_t>(corpus_rng.NextBelow(3));
+    const bool with_id = corpus_rng.NextBelow(2) == 1;
+    if (trial % 20 == 19) {
+      // Early-stop shapes: one varying position, or all-distinct logs.
+      corpora.push_back(MakeLogs(TieRows(&corpus_rng, n, m, 1, vocab)));
+      corpora.push_back(MakeLogs(TieRows(&corpus_rng, 3, m, m, 1000)));
+      continue;
+    }
+    corpora.push_back(
+        MakeLogs(TieRows(&corpus_rng, n, m, m, vocab, with_id)));
+  }
+  for (const Variant& variant : kVariants) {
+    ClusterOptions options;
+    variant.configure(&options);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t t = 0; t < corpora.size(); ++t) {
+      const std::vector<EncodedLog>& logs = corpora[t];
+      const std::vector<uint32_t> members = AllOf(logs);
+      if (members.size() < 2) continue;
+      const double parent = ComputeSaturation(logs, members, {});
+      Rng rng(t * 7919 + 1);
+      const ClusterOutcome outcome =
+          Cluster(logs, members, parent, options, &rng);
+      Fold(&h, outcome.split);
+      for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+        Fold(&h, outcome.clusters[c].size());
+        for (uint32_t member : outcome.clusters[c]) Fold(&h, member);
+        const PositionStats& stats = outcome.cluster_stats[c];
+        Fold(&h, stats.num_logs);
+        Fold(&h, stats.num_constant);
+        Fold(&h, stats.num_variable);
+        for (uint32_t d : stats.distinct) Fold(&h, d);
+      }
+      Fold(&h, rng.Next());
+    }
+    EXPECT_EQ(h, variant.digest)
+        << variant.name << ": 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

@@ -238,21 +238,28 @@ TEST(MatcherInsertTest, InsertAfterAdoptPreservesTryOrder) {
 }
 
 TEST(MatcherTest, MatchAllAgreesWithSequentialMatch) {
+  // MatchAll hands threads 1024-log chunks; sizes on either side of a
+  // chunk boundary, and a ragged last chunk, give per-log Match's ids.
   DatasetGenerator gen(*FindDatasetSpec("OpenSSH"));
   GenOptions opts;
-  opts.num_logs = 512;
+  opts.num_logs = 5000;
   opts.num_templates = 25;
   std::vector<std::string> logs;
   for (auto& l : gen.Generate(opts).logs) logs.push_back(l.text);
 
-  ByteBrainOptions options;
-  ByteBrainParser parser(options);
+  ByteBrainParser parser{ByteBrainOptions{}};
   ASSERT_TRUE(parser.Train(logs).ok());
-
-  std::vector<TemplateId> expected;
-  for (const auto& log : logs) expected.push_back(parser.Match(log));
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(parser.MatchAll(logs, threads), expected) << threads;
+  for (size_t n : {0, 1, 1023, 1024, 1025, 5000}) {
+    const std::vector<std::string> batch(logs.begin(), logs.begin() + n);
+    const std::vector<std::string_view> views(batch.begin(), batch.end());
+    std::vector<TemplateId> expected;
+    for (const auto& log : batch) expected.push_back(parser.Match(log));
+    for (int threads : {1, 2, 4}) {
+      EXPECT_EQ(parser.MatchAll(batch, threads), expected)
+          << n << " logs, " << threads << " threads";
+      EXPECT_EQ(parser.MatchAll(views, threads), expected)
+          << n << " views, " << threads << " threads";
+    }
   }
 }
 

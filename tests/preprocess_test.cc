@@ -2,8 +2,7 @@
 // ordinal-vs-hash dictionary cost.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <numeric>
+#include <algorithm>
 
 #include "core/preprocess.h"
 #include "datagen/generator.h"
@@ -20,6 +19,26 @@ std::vector<std::string> Repeat(std::initializer_list<std::string> texts,
   return out;
 }
 
+// Field-by-field equality of two results: distinct logs in order (token
+// hashes, token texts, counts) and the raw -> distinct map.
+void ExpectSameResult(const PreprocessResult& a, const PreprocessResult& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.total_logs, b.total_logs) << what;
+  ASSERT_EQ(a.logs.size(), b.logs.size()) << what;
+  EXPECT_EQ(a.distinct_of, b.distinct_of) << what;
+  for (size_t d = 0; d < a.logs.size(); ++d) {
+    const EncodedLog& x = a.logs[d];
+    const EncodedLog& y = b.logs[d];
+    ASSERT_TRUE(std::equal(x.tokens.begin(), x.tokens.end(), y.tokens.begin(),
+                           y.tokens.end()))
+        << what << " log " << d;
+    for (size_t i = 0; i < x.tokens.size(); ++i) {
+      EXPECT_EQ(x.text(i), y.text(i)) << what << " log " << d;
+    }
+    EXPECT_EQ(x.count, y.count) << what << " log " << d;
+  }
+}
+
 TEST(PreprocessTest, DedupCollapsesIdenticalLogs) {
   auto logs = Repeat({"user login ok", "user login failed"}, 50);
   PreprocessOptions opts;
@@ -30,20 +49,23 @@ TEST(PreprocessTest, DedupCollapsesIdenticalLogs) {
   EXPECT_EQ(result.logs[1].count, 50u);
 }
 
-TEST(PreprocessTest, SourceIdsCoverEveryInput) {
+TEST(PreprocessTest, DistinctOfCoversEveryInput) {
   auto logs = Repeat({"a b", "c d", "a b"}, 10);
   PreprocessOptions opts;
   auto result = Preprocess(logs, VariableReplacer::None(), opts);
-  std::vector<bool> seen(logs.size(), false);
-  for (const auto& el : result.logs) {
-    EXPECT_EQ(el.source_ids.size(), el.count);
-    for (uint32_t id : el.source_ids) {
-      ASSERT_LT(id, logs.size());
-      EXPECT_FALSE(seen[id]);
-      seen[id] = true;
-    }
+  ASSERT_EQ(result.distinct_of.size(), logs.size());
+  std::vector<uint64_t> counted(result.logs.size(), 0);
+  for (size_t i = 0; i < logs.size(); ++i) {
+    ASSERT_LT(result.distinct_of[i], result.logs.size());
+    ++counted[result.distinct_of[i]];
+    // Each raw log maps to the distinct log with its own text.
+    const EncodedLog& el = result.logs[result.distinct_of[i]];
+    EXPECT_EQ(std::string(el.text(0)) + " " + std::string(el.text(1)),
+              logs[i]);
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+  for (size_t d = 0; d < result.logs.size(); ++d) {
+    EXPECT_EQ(counted[d], result.logs[d].count);
+  }
 }
 
 TEST(PreprocessTest, VariableReplacementIncreasesDuplication) {
@@ -76,36 +98,49 @@ TEST(PreprocessTest, TokensAndTextsAligned) {
   ASSERT_EQ(result.logs.size(), 1u);
   const auto& el = result.logs[0];
   ASSERT_EQ(el.tokens.size(), 4u);
-  ASSERT_EQ(el.token_texts.size(), 4u);
-  EXPECT_EQ(el.token_texts[0], "alpha");
-  EXPECT_EQ(el.token_texts[1], "beta");
-  EXPECT_EQ(el.token_texts[2], "7");
+  EXPECT_EQ(el.text(0), "alpha");
+  EXPECT_EQ(el.text(1), "beta");
+  EXPECT_EQ(el.text(2), "7");
+  EXPECT_EQ(el.text(3), "gamma");
   for (size_t i = 0; i < el.tokens.size(); ++i) {
-    EXPECT_EQ(el.tokens[i], HashToken(el.token_texts[i]));
+    EXPECT_EQ(el.tokens[i], HashToken(el.text(i)));
   }
 }
 
 TEST(PreprocessTest, ParallelMatchesSequential) {
+  // Distinct logs keep first-seen order, so every shard count gives the
+  // sequential result field for field, with and without deduplication.
+  const DatasetSpec* spec = FindDatasetSpec("OpenSSH");
+  ASSERT_NE(spec, nullptr);
+  GenOptions gen;
+  gen.num_logs = 2000;
+  gen.num_templates = spec->loghub2_templates;
   std::vector<std::string> logs;
-  for (int i = 0; i < 500; ++i) {
-    logs.push_back("evt " + std::to_string(i % 17) + " code " +
-                   std::to_string(i % 5));
+  for (auto& l : DatasetGenerator(*spec).Generate(gen).logs) {
+    logs.push_back(std::move(l.text));
   }
-  PreprocessOptions seq;
-  seq.num_threads = 1;
-  PreprocessOptions par;
-  par.num_threads = 4;
-  auto a = Preprocess(logs, VariableReplacer::Default(), seq);
-  auto b = Preprocess(logs, VariableReplacer::Default(), par);
-  ASSERT_EQ(a.logs.size(), b.logs.size());
-  // Shard-local dedup may reorder distinct logs; compare as multisets
-  // keyed by the token sequence.
-  auto index = [](const PreprocessResult& r) {
-    std::map<std::vector<uint64_t>, uint64_t> m;
-    for (const auto& el : r.logs) m[el.tokens] = el.count;
-    return m;
-  };
-  EXPECT_EQ(index(a), index(b));
+  for (bool dedup : {true, false}) {
+    PreprocessOptions opts;
+    opts.deduplicate = dedup;
+    const PreprocessResult sequential =
+        Preprocess(logs, VariableReplacer::Default(), opts);
+    if (dedup) {
+      EXPECT_LT(sequential.logs.size(), logs.size());
+    } else {
+      ASSERT_EQ(sequential.logs.size(), logs.size());
+      for (uint32_t i = 0; i < logs.size(); ++i) {
+        EXPECT_EQ(sequential.distinct_of[i], i);
+        EXPECT_EQ(sequential.logs[i].count, 1u);
+      }
+    }
+    for (int threads : {2, 3, 4, 7}) {
+      opts.num_threads = threads;
+      ExpectSameResult(Preprocess(logs, VariableReplacer::Default(), opts),
+                       sequential,
+                       "dedup=" + std::to_string(dedup) +
+                           " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 TEST(PreprocessTest, FusedScanMatchesTwoPathReplacement) {
@@ -133,15 +168,52 @@ TEST(PreprocessTest, FusedScanMatchesTwoPathReplacement) {
       opts.num_threads = threads;
       const PreprocessResult a = Preprocess(logs, fused, opts);
       const PreprocessResult b = Preprocess(logs, two_pass, opts);
-      ASSERT_EQ(a.total_logs, b.total_logs);
-      ASSERT_EQ(a.logs.size(), b.logs.size()) << spec.name;
-      for (size_t i = 0; i < a.logs.size(); ++i) {
-        EXPECT_EQ(a.logs[i].tokens, b.logs[i].tokens) << spec.name;
-        EXPECT_EQ(a.logs[i].token_texts, b.logs[i].token_texts) << spec.name;
-        EXPECT_EQ(a.logs[i].count, b.logs[i].count) << spec.name;
-        EXPECT_EQ(a.logs[i].source_ids, b.logs[i].source_ids) << spec.name;
-      }
+      ExpectSameResult(a, b, spec.name);
     }
+  }
+}
+
+TEST(PreprocessTest, ResultOutlivesItsInput) {
+  // The result copies every token text it keeps: reading it after the
+  // raw logs are gone must not touch their memory (ASAN checks this).
+  // The first two logs take the fused scan's no-variable path, whose
+  // token views alias the raw log itself.
+  PreprocessResult result;
+  for (int threads : {1, 4}) {
+    {
+      std::vector<std::string> logs = {"alpha beta gamma delta",
+                                       "session opened for user root",
+                                       "conn from 10.0.0.1 port 22"};
+      PreprocessOptions opts;
+      opts.num_threads = threads;
+      result = Preprocess(logs, VariableReplacer::Default(), opts);
+      std::fill(logs.begin(), logs.end(), std::string(32, '#'));
+    }
+    ASSERT_EQ(result.logs.size(), 3u);
+    EXPECT_EQ(result.logs[0].text(3), "delta");
+    EXPECT_EQ(result.logs[1].text(4), "root");
+    EXPECT_EQ(result.logs[2].text(2), "*");
+    EXPECT_EQ(result.logs[2].text(4), "22");
+  }
+}
+
+TEST(PreprocessTest, TinyInputKeepsItsTexts) {
+  // Under 16 bytes of text in all: a per-shard character buffer this
+  // small would sit inline in a std::string, and moving it between
+  // shard and result would break every view into it.
+  const std::vector<std::string> logs = {"a b", "c", "d e", "a b"};
+  for (int threads : {1, 2, 3, 4}) {
+    PreprocessOptions opts;
+    opts.num_threads = threads;
+    PreprocessResult moved = Preprocess(logs, VariableReplacer::None(), opts);
+    const PreprocessResult result = std::move(moved);
+    ASSERT_EQ(result.logs.size(), 3u) << threads;
+    EXPECT_EQ(result.logs[0].text(0), "a");
+    EXPECT_EQ(result.logs[0].text(1), "b");
+    EXPECT_EQ(result.logs[0].count, 2u);
+    EXPECT_EQ(result.logs[1].text(0), "c");
+    EXPECT_EQ(result.logs[2].text(1), "e");
+    EXPECT_EQ(result.distinct_of, (std::vector<uint32_t>{0, 1, 2, 0}));
   }
 }
 

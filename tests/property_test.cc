@@ -19,6 +19,7 @@
 #include "logstore/disk_backend.h"
 #include "logstore/fault_injection.h"
 #include "regex/regex.h"
+#include "test_logs.h"
 #include "util/rng.h"
 
 namespace bytebrain {
@@ -121,17 +122,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerFuzzTest,
 
 std::vector<EncodedLog> RandomLogs(Rng* rng, size_t n, size_t m,
                                    uint32_t vocab) {
-  std::vector<EncodedLog> logs(n);
-  for (auto& log : logs) {
-    log.count = 1;
+  std::vector<std::vector<std::string>> rows(n);
+  for (auto& row : rows) {
     for (size_t p = 0; p < m; ++p) {
-      const std::string tok =
-          "t" + std::to_string(p) + "_" + std::to_string(rng->NextBelow(vocab));
-      log.tokens.push_back(HashToken(tok));
-      log.token_texts.push_back(tok);
+      row.push_back("t" + std::to_string(p) + "_" +
+                    std::to_string(rng->NextBelow(vocab)));
     }
   }
-  return logs;
+  return MakeLogs(rows);
 }
 
 class SaturationPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -184,7 +182,9 @@ TEST_P(ClusterPropertyTest, OutcomeIsAlwaysAPartition) {
     std::vector<uint32_t> members;
     std::set<std::vector<uint64_t>> seen;
     for (uint32_t i = 0; i < n; ++i) {
-      if (seen.insert(logs[i].tokens).second) members.push_back(i);
+      const std::vector<uint64_t> row(logs[i].tokens.begin(),
+                                      logs[i].tokens.end());
+      if (seen.insert(row).second) members.push_back(i);
     }
     if (members.size() < 2) continue;
     const double parent = ComputeSaturation(logs, members, {});

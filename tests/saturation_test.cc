@@ -7,25 +7,10 @@
 
 #include "core/preprocess.h"
 #include "core/saturation.h"
+#include "test_logs.h"
 
 namespace bytebrain {
 namespace {
-
-// Builds EncodedLogs from token-text rows.
-std::vector<EncodedLog> MakeLogs(
-    std::initializer_list<std::vector<std::string>> rows) {
-  std::vector<EncodedLog> logs;
-  for (const auto& row : rows) {
-    EncodedLog el;
-    el.count = 1;
-    for (const auto& tok : row) {
-      el.tokens.push_back(HashToken(tok));
-      el.token_texts.push_back(tok);
-    }
-    logs.push_back(std::move(el));
-  }
-  return logs;
-}
 
 std::vector<uint32_t> AllOf(const std::vector<EncodedLog>& logs) {
   std::vector<uint32_t> v(logs.size());

@@ -1,14 +1,42 @@
 // Tests for the Listing-1 tokenizer: hand-rolled scanner semantics plus a
-// differential check against the regex-engine tokenizer.
+// differential check against the regex engine running the same pattern.
 #include <gtest/gtest.h>
 
 #include "core/tokenizer.h"
 #include "core/variable_replacer.h"
 #include "datagen/generator.h"
+#include "regex/regex.h"
 #include "util/rng.h"
 
 namespace bytebrain {
 namespace {
+
+// Tokenizer driven by a delimiter regex: every match is a separator and
+// empty tokens are dropped. The differential oracle for the scanner.
+class RegexTokenizer {
+ public:
+  /// Compiles the delimiter pattern; rejects lookaround (NotSupported).
+  static Result<RegexTokenizer> Create(std::string_view delimiter_pattern) {
+    auto re = Regex::Compile(delimiter_pattern);
+    if (!re.ok()) return re.status();
+    return RegexTokenizer(std::move(re).value());
+  }
+
+  std::vector<std::string_view> Tokenize(std::string_view log) const {
+    std::vector<std::string_view> out;
+    size_t last = 0;
+    for (const RegexMatch& m : regex_.FindAll(log)) {
+      if (m.begin > last) out.push_back(log.substr(last, m.begin - last));
+      last = m.end;
+    }
+    if (last < log.size()) out.push_back(log.substr(last));
+    return out;
+  }
+
+ private:
+  explicit RegexTokenizer(Regex regex) : regex_(std::move(regex)) {}
+  Regex regex_;
+};
 
 std::vector<std::string> Tok(std::string_view s) {
   std::vector<std::string> out;
