@@ -19,6 +19,9 @@ constexpr double kConstantPositionWeight = 2.0;
 // grouping (§4.6).
 constexpr double kTieEpsilon = 1e-12;
 
+// Most similarities one SingleClusteringProcess call caches (4 MiB).
+constexpr size_t kMaxCachedSimilarities = size_t{1} << 19;
+
 }  // namespace
 
 ClusterProfile::ClusterProfile(const std::vector<uint32_t>& active_positions,
@@ -266,7 +269,12 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   // or -inf while c is empty (so an empty cluster never wins, ties or
   // raises a maximum). Only stale columns are rescored: a profile no
   // move touched keeps its terms, its size and its total weight, so its
-  // cached column is exactly what Similarity would return.
+  // cached column is exactly what Similarity would return. The matrix
+  // keeps at most kMaxCachedSimilarities values: a group with too many
+  // members to cache every cluster caches the first `max_cached` and
+  // scores later clusters on every read.
+  const size_t max_cached = std::min<size_t>(
+      max_clusters, kMaxCachedSimilarities / members.size());
   uint32_t num_clusters = 0;
   std::vector<DenseProfile> profiles;
   profiles.reserve(8);
@@ -274,15 +282,23 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   std::vector<double> sims;
   size_t stride = 0;
   std::vector<uint32_t> rescored;
+  constexpr double kEmpty = -std::numeric_limits<double>::infinity();
+  auto score = [&](size_t i, uint32_t c) {
+    return profiles[c].size() == 0 ? kEmpty : profiles[c].Similarity(i);
+  };
+  auto similarity = [&](size_t i, uint32_t c) {
+    return c < stride ? sims[i * stride + c] : score(i, c);
+  };
   auto add_cluster = [&]() {
     profiles.emplace_back(view, weighted);
     stale.push_back(1);
     ++num_clusters;
   };
   auto rescore = [&]() {
-    if (num_clusters > stride) {
-      const size_t wider = std::min<size_t>(
-          max_clusters, std::max<size_t>(num_clusters, 2 * stride));
+    const size_t width = std::min<size_t>(num_clusters, max_cached);
+    if (width > stride) {
+      const size_t wider =
+          std::min(max_cached, std::max(width, 2 * stride));
       std::vector<double> grown(members.size() * wider);
       for (size_t i = 0; i < members.size(); ++i) {
         std::copy_n(sims.data() + i * stride, stride,
@@ -291,18 +307,17 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
       sims.swap(grown);
       stride = wider;
     }
+    // A cluster past `width` stays out of the matrix for good (the
+    // stride stops at max_cached), so its flag is cleared too.
     rescored.clear();
     for (uint32_t c = 0; c < num_clusters; ++c) {
-      if (stale[c]) rescored.push_back(c);
+      if (stale[c] && c < width) rescored.push_back(c);
       stale[c] = 0;
     }
     if (rescored.empty()) return;
-    constexpr double kEmpty = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < members.size(); ++i) {
       double* row = sims.data() + i * stride;
-      for (uint32_t c : rescored) {
-        row[c] = profiles[c].size() == 0 ? kEmpty : profiles[c].Similarity(i);
-      }
+      for (uint32_t c : rescored) row[c] = score(i, c);
     }
   };
 
@@ -320,7 +335,7 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     double best = 2.0;  // similarity in [0,1]; pick the minimum
     for (size_t i = 0; i < members.size(); ++i) {
       if (i == seed1) continue;
-      const double sim = sims[i * stride];
+      const double sim = similarity(i, 0);
       if (sim < best) {
         best = sim;
         seed2 = i;
@@ -349,39 +364,25 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
   auto assign_all = [&]() -> bool {
     rescore();
     for (size_t i = 0; i < members.size(); ++i) {
-      const double* row = sims.data() + i * stride;
-      // Fast path: when one cluster alone lies within 3 * kTieEpsilon
-      // of the row's maximum, it is the only cluster the tie loop below
-      // can keep (that loop's set lies within 2 * kTieEpsilon of the
-      // maximum; the third absorbs the rounding of best +- kTieEpsilon),
-      // so it is chosen without an RNG draw, as the loop would.
-      uint32_t chosen = 0;
-      for (uint32_t c = 1; c < num_clusters; ++c) {
-        chosen = row[c] > row[chosen] ? c : chosen;
+      double best = -1.0;
+      tie_buffer.clear();
+      for (uint32_t c = 0; c < num_clusters; ++c) {
+        const double sim = similarity(i, c);
+        if (sim > best + kTieEpsilon) {
+          best = sim;
+          tie_buffer.clear();
+          tie_buffer.push_back(c);
+        } else if (sim >= best - kTieEpsilon) {
+          tie_buffer.push_back(c);
+        }
       }
-      const double floor = row[chosen] - 3 * kTieEpsilon;
-      uint32_t near = 0;
-      for (uint32_t c = 0; c < num_clusters; ++c) near += row[c] >= floor;
-      if (near > 1) {
-        double best = -1.0;
-        tie_buffer.clear();
-        for (uint32_t c = 0; c < num_clusters; ++c) {
-          const double sim = row[c];
-          if (sim > best + kTieEpsilon) {
-            best = sim;
-            tie_buffer.clear();
-            tie_buffer.push_back(c);
-          } else if (sim >= best - kTieEpsilon) {
-            tie_buffer.push_back(c);
-          }
-        }
-        if (tie_buffer.size() == 1 || !options.balanced_grouping) {
-          chosen = tie_buffer.front();
-        } else {
-          // §4.6 balanced grouping: equidistant ties break uniformly at
-          // random so no cluster systematically absorbs the overflow.
-          chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
-        }
+      uint32_t chosen;
+      if (tie_buffer.size() == 1 || !options.balanced_grouping) {
+        chosen = tie_buffer.front();
+      } else {
+        // §4.6 balanced grouping: equidistant ties break uniformly at
+        // random so no cluster systematically absorbs the overflow.
+        chosen = tie_buffer[rng->NextBelow(tie_buffer.size())];
       }
       if (assignment[i] != chosen) {
         moves.push_back({static_cast<uint32_t>(i), assignment[i]});
@@ -482,10 +483,9 @@ ClusterOutcome SingleClusteringProcess(const std::vector<EncodedLog>& logs,
     double worst_best = 2.0;
     size_t farthest_idx = 0;
     for (size_t i = 0; i < members.size(); ++i) {
-      const double* row = sims.data() + i * stride;
       double best_sim = 0.0;
       for (uint32_t c = 0; c < num_clusters; ++c) {
-        best_sim = std::max(best_sim, row[c]);
+        best_sim = std::max(best_sim, similarity(i, c));
       }
       if (best_sim < worst_best) {
         worst_best = best_sim;

@@ -20,11 +20,11 @@
 // Every member's similarity to every cluster is cached in one
 // member-major matrix that the assignment rounds and the farthest-member
 // scan both read; only the columns of profiles a move (or the expansion
-// seed) touched are rescored. An assignment round takes a member's best
-// cluster straight from its row when no other cluster comes within three
-// tie epsilons of it, and otherwise runs the sequential tie loop, so the
-// RNG draws, and with them the partition, are those of rescoring
-// everything.
+// seed) touched are rescored, and the sequential tie loop reads the
+// cached row, so the RNG draws, and with them the partition, are those of
+// rescoring everything. The matrix holds at most 2^19 similarities
+// (4 MiB); in a group too large for that, the clusters whose columns do
+// not fit are scored on every read.
 #pragma once
 
 #include <cstdint>

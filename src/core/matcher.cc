@@ -267,9 +267,11 @@ TemplateId TemplateMatcher::Match(std::string_view raw_log) const {
 
 namespace {
 
-// Logs per MatchAll work item: enough to amortize the claim, small
-// enough that workers finishing early keep claiming.
-constexpr size_t kMatchChunk = 1024;
+// MatchAll work items: up to 1024 logs each (enough to amortize the
+// claim), and at least 8 per thread, so that a batch of a few thousand
+// logs still spreads evenly and workers finishing early keep claiming.
+constexpr size_t kMaxMatchChunk = 1024;
+constexpr size_t kMatchChunksPerThread = 8;
 
 // Shared by the string and string_view MatchAll overloads; Logs only
 // needs operator[] convertible to string_view and size(). Workers claim
@@ -279,17 +281,19 @@ template <typename Logs>
 std::vector<TemplateId> MatchAllImpl(const TemplateMatcher& matcher,
                                      const Logs& raw_logs, int num_threads) {
   const size_t n = raw_logs.size();
+  const size_t threads = static_cast<size_t>(std::max(1, num_threads));
+  const size_t chunk = std::clamp<size_t>(
+      n / (threads * kMatchChunksPerThread), 1, kMaxMatchChunk);
   std::vector<TemplateId> out(n, kInvalidTemplateId);
-  ParallelFor((n + kMatchChunk - 1) / kMatchChunk,
-              static_cast<size_t>(std::max(1, num_threads)), [&](size_t k) {
-                // Per-thread, like Match(): a short batch must not pay
-                // the scratch's allocations on every call.
-                thread_local TemplateMatcher::MatchScratch scratch;
-                const size_t end = std::min(n, (k + 1) * kMatchChunk);
-                for (size_t i = k * kMatchChunk; i < end; ++i) {
-                  out[i] = matcher.Match(raw_logs[i], &scratch);
-                }
-              });
+  ParallelFor((n + chunk - 1) / chunk, threads, [&](size_t k) {
+    // Per-thread, like Match(): a short batch must not pay the scratch's
+    // allocations on every call.
+    thread_local TemplateMatcher::MatchScratch scratch;
+    const size_t end = std::min(n, (k + 1) * chunk);
+    for (size_t i = k * chunk; i < end; ++i) {
+      out[i] = matcher.Match(raw_logs[i], &scratch);
+    }
+  });
   return out;
 }
 

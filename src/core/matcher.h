@@ -88,7 +88,8 @@ class TemplateMatcher {
 
   /// Match a batch across `num_threads` processing queues (§3 "the system
   /// distributes matching tasks across multiple processing queues").
-  /// Threads claim 1024-log chunks in turn; each id is Match's.
+  /// Threads claim chunks of up to 1024 logs in turn, at least 8 chunks
+  /// per thread; each id is Match's.
   /// Locking: as Match; spawns shard tasks on the shared process pool but
   /// itself blocks only until its own shards finish. Never trains. The
   /// view overload serves the off-lock training path, which reads its

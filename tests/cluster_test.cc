@@ -285,21 +285,34 @@ std::vector<std::vector<std::string>> TieRows(Rng* rng, size_t n, size_t m,
   return rows;
 }
 
+void FoldOutcome(uint64_t* h, const ClusterOutcome& outcome) {
+  Fold(h, outcome.split);
+  for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+    Fold(h, outcome.clusters[c].size());
+    for (uint32_t member : outcome.clusters[c]) Fold(h, member);
+    const PositionStats& stats = outcome.cluster_stats[c];
+    Fold(h, stats.num_logs);
+    Fold(h, stats.num_constant);
+    Fold(h, stats.num_variable);
+    for (uint32_t d : stats.distinct) Fold(h, d);
+  }
+}
+
+struct Variant {
+  const char* name;
+  void (*configure)(ClusterOptions*);
+  uint64_t digest;
+};
+
 TEST(ClusterTest, OutcomesMatchRecordedValuesUnderEveryOption) {
-  // The cached similarities rescore only the clusters a move touched and
-  // skip the tie loop when one cluster clearly wins; neither may change
-  // a partition, a cluster's stats or how often the RNG is drawn. The
-  // digests (clusters, their stats and the RNG's next output, over 420
-  // random tie-heavy corpora) were recorded from the clusterer that
-  // rescored every profile for every member in every round. Across the
-  // corpora, balanced grouping draws the RNG on thousands of ties, and
-  // moves empty clusters under the defaults, without balanced grouping
-  // and without early stop.
-  struct Variant {
-    const char* name;
-    void (*configure)(ClusterOptions*);
-    uint64_t digest;
-  };
+  // The cached similarities rescore only the clusters a move touched,
+  // which must not change a partition, a cluster's stats or how often
+  // the RNG is drawn. The digests (clusters, their stats and the RNG's
+  // next output, over 420 random tie-heavy corpora) were recorded from
+  // the clusterer that rescored every profile for every member in every
+  // round. Across the corpora, balanced grouping draws the RNG on
+  // thousands of ties, and moves empty clusters under the defaults,
+  // without balanced grouping and without early stop.
   const Variant kVariants[] = {
       {"defaults", [](ClusterOptions*) {}, 0x098783a18b522882ULL},
       {"no_position_importance",
@@ -345,18 +358,54 @@ TEST(ClusterTest, OutcomesMatchRecordedValuesUnderEveryOption) {
       Rng rng(t * 7919 + 1);
       const ClusterOutcome outcome =
           Cluster(logs, members, parent, options, &rng);
-      Fold(&h, outcome.split);
-      for (size_t c = 0; c < outcome.clusters.size(); ++c) {
-        Fold(&h, outcome.clusters[c].size());
-        for (uint32_t member : outcome.clusters[c]) Fold(&h, member);
-        const PositionStats& stats = outcome.cluster_stats[c];
-        Fold(&h, stats.num_logs);
-        Fold(&h, stats.num_constant);
-        Fold(&h, stats.num_variable);
-        for (uint32_t d : stats.distinct) Fold(&h, d);
-      }
+      FoldOutcome(&h, outcome);
       Fold(&h, rng.Next());
     }
+    EXPECT_EQ(h, variant.digest)
+        << variant.name << ": 0x" << std::hex << h;
+  }
+}
+
+TEST(ClusterTest, GroupTooLargeToCacheMatchesRecordedValues) {
+  // 182,210 distinct rows: the similarity matrix (at most 2^19 values)
+  // holds the columns of the first two clusters only, so the three
+  // later ones are scored on every read. Digests as above, recorded
+  // from the clusterer that cached nothing.
+  const Variant kVariants[] = {
+      {"defaults", [](ClusterOptions*) {}, 0xebf14cc928e127b5ULL},
+      {"no_position_importance",
+       [](ClusterOptions* o) { o->use_position_importance = false; },
+       0xebf14cc928e127b5ULL},
+      {"no_balanced_grouping",
+       [](ClusterOptions* o) { o->balanced_grouping = false; },
+       0x39e127f8b49d7a9bULL},
+      {"no_kmeanspp_seeding",
+       [](ClusterOptions* o) { o->kmeanspp_seeding = false; },
+       0x6ec2eb8f0e6beb4eULL},
+      {"no_ensure_saturation_increase",
+       [](ClusterOptions* o) { o->ensure_saturation_increase = false; },
+       0x43469dccad0f3590ULL},
+      {"no_early_stop", [](ClusterOptions* o) { o->early_stop = false; },
+       0xebf14cc928e127b5ULL},
+  };
+  Rng corpus_rng(1);
+  const std::vector<EncodedLog> logs =
+      MakeLogs(TieRows(&corpus_rng, 200000, 10, 10, 4));
+  const std::vector<uint32_t> members = AllOf(logs);
+  ASSERT_EQ(members.size(), 182210u);
+  const double parent = ComputeSaturation(logs, members, {});
+  for (const Variant& variant : kVariants) {
+    ClusterOptions options;
+    variant.configure(&options);
+    Rng rng(7);
+    const ClusterOutcome outcome =
+        Cluster(logs, members, parent, options, &rng);
+    if (options.ensure_saturation_increase) {
+      EXPECT_EQ(outcome.clusters.size(), 5u) << variant.name;
+    }
+    uint64_t h = 0xcbf29ce484222325ULL;
+    FoldOutcome(&h, outcome);
+    Fold(&h, rng.Next());
     EXPECT_EQ(h, variant.digest)
         << variant.name << ": 0x" << std::hex << h;
   }

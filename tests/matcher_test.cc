@@ -238,18 +238,20 @@ TEST(MatcherInsertTest, InsertAfterAdoptPreservesTryOrder) {
 }
 
 TEST(MatcherTest, MatchAllAgreesWithSequentialMatch) {
-  // MatchAll hands threads 1024-log chunks; sizes on either side of a
-  // chunk boundary, and a ragged last chunk, give per-log Match's ids.
+  // MatchAll's chunks hold n / (8 * threads) logs, from 1 up to 1024:
+  // one-log chunks, uneven ones, sizes on either side of the cap and a
+  // ragged last chunk all give per-log Match's ids.
   DatasetGenerator gen(*FindDatasetSpec("OpenSSH"));
   GenOptions opts;
-  opts.num_logs = 5000;
+  opts.num_logs = 9000;
   opts.num_templates = 25;
   std::vector<std::string> logs;
   for (auto& l : gen.Generate(opts).logs) logs.push_back(l.text);
 
   ByteBrainParser parser{ByteBrainOptions{}};
   ASSERT_TRUE(parser.Train(logs).ok());
-  for (size_t n : {0, 1, 1023, 1024, 1025, 5000}) {
+  for (size_t n :
+       {0, 1, 9, 1000, 1023, 1024, 1025, 5000, 8191, 8192, 8193, 9000}) {
     const std::vector<std::string> batch(logs.begin(), logs.begin() + n);
     const std::vector<std::string_view> views(batch.begin(), batch.end());
     std::vector<TemplateId> expected;
