@@ -22,57 +22,11 @@ constexpr double kTieEpsilon = 1e-12;
 // Most similarities one SingleClusteringProcess call caches (4 MiB).
 constexpr size_t kMaxCachedSimilarities = size_t{1} << 19;
 
-}  // namespace
-
-ClusterProfile::ClusterProfile(const std::vector<uint32_t>& active_positions,
-                               const std::vector<EncodedLog>& logs)
-    : active_(active_positions), logs_(logs), freq_(active_positions.size()) {}
-
-void ClusterProfile::Add(uint32_t member) {
-  const EncodedLog& log = logs_[member];
-  for (size_t k = 0; k < active_.size(); ++k) {
-    freq_[k][log.tokens[active_[k]]]++;
-  }
-  ++size_;
-}
-
-void ClusterProfile::Clear() {
-  for (auto& f : freq_) f.clear();
-  size_ = 0;
-}
-
-double ClusterProfile::Similarity(const EncodedLog& log,
-                                  bool use_position_importance) const {
-  if (size_ == 0 || active_.empty()) return 0.0;
-  double weighted = 0.0;
-  double total_weight = 0.0;
-  for (size_t k = 0; k < active_.size(); ++k) {
-    const auto& f = freq_[k];
-    const auto it = f.find(log.tokens[active_[k]]);
-    const double fi =
-        it == f.end() ? 0.0
-                      : static_cast<double>(it->second) / size_;
-    double wi = 1.0;
-    if (use_position_importance) {
-      const size_t ni = f.size();
-      wi = ni <= 1 ? kConstantPositionWeight
-                   : 1.0 / static_cast<double>(ni - 1);
-    }
-    weighted += wi * fi;
-    total_weight += wi;
-  }
-  return total_weight > 0.0 ? weighted / total_weight : 0.0;
-}
-
-namespace {
-
 // Dense re-encoding of the members' tokens at the active positions:
 // each (position, token) pair becomes a cell of one flat array, so
 // cluster profiles use array indexing instead of hash lookups in the
 // assignment inner loop. Position k owns cells [offsets[k],
 // offsets[k + 1]), one per distinct token in first-seen order.
-// ClusterProfile (above) stays as the reference implementation exercised
-// by the unit tests.
 struct DenseView {
   // cells[i * num_positions + k] = cell of members[i]'s token at active k.
   std::vector<uint32_t> cells;
@@ -145,8 +99,7 @@ class DenseProfile {
 
   // Per cell, the Eq. 2 term w_k * f: w_k = 1/(n_k - 1) from position
   // k's distinct count (or 1 without position importance) and f the
-  // cell's relative frequency; plus sum(w_k) in position order (the order
-  // ClusterProfile::Similarity sums them in).
+  // cell's relative frequency; plus sum(w_k), summed in position order.
   void UpdateWeights() {
     total_weight_ = 0.0;
     const double inv_size =

@@ -73,35 +73,6 @@ struct ClusterOutcome {
   bool split = false;
 };
 
-/// Positional similarity of `log` to a cluster described by per-position
-/// token frequencies. Exposed for unit tests.
-/// Returns a value in [0, 1]; 1 means every position matches the cluster's
-/// dominant structure.
-class ClusterProfile {
- public:
-  /// `active_positions`: positions unresolved in the parent (constant
-  /// positions carry no signal and are skipped).
-  ClusterProfile(const std::vector<uint32_t>& active_positions,
-                 const std::vector<EncodedLog>& logs);
-
-  void Add(uint32_t member);
-  void Clear();
-
-  /// Eq. 2: sum(w_i * f_i) / sum(w_i), f_i = relative frequency of the
-  /// log's token at position i, w_i = 1/(n_i - 1) (capped at 2 for
-  /// constant positions) or 1 without position importance.
-  double Similarity(const EncodedLog& log, bool use_position_importance) const;
-
-  uint32_t size() const { return size_; }
-
- private:
-  const std::vector<uint32_t>& active_;
-  const std::vector<EncodedLog>& logs_;
-  // freq_[k] maps token -> count at active position k.
-  std::vector<std::unordered_map<uint64_t, uint32_t>> freq_;
-  uint32_t size_ = 0;
-};
-
 /// Runs the single clustering process for one node.
 /// `parent_stats` are ComputePositionStats(logs, members) and
 /// `parent_saturation` is the node's own score; kept clusters must beat it

@@ -293,8 +293,11 @@ Result<TemplateModel> TemplateModel::Deserialize(std::string_view bytes) {
   for (const TreeNode& n : model.nodes_) {
     if (n.parent == kInvalidTemplateId) {
       model.roots_.push_back(n.id);
-    } else if (n.parent > model.nodes_.size()) {
-      return Status::Corruption("dangling parent id");
+    } else if (n.parent >= n.id) {
+      // Every model the code builds links a node only to an existing
+      // (lower-id) parent; a later parent is corrupt and could close a
+      // cycle that ResolveAtThreshold would walk forever.
+      return Status::Corruption("parent id not below node id");
     } else {
       model.nodes_[n.parent - 1].children.push_back(n.id);
     }
@@ -309,18 +312,6 @@ uint64_t TemplateModel::ApproxBytes() const {
     for (const std::string& t : n.tokens) bytes += 4 + t.size();
   }
   return bytes;
-}
-
-void TemplateModel::ExportTo(InternalTopic* topic) const {
-  for (const TreeNode& n : nodes_) {
-    TemplateMeta meta;
-    meta.id = n.id;
-    meta.parent_id = n.parent;
-    meta.saturation = n.saturation;
-    meta.support = n.support;
-    meta.template_text = TemplateText(n.id);
-    topic->Put(std::move(meta));
-  }
 }
 
 }  // namespace bytebrain

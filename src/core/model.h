@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "core/token_table.h"
-#include "logstore/internal_topic.h"
-#include "logstore/log_record.h"
 #include "util/status.h"
+#include "util/template_id.h"
 
 namespace bytebrain {
 
@@ -125,9 +124,6 @@ class TemplateModel {
   std::string Serialize() const;
   static Result<TemplateModel> Deserialize(std::string_view bytes);
   uint64_t ApproxBytes() const;
-
-  /// Publishes every node's metadata into an internal topic (§3).
-  void ExportTo(InternalTopic* topic) const;
 
   /// The interner holding every template token of this model. Shared with
   /// matchers built from the model: AdoptTemporary interns new tokens into

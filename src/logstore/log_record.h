@@ -4,12 +4,9 @@
 #include <cstdint>
 #include <string>
 
-namespace bytebrain {
+#include "util/template_id.h"
 
-/// Identifier of a template (a node in the clustering tree). 0 is reserved
-/// for "no template assigned yet".
-using TemplateId = uint64_t;
-constexpr TemplateId kInvalidTemplateId = 0;
+namespace bytebrain {
 
 /// One log record in a topic. Template IDs are computed at ingestion by
 /// the online matcher, alongside traditional text indices, before the
@@ -18,18 +15,6 @@ struct LogRecord {
   uint64_t timestamp_us = 0;
   std::string text;
   TemplateId template_id = kInvalidTemplateId;
-};
-
-/// Metadata for one clustering-tree node stored in the internal topic.
-/// Each node keeps its template text, saturation score and parent link so
-/// queries can walk upward across precision levels without an external
-/// database (paper §3 "Offline Training").
-struct TemplateMeta {
-  TemplateId id = kInvalidTemplateId;
-  TemplateId parent_id = kInvalidTemplateId;  // 0 for roots
-  double saturation = 0.0;
-  std::string template_text;
-  uint64_t support = 0;  // number of training logs under this node
 };
 
 }  // namespace bytebrain

@@ -169,7 +169,7 @@ void ManagedTopic::RestoreFromStorage() {
     ids[index] = parser_.MatchOrAdopt(text, &adopted);
     if (adopted) {
       ++model_generation_;
-      PublishAdoptedLocked(ids[index]);
+      ++stats_.adopted_templates;
     }
   }
   NoteStorageErrorLocked(store_->AssignTemplates(first_unknown, ids));
@@ -185,7 +185,6 @@ void ManagedTopic::InstallModelLocked(PreparedRetrain prepared) {
   trained_ = true;
   stats_.num_templates = parser_.model().size();
   stats_.model_bytes = parser_.ModelBytes();
-  parser_.model().ExportTo(&internal_);
 }
 
 ManagedTopic::~ManagedTopic() {
@@ -315,7 +314,7 @@ Result<uint64_t> ManagedTopic::IngestPipeline(
         // lower-saturation matches; ids resolved before it existed
         // are no longer authoritative.
         ++model_generation_;
-        PublishAdoptedLocked(g.resolved);
+        ++stats_.adopted_templates;
       }
     }
   }
@@ -550,10 +549,8 @@ void ManagedTopic::FoldShardPendingsLocked() {
         while (run < total && shard.gens[run] == fold_gen) ++run;
         std::vector<TemplateId> ids =
             parser_.FoldTemporaries(&shard.pending, next, run - next);
-        for (TemplateId id : ids) {
-          shard.remap.push_back(id);
-          PublishAdoptedLocked(id);
-        }
+        shard.remap.insert(shard.remap.end(), ids.begin(), ids.end());
+        stats_.adopted_templates += ids.size();
         adopted_any = true;
         next = run;
         continue;
@@ -566,7 +563,7 @@ void ManagedTopic::FoldShardPendingsLocked() {
       shard.remap.push_back(id);
       if (adopted) {
         adopted_any = true;
-        PublishAdoptedLocked(id);
+        ++stats_.adopted_templates;
       }
       ++next;
     }
@@ -581,17 +578,6 @@ void ManagedTopic::FoldShardPendingsLocked() {
     }
   }
   if (adopted_any) ++model_generation_;
-}
-
-void ManagedTopic::PublishAdoptedLocked(TemplateId id) {
-  ++stats_.adopted_templates;
-  // Publish the adopted template's metadata immediately so queries can
-  // display it before the next training cycle.
-  const TreeNode* node = parser_.model().node(id);
-  if (node != nullptr) {
-    internal_.Put({node->id, node->parent, node->saturation,
-                   parser_.TemplateText(node->id), node->support});
-  }
 }
 
 void ManagedTopic::ResetShardsLocked() {
@@ -821,11 +807,11 @@ Status ManagedTopic::CommitTrainingLocked(
   training_in_flight_ = false;
   train_done_cv_.notify_all();
 
-  // (a) Install: the O(1) model/matcher swap, a generation bump (ids
+  // (a) Install: the O(1) model/matcher swap and a generation bump (ids
   // prematched by IngestBatch or assigned online against the superseded
-  // model are no longer authoritative), and the metadata export (§3),
-  // which overwrites per id so entries for dropped temporaries are
-  // refreshed by their successors.
+  // model are no longer authoritative). On a persistent store, step (e)
+  // stages the model for the manifest: the durable, replicated
+  // node-metadata store of §3.
   InstallModelLocked(std::move(prepared));
   // (b) Shard pendings are temporaries, and the swap just superseded
   // every temporary: drop them. In-flight batches detect the bump and
@@ -872,7 +858,7 @@ Status ManagedTopic::CommitTrainingLocked(
     for (const std::string& text : tail) {
       bool adopted = false;
       ids.push_back(parser_.MatchOrAdopt(text, &adopted));
-      if (adopted) PublishAdoptedLocked(ids.back());
+      if (adopted) ++stats_.adopted_templates;
     }
     keep_first(store_->AssignTemplates(run.snapshot_size, ids));
   }

@@ -5,8 +5,9 @@
 // matcher assigns template ids at ingestion (unmatched logs are adopted
 // as temporary templates); periodic training — triggered by a volume
 // threshold or an ingestion-count interval — (re)builds the clustering
-// tree and publishes node metadata to the internal topic; queries group
-// records by template at any saturation threshold without reprocessing.
+// tree, whose serialized form the store's manifest keeps (the paper's
+// node-metadata store); queries group records by template at any
+// saturation threshold without reprocessing.
 //
 // Retraining runs OFF the ingest lock (see ARCHITECTURE.md for the full
 // protocol): a trigger snapshots the training window and the model under
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "core/parser.h"
-#include "logstore/internal_topic.h"
 #include "logstore/storage_backend.h"
 #include "threading/thread_pool.h"
 #include "util/status.h"
@@ -431,8 +431,8 @@ class ManagedTopic {
   // --- Locked snapshot accessors -------------------------------------
   // Safe under full concurrency (ingest, training commits, queries);
   // each takes the topic lock shared and copies what it returns. The
-  // substrates themselves (storage backend, parser, internal topic) are
-  // never exposed raw — every read crosses the lock.
+  // substrates themselves (storage backend, parser) are never exposed
+  // raw — every read crosses the lock.
 
   /// Number of records appended so far. Locking: shared.
   uint64_t size() const;
@@ -454,9 +454,6 @@ class ManagedTopic {
   /// Display texts of every template in the current model, in node
   /// order. Locking: shared.
   std::vector<std::string> TemplateTexts() const;
-  /// Snapshot of the internal (template-metadata) topic, insertion
-  /// order. Locking: the internal topic's own mutex only.
-  std::vector<TemplateMeta> TemplateCatalog() const { return internal_.All(); }
   /// Copy of the live configuration (UpdateConfig may change it).
   /// Locking: shared.
   TopicConfig config() const;
@@ -674,11 +671,6 @@ class ManagedTopic {
   /// Drops all shard pending state (a committed training superseded
   /// every temporary). Requires the exclusive lock.
   void ResetShardsLocked();
-  /// Counts a just-adopted temporary and publishes its metadata to the
-  /// internal topic. Does NOT bump the generation (callers differ: the
-  /// online path bumps per adoption, a fold bumps once per fold).
-  /// Requires the exclusive lock.
-  void PublishAdoptedLocked(TemplateId id);
   /// Writes the model blob a training commit staged (if any) into the
   /// storage manifest. The fsyncs run under `mu_` SHARED — never inside
   /// the exclusive commit section, which stays O(1) — so call this with
@@ -717,7 +709,6 @@ class ManagedTopic {
   /// past an append error may live only in memory). Written under `mu_`
   /// exclusive, read under shared.
   Status storage_status_;
-  InternalTopic internal_;
   ByteBrainParser parser_;
   TopicStats stats_;
   uint64_t bytes_since_training_ = 0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "core/cluster.h"
 #include "test_logs.h"
@@ -37,6 +38,53 @@ ClusterOutcome Cluster(const std::vector<EncodedLog>& logs,
                                  ComputePositionStats(logs, members), parent,
                                  options, rng);
 }
+
+// Eq. 2 positional similarity of a log to a cluster described by
+// per-position token frequencies, in its textbook form (hash maps, no
+// cached terms): sum(w_i * f_i) / sum(w_i), f_i = relative frequency of
+// the log's token at position i, w_i = 1/(n_i - 1) (capped at 2 for
+// constant positions) or 1 without position importance. Returns a value
+// in [0, 1].
+class ClusterProfile {
+ public:
+  ClusterProfile(const std::vector<uint32_t>& active_positions,
+                 const std::vector<EncodedLog>& logs)
+      : active_(active_positions), logs_(logs),
+        freq_(active_positions.size()) {}
+
+  void Add(uint32_t member) {
+    for (size_t k = 0; k < active_.size(); ++k) {
+      freq_[k][logs_[member].tokens[active_[k]]]++;
+    }
+    ++size_;
+  }
+
+  double Similarity(const EncodedLog& log, bool use_position_importance) const {
+    if (size_ == 0 || active_.empty()) return 0.0;
+    double weighted = 0.0;
+    double total_weight = 0.0;
+    for (size_t k = 0; k < active_.size(); ++k) {
+      const auto& f = freq_[k];
+      const auto it = f.find(log.tokens[active_[k]]);
+      const double fi =
+          it == f.end() ? 0.0 : static_cast<double>(it->second) / size_;
+      double wi = 1.0;
+      if (use_position_importance) {
+        wi = f.size() <= 1 ? 2.0 : 1.0 / static_cast<double>(f.size() - 1);
+      }
+      weighted += wi * fi;
+      total_weight += wi;
+    }
+    return total_weight > 0.0 ? weighted / total_weight : 0.0;
+  }
+
+ private:
+  const std::vector<uint32_t>& active_;
+  const std::vector<EncodedLog>& logs_;
+  // freq_[k] maps token -> count at active position k.
+  std::vector<std::unordered_map<uint64_t, uint32_t>> freq_;
+  uint32_t size_ = 0;
+};
 
 TEST(ClusterProfileTest, SimilarityFavorsMatchingTokens) {
   auto logs = MakeLogs({{"open", "a"}, {"open", "b"}, {"close", "c"}});
@@ -195,7 +243,7 @@ TEST(ClusterTest, BalancedGroupingSpreadsTies) {
       opts.balanced_grouping = balanced;
       opts.early_stop = false;  // force the general path
       Rng rng(seed);
-      auto outcome = Cluster(logs, AllOf(logs), 0.0, &rng ? opts : opts, &rng);
+      auto outcome = Cluster(logs, AllOf(logs), 0.0, opts, &rng);
       if (!outcome.split) continue;
       size_t max_cluster = 0;
       for (const auto& c : outcome.clusters) {

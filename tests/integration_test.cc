@@ -1,5 +1,5 @@
 // Cross-module integration tests: the full pipeline on generated
-// corpora, model persistence through the internal topic, and regressions
+// corpora, model persistence and ancestry, and regressions
 // for the many-templates-per-length clustering behavior.
 #include <gtest/gtest.h>
 
@@ -82,7 +82,7 @@ TEST(IntegrationTest, ModelSurvivesSerializationIntoMatcher) {
   }
 }
 
-TEST(IntegrationTest, InternalTopicChainMatchesModelAncestry) {
+TEST(IntegrationTest, LeafChainsResolveToEachAncestor) {
   DatasetGenerator gen(*FindDatasetSpec("Hadoop"));
   Dataset ds = gen.GenerateLogHub();
   std::vector<std::string> logs;
@@ -92,19 +92,30 @@ TEST(IntegrationTest, InternalTopicChainMatchesModelAncestry) {
   options.trainer.num_threads = 2;
   ByteBrainParser parser(options);
   ASSERT_TRUE(parser.Train(logs).ok());
-  InternalTopic topic;
-  parser.model().ExportTo(&topic);
-  ASSERT_EQ(topic.size(), parser.model().size());
+  const TemplateModel& model = parser.model();
 
-  // Every leaf's ancestor chain in the topic matches the model's links
-  // and carries non-decreasing saturation toward the leaf.
-  for (const TreeNode& node : parser.model().nodes()) {
-    if (!node.is_leaf()) continue;
-    auto chain = topic.AncestorChain(node.id);
-    ASSERT_TRUE(chain.ok());
-    for (size_t i = 0; i + 1 < chain->size(); ++i) {
-      EXPECT_GE((*chain)[i].saturation, (*chain)[i + 1].saturation);
-      EXPECT_EQ((*chain)[i].parent_id, (*chain)[i + 1].id);
+  // Every leaf's parent chain reaches a root within size() hops with
+  // non-increasing saturation toward the root, and resolving the leaf at
+  // an ancestor's saturation lands on that ancestor: queries move
+  // between precision levels through the model alone.
+  for (const TreeNode& leaf : model.nodes()) {
+    if (!leaf.is_leaf()) continue;
+    std::vector<const TreeNode*> chain = {&leaf};
+    while (chain.back()->parent != kInvalidTemplateId &&
+           chain.size() <= model.size()) {
+      const TreeNode* parent = model.node(chain.back()->parent);
+      ASSERT_NE(parent, nullptr) << "dangling parent of " << chain.back()->id;
+      chain.push_back(parent);
+    }
+    ASSERT_EQ(chain.back()->parent, kInvalidTemplateId)
+        << "no root above leaf " << leaf.id;
+    for (size_t k = 0; k < chain.size(); ++k) {
+      if (k + 1 < chain.size()) {
+        EXPECT_GE(chain[k]->saturation, chain[k + 1]->saturation);
+      }
+      auto resolved = model.ResolveAtThreshold(leaf.id, chain[k]->saturation);
+      ASSERT_TRUE(resolved.ok());
+      EXPECT_EQ(*resolved, chain[k]->id) << "leaf " << leaf.id << " k " << k;
     }
   }
 }

@@ -1,13 +1,11 @@
 // Unit tests for topic storage — the in-memory backend and the checks
 // ManagedTopic owns on top of any backend (NotFound text, inverted scan
-// ranges, end clamping, concurrent appends) — and the internal template
-// topic.
+// ranges, end clamping, concurrent appends).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
-#include "logstore/internal_topic.h"
 #include "logstore/storage_backend.h"
 #include "service/log_service.h"
 
@@ -155,47 +153,6 @@ TEST(ManagedTopicStorageTest, ConcurrentIngestBatchesAllLand) {
     }
   }
   EXPECT_EQ(all.size(), kTotal);
-}
-
-TEST(InternalTopicTest, PutGetOverwrite) {
-  InternalTopic topic;
-  topic.Put({1, 0, 0.5, "a *", 10});
-  topic.Put({2, 1, 0.9, "a b", 5});
-  EXPECT_EQ(topic.size(), 2u);
-  auto got = topic.Get(2);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->template_text, "a b");
-  // Overwrite id 2.
-  topic.Put({2, 1, 0.95, "a c", 6});
-  EXPECT_EQ(topic.size(), 2u);
-  EXPECT_EQ(topic.Get(2)->template_text, "a c");
-  EXPECT_TRUE(topic.Get(99).status().IsNotFound());
-}
-
-TEST(InternalTopicTest, AncestorChainWalksToRoot) {
-  InternalTopic topic;
-  topic.Put({1, 0, 0.2, "*", 100});
-  topic.Put({2, 1, 0.6, "a *", 60});
-  topic.Put({3, 2, 1.0, "a b", 30});
-  auto chain = topic.AncestorChain(3);
-  ASSERT_TRUE(chain.ok());
-  ASSERT_EQ(chain->size(), 3u);
-  EXPECT_EQ((*chain)[0].id, 3u);
-  EXPECT_EQ((*chain)[1].id, 2u);
-  EXPECT_EQ((*chain)[2].id, 1u);
-}
-
-TEST(InternalTopicTest, AncestorChainDetectsDanglingParent) {
-  InternalTopic topic;
-  topic.Put({2, 77, 0.6, "a *", 1});  // parent 77 never stored
-  EXPECT_TRUE(topic.AncestorChain(2).status().IsCorruption());
-}
-
-TEST(InternalTopicTest, AncestorChainDetectsCycle) {
-  InternalTopic topic;
-  topic.Put({1, 2, 0.2, "x", 1});
-  topic.Put({2, 1, 0.3, "y", 1});
-  EXPECT_TRUE(topic.AncestorChain(1).status().IsCorruption());
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ TEST(MatcherInsertTest, InsertAfterAdoptPreservesTryOrder) {
   VariableReplacer replacer = VariableReplacer::None();
   TemplateModel model;
   const TemplateId a = model.AddNode(0, 0.9, {"alpha", "*", "gamma"}, 1);
-  const TemplateId b = model.AddNode(0, 0.8, {"alpha", "beta", "*"}, 1);
+  model.AddNode(0, 0.8, {"alpha", "beta", "*"}, 1);  // tried after d
   const TemplateId d = model.AddNode(0, 0.9, {"alpha", "*", "*"}, 1);
   TemplateMatcher matcher(model, &replacer);
 

@@ -2,6 +2,8 @@
 // serialization, merging, and temporary-template adoption.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/model.h"
 
 namespace bytebrain {
@@ -103,6 +105,19 @@ TEST(TemplateModelTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->node(1)->children.size(), 2u);
 }
 
+// A serialized root (id 1) -> child (id 2), each node holding one
+// one-byte token, with the two parent links overwritten as given.
+std::string SerializedPair(TemplateId parent_of_1, TemplateId parent_of_2) {
+  TemplateModel model;
+  model.AddNode(model.AddNode(0, 0.5, Toks({"a"}), 2), 1.0, Toks({"b"}), 1);
+  std::string bytes = model.Serialize();
+  constexpr size_t kHeader = 8 + 8;                       // magic, count
+  constexpr size_t kNode = 8 + 8 + 8 + 8 + 4 + 4 + 4 + 1;  // + one token
+  std::memcpy(bytes.data() + kHeader + 8, &parent_of_1, 8);
+  std::memcpy(bytes.data() + kHeader + kNode + 8, &parent_of_2, 8);
+  return bytes;
+}
+
 TEST(TemplateModelTest, DeserializeRejectsGarbage) {
   EXPECT_TRUE(TemplateModel::Deserialize("nonsense").status().IsCorruption());
   TemplateModel model;
@@ -110,6 +125,24 @@ TEST(TemplateModelTest, DeserializeRejectsGarbage) {
   std::string bytes = model.Serialize();
   bytes.resize(bytes.size() - 3);  // truncate
   EXPECT_TRUE(TemplateModel::Deserialize(bytes).status().IsCorruption());
+
+  // The rewrite helper is exact: unchanged links round-trip, and
+  // detaching the child yields two roots.
+  ASSERT_TRUE(TemplateModel::Deserialize(SerializedPair(0, 1)).ok());
+  EXPECT_EQ(TemplateModel::Deserialize(SerializedPair(0, 0))->roots().size(),
+            2u);
+  // Parent links that cannot come from any built model: a dangling
+  // parent, a self-parent and a 2-cycle (ResolveAtThreshold would walk
+  // the last two forever).
+  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(0, 77))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(1, 1))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(2, 1))
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(TemplateModelTest, ApproxBytesTracksContent) {
@@ -197,22 +230,6 @@ TEST(TemplateModelTest, MergeIntoEmptyModelCopiesEverything) {
   EXPECT_EQ(existing.size(), 2u);
   ASSERT_EQ(existing.roots().size(), 1u);
   EXPECT_EQ(existing.node(existing.roots()[0])->children.size(), 1u);
-}
-
-TEST(TemplateModelTest, ExportToInternalTopic) {
-  TemplateModel model;
-  TemplateId root = model.AddNode(0, 0.4, Toks({"a", "*"}), 10);
-  TemplateId leaf = model.AddNode(root, 1.0, Toks({"a", "b"}), 10);
-  InternalTopic topic;
-  model.ExportTo(&topic);
-  EXPECT_EQ(topic.size(), 2u);
-  auto meta = topic.Get(leaf);
-  ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta->parent_id, root);
-  EXPECT_EQ(meta->template_text, "a b");
-  auto chain = topic.AncestorChain(leaf);
-  ASSERT_TRUE(chain.ok());
-  EXPECT_EQ(chain->size(), 2u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // detection, and the topic catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "datagen/generator.h"
@@ -70,8 +71,15 @@ TEST(ManagedTopicTest, UnmatchedLogsAreAdoptedAsTemporaries) {
   ASSERT_TRUE(topic.Ingest("never seen shape with words only").ok());
   const auto after = topic.stats();
   EXPECT_EQ(after.adopted_templates, before.adopted_templates + 1);
-  // The adopted template's metadata is published to the internal topic.
-  EXPECT_GT(topic.TemplateCatalog().size(), 0u);
+  // The adopted record's template resolves in the live model and is
+  // listed with its text.
+  const auto record = topic.ReadRecord(topic.size() - 1);
+  ASSERT_TRUE(record.ok());
+  EXPECT_TRUE(topic.HasTemplate(record->template_id));
+  const std::vector<std::string> texts = topic.TemplateTexts();
+  EXPECT_NE(std::find(texts.begin(), texts.end(),
+                      "never seen shape with words only"),
+            texts.end());
 }
 
 TEST(ManagedTopicTest, RetrainTriggersOnRecordInterval) {
