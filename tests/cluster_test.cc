@@ -49,7 +49,8 @@ class ClusterProfile {
  public:
   ClusterProfile(const std::vector<uint32_t>& active_positions,
                  const std::vector<EncodedLog>& logs)
-      : active_(active_positions), logs_(logs),
+      : active_(active_positions),
+        logs_(logs),
         freq_(active_positions.size()) {}
 
   void Add(uint32_t member) {

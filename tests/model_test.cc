@@ -111,11 +111,16 @@ std::string SerializedPair(TemplateId parent_of_1, TemplateId parent_of_2) {
   TemplateModel model;
   model.AddNode(model.AddNode(0, 0.5, Toks({"a"}), 2), 1.0, Toks({"b"}), 1);
   std::string bytes = model.Serialize();
-  constexpr size_t kHeader = 8 + 8;                       // magic, count
+  constexpr size_t kHeader = 8 + 8;                        // magic, count
   constexpr size_t kNode = 8 + 8 + 8 + 8 + 4 + 4 + 4 + 1;  // + one token
   std::memcpy(bytes.data() + kHeader + 8, &parent_of_1, 8);
   std::memcpy(bytes.data() + kHeader + kNode + 8, &parent_of_2, 8);
   return bytes;
+}
+
+bool PairIsCorrupt(TemplateId parent_of_1, TemplateId parent_of_2) {
+  const std::string bytes = SerializedPair(parent_of_1, parent_of_2);
+  return TemplateModel::Deserialize(bytes).status().IsCorruption();
 }
 
 TEST(TemplateModelTest, DeserializeRejectsGarbage) {
@@ -129,20 +134,15 @@ TEST(TemplateModelTest, DeserializeRejectsGarbage) {
   // The rewrite helper is exact: unchanged links round-trip, and
   // detaching the child yields two roots.
   ASSERT_TRUE(TemplateModel::Deserialize(SerializedPair(0, 1)).ok());
-  EXPECT_EQ(TemplateModel::Deserialize(SerializedPair(0, 0))->roots().size(),
-            2u);
+  auto detached = TemplateModel::Deserialize(SerializedPair(0, 0));
+  ASSERT_TRUE(detached.ok());
+  EXPECT_EQ(detached->roots().size(), 2u);
   // Parent links that cannot come from any built model: a dangling
   // parent, a self-parent and a 2-cycle (ResolveAtThreshold would walk
   // the last two forever).
-  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(0, 77))
-                  .status()
-                  .IsCorruption());
-  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(1, 1))
-                  .status()
-                  .IsCorruption());
-  EXPECT_TRUE(TemplateModel::Deserialize(SerializedPair(2, 1))
-                  .status()
-                  .IsCorruption());
+  EXPECT_TRUE(PairIsCorrupt(0, 77));
+  EXPECT_TRUE(PairIsCorrupt(1, 1));
+  EXPECT_TRUE(PairIsCorrupt(2, 1));
 }
 
 TEST(TemplateModelTest, ApproxBytesTracksContent) {
