@@ -7,11 +7,12 @@
 //   1. indexed vs scan — a count-only query answered wholesale from the
 //      per-segment postings (touches no record bytes, maps no segments)
 //      against the legacy full grouping scan over the same window;
-//   2. cold vs warm — the first template-filtered page faults in only
-//      the segments whose postings hold the page's templates, the
-//      repeat run hits the cache; then the budget is capped below the
-//      sealed footprint and a full scan shows LRU evictions keeping
-//      residency under budget;
+//   2. cold vs warm — template-filtered pages and full grouping scans
+//      read template ids from each sealed segment's in-memory column
+//      and map nothing, cold or warm; then the budget is capped below
+//      the sealed footprint and a full record (text) scan, which must
+//      map every segment, shows LRU evictions keeping residency under
+//      budget;
 //   3. per-page latency across 100 pages — resume-key pagination keeps
 //      page N at page-1 cost instead of regrouping the whole window.
 #include <unistd.h>
@@ -148,12 +149,24 @@ int main() {
                         "cache_hits", "cache_evictions"},
                        {27, 9, 14, 13, 11, 15});
     table.PrintHeader();
+    // Prints one row: the wall time and counter deltas of body().
+    const auto measure = [&](const char* name, const auto& body) {
+      const VisitsAndMisses before = Counters(topic);
+      Timer t;
+      body();
+      const double ms = t.ElapsedSeconds() * 1e3;
+      const VisitsAndMisses after = Counters(topic);
+      table.PrintRow({name, TablePrinter::Fmt(ms),
+                      std::to_string(after.visits - before.visits),
+                      std::to_string(after.misses - before.misses),
+                      std::to_string(after.hits - before.hits),
+                      std::to_string(after.evictions - before.evictions)});
+    };
     uint64_t total_groups = 0;
     // With `resume`, the page starts after that page's last group.
     const auto run = [&](const char* name, bool collect_sequences,
                          uint64_t max_groups,
                          const QueryPage* resume = nullptr) {
-      const VisitsAndMisses before = Counters(topic);
       QueryPageRequest req;
       req.saturation_threshold = 1.0;
       req.collect_sequences = collect_sequences;
@@ -163,21 +176,15 @@ int main() {
         req.resume_count = resume->last_count;
         req.resume_template_id = resume->last_template_id;
       }
-      Timer t;
-      auto page = topic.QueryGroups(req);
-      const double ms = t.ElapsedSeconds() * 1e3;
-      if (!page.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     page.status().ToString().c_str());
-        std::exit(1);
-      }
-      total_groups = page.value().total_groups;
-      const VisitsAndMisses after = Counters(topic);
-      table.PrintRow({name, TablePrinter::Fmt(ms),
-                      std::to_string(after.visits - before.visits),
-                      std::to_string(after.misses - before.misses),
-                      std::to_string(after.hits - before.hits),
-                      std::to_string(after.evictions - before.evictions)});
+      measure(name, [&] {
+        auto page = topic.QueryGroups(req);
+        if (!page.ok()) {
+          std::fprintf(stderr, "query failed: %s\n",
+                       page.status().ToString().c_str());
+          std::exit(1);
+        }
+        total_groups = page.value().total_groups;
+      });
     };
 
     // 1. Indexed vs scan, on a fully cold cache: the count-only query is
@@ -187,7 +194,8 @@ int main() {
         /*max_groups=*/0);
     // 2. Cold vs warm template-filtered page deep in the group order
     // (small groups, each clustered into a couple of segments): only
-    // segments whose postings hold the page's templates get mapped.
+    // segments whose postings hold the page's templates are filtered,
+    // from their in-memory id columns.
     const uint64_t page_size = kShapes / kPages;
     const uint64_t tail_page =
         total_groups > page_size ? total_groups - page_size : 0;
@@ -208,15 +216,25 @@ int main() {
         /*max_groups=*/page_size, resume);
     run("QueryFilteredPage_warm", /*collect_sequences=*/true,
         /*max_groups=*/page_size, resume);
-    // Full scans: the first finds the filtered page's segments resident.
+    // Full grouping scans, twice: neither maps a segment.
     run("QueryFullScan_coldish", /*collect_sequences=*/true, /*max_groups=*/0);
     run("QueryFullScan_warm", /*collect_sequences=*/true, /*max_groups=*/0);
 
-    // Budget capped below the sealed footprint: a full rescan must evict
-    // as it goes and still land under budget.
+    // Budget capped below the sealed footprint: the grouping scan still
+    // maps nothing, and a full text scan must evict as it goes and
+    // still land under budget.
     cache.set_budget_bytes(sealed_bytes / 2);
     run("QueryFullScan_budget_half", /*collect_sequences=*/true,
         /*max_groups=*/0);
+    measure("QueryTextScan_budget_half", [&] {
+      const Status scanned = topic.ScanRecords(
+          0, window, [](uint64_t, const LogRecord&) {});
+      if (!scanned.ok()) {
+        std::fprintf(stderr, "scan failed: %s\n",
+                     scanned.ToString().c_str());
+        std::exit(1);
+      }
+    });
     std::printf("\nbudget cap: %s budget (sealed/2), %s resident after scan\n",
                 FormatBytes(sealed_bytes / 2).c_str(),
                 FormatBytes(topic.stats().storage_mapped_bytes).c_str());

@@ -139,6 +139,7 @@ void SegmentedDiskBackend::SealedSegment::AddRecord(uint64_t byte_offset,
                                                     TemplateId tid) {
   if (records % kFencepostInterval == 0) fenceposts.push_back(byte_offset);
   ++postings[tid];
+  tids.push_back(tid);
   if (records == 0) {
     min_timestamp_us = timestamp_us;
     max_timestamp_us = timestamp_us;
@@ -477,6 +478,7 @@ Status SegmentedDiskBackend::OpenSealedSegment(
   BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
   ByteReader reader(pin.data(), len);
   uint64_t fold = kSegmentChecksumSeed;
+  seg->tids.reserve(expect_records);
   for (uint64_t r = 0; r < expect_records; ++r) {
     Frame frame;
     if (!ParseFrame(&reader, pin.data(), &frame)) {
@@ -716,6 +718,7 @@ Status SegmentedDiskBackend::SealActiveImplLocked() {
     // the mirror (the Flush above already patched every dirty template
     // id onto the file, so mirror and file agree).
     built->entry = cache_->Register(fd, built->data_len, cache_owner_);
+    built->tids.reserve(active_.size());
     for (size_t i = 0; i < active_.size(); ++i) {
       built->AddRecord(active_offsets_[i], active_[i].timestamp_us,
                        active_[i].template_id);
@@ -818,11 +821,20 @@ Status SegmentedDiskBackend::TemplateCounts(
     const uint64_t hi = std::min(end, seg_end);
     const bool ts_covered =
         seg->min_timestamp_us >= min_ts_us && seg->max_timestamp_us <= max_ts_us;
-    if (lo == seg->first_seq && hi == seg_end && ts_covered) {
-      // Fully covered in both dimensions: postings answer it.
-      for (const auto& [tid, n] : seg->postings) (*counts)[tid] += n;
+    if (ts_covered) {
+      if (lo == seg->first_seq && hi == seg_end) {
+        // Fully covered in both dimensions: postings answer it.
+        for (const auto& [tid, n] : seg->postings) (*counts)[tid] += n;
+        continue;
+      }
+      // Only the sequence window cuts it: the id column answers it.
+      for (uint64_t seq = lo; seq < hi; ++seq) {
+        ++visits.count;
+        ++(*counts)[seg->tids[seq - seg->first_seq]];
+      }
       continue;
     }
+    // The time window cuts it: only the frames hold the timestamps.
     SegmentCache::Pin pin;
     BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
     size_t off = SeekOffset(pin.data(), *seg, lo - seg->first_seq);
@@ -874,6 +886,17 @@ Status SegmentedDiskBackend::ScanTemplates(
     if (!overlaps) continue;
     const uint64_t lo = std::max(begin, seg->first_seq);
     const uint64_t hi = std::min(end, seg_end);
+    if (seg->min_timestamp_us >= min_ts_us &&
+        seg->max_timestamp_us <= max_ts_us) {
+      // Every record is inside the time window: filter the id column.
+      for (uint64_t seq = lo; seq < hi; ++seq) {
+        ++visits.count;
+        const TemplateId tid = seg->tids[seq - seg->first_seq];
+        if (ids.count(tid) != 0) fn(seq, tid);
+      }
+      continue;
+    }
+    // The time window cuts it: only the frames hold the timestamps.
     SegmentCache::Pin pin;
     BB_RETURN_IF_ERROR(PinSegment(*seg, &pin));
     size_t off = SeekOffset(pin.data(), *seg, lo - seg->first_seq);
@@ -1028,16 +1051,21 @@ Status SegmentedDiskBackend::AssignTemplates(
   // unaffected; the owner records it in its storage status.
   Status first_error;
   // Sealed part: walk the segments in order (the range is contiguous —
-  // no per-record binary search) and pwrite only ids that actually
-  // changed; after a model merge most established assignments are
-  // unchanged, so the common case costs one mapped read per record.
+  // no per-record binary search) and compare against the in-memory id
+  // column. Only a segment holding a changed id is pinned, seeking to
+  // its first change; after a model merge most established assignments
+  // are unchanged, so the common case maps nothing.
   for (size_t si = 0; si < sealed_->size(); ++si) {
     const SealedSegment& seg = *(*sealed_)[si];
     const uint64_t seg_end = seg.first_seq + seg.records;
     if (seg_end <= begin_seq) continue;
     if (seg.first_seq >= end_seq) break;
-    const uint64_t lo = std::max(begin_seq, seg.first_seq);
     const uint64_t hi = std::min(end_seq, seg_end);
+    uint64_t lo = std::max(begin_seq, seg.first_seq);
+    while (lo < hi && seg.tids[lo - seg.first_seq] == ids[lo - begin_seq]) {
+      ++lo;
+    }
+    if (lo == hi) continue;
     SegmentCache::Pin pin;
     Status pinned = PinSegment(seg, &pin);
     if (!pinned.ok()) {
@@ -1049,8 +1077,7 @@ Status SegmentedDiskBackend::AssignTemplates(
       uint32_t len;
       std::memcpy(&len, pin.data() + off, 4);
       const TemplateId id = ids[seq - begin_seq];
-      TemplateId current;
-      std::memcpy(&current, pin.data() + off + kFrameTidOffset, 8);
+      TemplateId& current = seg.tids[seq - seg.first_seq];
       // MAP_SHARED keeps the read-only mapping coherent with the write;
       // frame checksums exclude the template id by design.
       if (current != id) {
@@ -1060,6 +1087,7 @@ Status SegmentedDiskBackend::AssignTemplates(
             seg.postings.erase(pit);
           }
           ++seg.postings[id];
+          current = id;
         } else if (first_error.ok()) {
           first_error = IOErrorFor("cannot patch template id", SegmentPath(si));
         }

@@ -81,8 +81,10 @@ class SegmentedDiskBackend : public StorageBackend {
       const override;
   Status AssignTemplates(uint64_t begin_seq,
                          const std::vector<TemplateId>& ids) override;
-  /// A sealed segment whose persisted [min, max] timestamp range misses
-  /// [min_ts_us, max_ts_us] is skipped without being pinned.
+  /// A sealed segment whose [min, max] timestamp range misses
+  /// [min_ts_us, max_ts_us] is skipped, and one whose range lies inside
+  /// it is answered from postings or the id column; neither is pinned.
+  /// Only a segment the time window cuts is mapped and walked.
   Status TemplateCounts(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       std::unordered_map<TemplateId, uint64_t>* counts) const override;
@@ -109,16 +111,21 @@ class SegmentedDiskBackend : public StorageBackend {
 
  private:
   /// One sealed segment. Immutable after construction except for
-  /// template-id pwrites and the `postings` they maintain (mutated
-  /// only under the exclusive topic lock). The record bytes are mapped
-  /// on demand through `entry` (segment_cache.h); the struct is shared
-  /// by the backend and every outstanding SealedRecordView, so the
-  /// backend cannot retire the file under a concurrent training scan.
+  /// template-id pwrites and the `postings` and `tids` they maintain
+  /// (mutated only under the exclusive topic lock, and only after the
+  /// pwrite succeeded). The record bytes are mapped on demand through
+  /// `entry` (segment_cache.h); the struct is shared by the backend and
+  /// every outstanding SealedRecordView, so the backend cannot retire
+  /// the file under a concurrent training scan.
   ///
   /// The sparse index lives here and only here, in memory: built from
   /// the mirror at seal and from the verified frames at Open, never
   /// persisted. Fenceposts and the time range never change after
-  /// sealing; postings track template rewrites.
+  /// sealing; postings and the template-id column track template
+  /// rewrites. The column holds every record's current id (8 B per
+  /// sealed record), so count and filter queries over segments whose
+  /// time range lies inside the query window, and AssignTemplates
+  /// rounds that change no id, never map the segment.
   struct SealedSegment {
     /// Fencepost spacing: byte offsets are kept for records 0, K, 2K,
     /// …, so a point lookup hops at most K-1 frame headers.
@@ -143,6 +150,8 @@ class SegmentedDiskBackend : public StorageBackend {
     uint64_t max_timestamp_us = 0;
     /// template id -> number of records currently carrying it.
     mutable std::unordered_map<TemplateId, uint64_t> postings;
+    /// Record i's current template id: equal to the id in its frame.
+    mutable std::vector<TemplateId> tids;
   };
   using SealedSet = std::vector<std::shared_ptr<const SealedSegment>>;
 

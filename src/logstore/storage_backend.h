@@ -237,12 +237,15 @@ class StorageBackend {
   // UINT64_MAX] is the whole topic), under one rule per segment: a
   // segment whose [min, max] timestamps miss the window is skipped
   // unread, and one whose records all fall in both windows is answered
-  // from its template postings where the primitive allows it.
+  // from its template postings where the primitive allows it. On disk,
+  // a segment whose timestamps lie inside the time window is answered
+  // from memory (postings, or the per-record template-id column when
+  // the sequence window cuts it); only a segment the time window cuts
+  // is mapped and its frame headers walked.
 
   /// Adds the number of matching records carrying each template id into
   /// `*counts` — the count-only query path. Fully-covered segments add
-  /// their postings without touching (or, on disk, even mapping) the
-  /// record bytes.
+  /// their postings without touching the record bytes.
   virtual Status TemplateCounts(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       std::unordered_map<TemplateId, uint64_t>* counts) const = 0;
@@ -250,7 +253,7 @@ class StorageBackend {
   /// Invokes fn(seq, template_id) for each matching record whose
   /// CURRENT template id is in `ids` — the template-filtered query path
   /// (sequence-number collection). Segments whose postings contain none
-  /// of `ids` are skipped; the rest are read header-only.
+  /// of `ids` are skipped; the rest are filtered record by record.
   virtual Status ScanTemplates(
       uint64_t begin, uint64_t end, uint64_t min_ts_us, uint64_t max_ts_us,
       const std::unordered_set<TemplateId>& ids,

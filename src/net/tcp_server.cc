@@ -1,7 +1,6 @@
 #include "net/tcp_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -28,11 +27,6 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 void AppendFrame(std::string* out, std::string_view payload) {

@@ -1,8 +1,9 @@
 // Index-backed query battery (the cursor-pagination fix): fencepost
 // seeks return byte-identical records, postings answer count queries
 // without touching record bytes (cache-miss accounting proves segments
-// stay cold), template-filtered scans map only matching segments, disk
-// AssignTemplates pwrites only changed sealed ids, and — the
+// stay cold), template-filtered scans and partial counts map only the
+// segments a time window cuts, disk AssignTemplates maps and pwrites
+// only segments with changed sealed ids, and — the
 // regression this PR exists for — page N of a pinned query window does
 // O(page) storage work instead of re-scanning the whole window.
 #include <gtest/gtest.h>
@@ -164,8 +165,9 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
   EXPECT_EQ(cache.totals().misses, misses_before);
   EXPECT_EQ(backend.stats().storage_scan_record_visits, 0u);
 
-  // Template-filtered scan for ONE segment's template: exactly that
-  // segment faults in; the other nine stay unmapped.
+  // Template-filtered scan for ONE segment's template: postings skip
+  // the other nine, and the id column filters that one — nothing is
+  // mapped, its ten records are visited.
   std::vector<uint64_t> seqs;
   ASSERT_TRUE(backend
                   .ScanTemplates(0, 100, 0, UINT64_MAX, {TemplateId{4}},
@@ -176,15 +178,65 @@ TEST(QueryIndexTest, CountAndFilterQueriesLeaveColdSegmentsUnmapped) {
                   .ok());
   EXPECT_EQ(seqs, (std::vector<uint64_t>{30, 31, 32, 33, 34, 35, 36, 37, 38,
                                          39}));
-  EXPECT_EQ(cache.totals().misses, misses_before + 1);
+  EXPECT_EQ(cache.totals().misses, misses_before);
   EXPECT_EQ(backend.stats().storage_scan_record_visits, 10u);
+
+  // A count whose sequence window cuts two segments: the id column
+  // answers those (5 + 2 visits), postings the one between them.
+  counts.clear();
+  ASSERT_TRUE(backend.TemplateCounts(35, 52, 0, UINT64_MAX, &counts).ok());
+  EXPECT_EQ(counts, (std::unordered_map<TemplateId, uint64_t>{
+                        {4, 5}, {5, 10}, {6, 2}}));
+  EXPECT_EQ(cache.totals().misses, misses_before);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 10u + 7u);
 
   // A template no segment holds: nothing mapped, nothing visited.
   ASSERT_TRUE(backend
                   .ScanTemplates(0, 100, 0, UINT64_MAX, {TemplateId{999}},
                                  [](uint64_t, TemplateId) { FAIL(); })
                   .ok());
+  EXPECT_EQ(cache.totals().misses, misses_before);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 10u + 7u);
+}
+
+// Only a segment whose timestamps the time window cuts is mapped: its
+// frames hold the per-record timestamps the in-memory index lacks.
+TEST(QueryIndexTest, TimeWindowStraddlingOneSegmentMapsOnlyThatSegment) {
+  TempDir dir;
+  SegmentCache cache;
+  // 10 sealed segments of 10 records, record seq at timestamp seq; all
+  // carry template 1, so postings skip no segment.
+  SegmentedDiskBackend backend(DiskConfig(dir.path(), 290, &cache));
+  ASSERT_TRUE(backend.Open().ok());
+  for (uint64_t seq = 0; seq < 100; ++seq) {
+    ASSERT_TRUE(backend.AppendBatch({{seq, "x", 1}}).ok());
+  }
+  ASSERT_EQ(backend.stats().storage_sealed_segments, 10u);
+  const uint64_t misses_before = cache.totals().misses;
+
+  // Timestamps 25..59: segment 2 (20..29) is cut, segments 3-5 lie
+  // inside, the rest miss. Exactly one segment faults in.
+  std::vector<uint64_t> seqs;
+  ASSERT_TRUE(backend
+                  .ScanTemplates(0, 100, 25, 59, {TemplateId{1}},
+                                 [&](uint64_t seq, TemplateId tid) {
+                                   EXPECT_EQ(tid, 1u);
+                                   seqs.push_back(seq);
+                                 })
+                  .ok());
+  std::vector<uint64_t> expect;
+  for (uint64_t seq = 25; seq < 60; ++seq) expect.push_back(seq);
+  EXPECT_EQ(seqs, expect);
   EXPECT_EQ(cache.totals().misses, misses_before + 1);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 40u);
+
+  // The same window counted: the cut segment is now resident (a hit);
+  // the covered ones come from postings.
+  std::unordered_map<TemplateId, uint64_t> counts;
+  ASSERT_TRUE(backend.TemplateCounts(0, 100, 25, 59, &counts).ok());
+  EXPECT_EQ(counts, (std::unordered_map<TemplateId, uint64_t>{{1, 35}}));
+  EXPECT_EQ(cache.totals().misses, misses_before + 1);
+  EXPECT_EQ(backend.stats().storage_scan_record_visits, 40u + 10u);
 }
 
 TEST(QueryIndexTest, PostingsFollowTemplateReassignment) {
@@ -211,13 +263,15 @@ TEST(QueryIndexTest, PostingsFollowTemplateReassignment) {
 // ---------------------------------------------------------------------
 // AssignTemplates skips unchanged ids: on disk only a changed SEALED
 // record costs a syscall (one pwrite; an active-tail rewrite waits for
-// the next flush), and a range past the end touches nothing.
+// the next flush) and only its segment is mapped, and a range past the
+// end touches nothing.
 // ---------------------------------------------------------------------
 
 TEST(QueryIndexTest, AssignTemplatesPWritesOnlyChangedSealedIds) {
   TempDir dir;
   FaultInjectingFileOps ops;  // no faults: counts every write/pwrite/fsync
-  StorageConfig cfg = DiskConfig(dir.path(), 290);
+  SegmentCache cache;
+  StorageConfig cfg = DiskConfig(dir.path(), 290, &cache);
   cfg.file_ops = &ops;
   SegmentedDiskBackend backend(cfg);
   ASSERT_TRUE(backend.Open().ok());
@@ -233,8 +287,16 @@ TEST(QueryIndexTest, AssignTemplatesPWritesOnlyChangedSealedIds) {
   ids[57] = 9;
   ids[102] = 9;  // active tail
   const uint64_t ops_before = ops.ops_seen();
+  const uint64_t misses_before = cache.totals().misses;
   ASSERT_TRUE(backend.AssignTemplates(0, ids).ok());
   EXPECT_EQ(ops.ops_seen() - ops_before, 2u);
+  EXPECT_EQ(cache.totals().misses - misses_before, 2u);  // segments 0 and 5
+  // The same ids again: nothing changes, nothing is pinned or written.
+  const uint64_t hits_before = cache.totals().hits;
+  ASSERT_TRUE(backend.AssignTemplates(0, ids).ok());
+  EXPECT_EQ(ops.ops_seen() - ops_before, 2u);
+  EXPECT_EQ(cache.totals().misses - misses_before, 2u);
+  EXPECT_EQ(cache.totals().hits, hits_before);
   for (uint64_t seq : {4, 57, 102}) {
     LogRecord rec;
     ASSERT_TRUE(backend.Read(seq, &rec).ok());

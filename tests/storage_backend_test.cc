@@ -453,6 +453,169 @@ TEST(StorageBackendTest, SealedAssignTemplateSurvivesReopen) {
   EXPECT_EQ(ReadOrDie(*store, 29).template_id, 888u);
 }
 
+/// Real syscalls, except that once armed the next pwrite fails with
+/// EIO and writes nothing.
+class FailNextPWriteOps : public FileOps {
+ public:
+  ssize_t Write(int fd, const void* buf, size_t count) override {
+    return RealFileOps()->Write(fd, buf, count);
+  }
+  ssize_t PWrite(int fd, const void* buf, size_t count,
+                 uint64_t offset) override {
+    if (!armed) return RealFileOps()->PWrite(fd, buf, count, offset);
+    armed = false;
+    errno = EIO;
+    return -1;
+  }
+  int Fsync(int fd) override { return RealFileOps()->Fsync(fd); }
+  bool armed = false;
+};
+
+std::vector<TemplateId> ScannedIds(const StorageBackend& store) {
+  std::vector<TemplateId> ids;
+  EXPECT_TRUE(store
+                  .Scan(0, store.size(),
+                        [&ids](uint64_t, const LogRecord& rec) {
+                          ids.push_back(rec.template_id);
+                        })
+                  .ok());
+  return ids;
+}
+
+/// Both query primitives of `disk` against `memory` over windows that
+/// cover whole segments in time (cut only by sequence) and windows whose
+/// time bounds cut segments, plus random ones.
+void ExpectSameQueries(const StorageBackend& disk, const StorageBackend& memory,
+                       uint64_t max_ts, Rng* rng) {
+  const uint64_t n = memory.size();
+  struct Window {
+    uint64_t begin, end, min_ts, max_ts;
+  };
+  std::vector<Window> windows = {
+      {0, UINT64_MAX, 0, UINT64_MAX},
+      {3, n - 5, 0, UINT64_MAX},
+      {n / 3, n / 2, 0, UINT64_MAX},
+      {0, n, max_ts / 4, max_ts / 2},
+      {n / 5, n, max_ts / 3 + 7, max_ts - 11},
+  };
+  for (int i = 0; i < 20; ++i) {
+    const uint64_t begin = rng->NextBelow(n);
+    const uint64_t end = begin + rng->NextBelow(n + 5 - begin);
+    const bool whole_time = rng->NextBelow(2) == 0;
+    const uint64_t lo = whole_time ? 0 : rng->NextBelow(max_ts);
+    windows.push_back(
+        {begin, end, lo, whole_time ? UINT64_MAX : lo + rng->NextBelow(300)});
+  }
+  for (const Window& w : windows) {
+    SCOPED_TRACE(std::to_string(w.begin) + ".." + std::to_string(w.end) +
+                 " ts " + std::to_string(w.min_ts) + ".." +
+                 std::to_string(w.max_ts));
+    std::unordered_map<TemplateId, uint64_t> disk_counts, memory_counts;
+    ASSERT_TRUE(
+        disk.TemplateCounts(w.begin, w.end, w.min_ts, w.max_ts, &disk_counts)
+            .ok());
+    ASSERT_TRUE(memory
+                    .TemplateCounts(w.begin, w.end, w.min_ts, w.max_ts,
+                                    &memory_counts)
+                    .ok());
+    EXPECT_EQ(disk_counts, memory_counts);
+    const std::unordered_set<TemplateId> wanted = {1 + rng->NextBelow(7),
+                                                   1 + rng->NextBelow(7)};
+    std::vector<std::pair<uint64_t, TemplateId>> disk_hits, memory_hits;
+    ASSERT_TRUE(disk.ScanTemplates(w.begin, w.end, w.min_ts, w.max_ts, wanted,
+                                   [&](uint64_t seq, TemplateId tid) {
+                                     disk_hits.emplace_back(seq, tid);
+                                   })
+                    .ok());
+    ASSERT_TRUE(memory
+                    .ScanTemplates(w.begin, w.end, w.min_ts, w.max_ts, wanted,
+                                   [&](uint64_t seq, TemplateId tid) {
+                                     memory_hits.emplace_back(seq, tid);
+                                   })
+                    .ok());
+    EXPECT_EQ(disk_hits, memory_hits);
+  }
+}
+
+// The disk backend answers in-window queries from an in-memory copy of
+// its sealed template ids. Across random reassignment rounds (one with a
+// failed pwrite, whose record keeps its old id) and a reopen (which
+// rebuilds the copy from the frames), it must answer exactly as the
+// memory backend does, and its frames must hold the same ids.
+TEST(StorageBackendTest, SealedTemplateIdsInMemoryMatchTheFrames) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TempDir dir;
+    SegmentCache cache;
+    FailNextPWriteOps ops;
+    StorageConfig disk_cfg = DiskConfig(dir.path(), 400);
+    disk_cfg.segment_cache = &cache;
+    disk_cfg.file_ops = &ops;
+    StorageConfig memory_cfg;
+    memory_cfg.memory_segment_capacity = 4;
+    auto disk = OpenBackend(disk_cfg);
+    auto memory = OpenBackend(memory_cfg);
+
+    Rng rng(seed);
+    constexpr uint64_t kRecords = 150;
+    uint64_t max_ts = 0;
+    for (uint64_t seq = 0; seq < kRecords; ++seq) {
+      LogRecord rec;
+      rec.timestamp_us = seq * 10 + rng.NextBelow(25);
+      rec.text = "event " + std::to_string(seq);
+      rec.template_id = 1 + rng.NextBelow(5);
+      max_ts = std::max(max_ts, rec.timestamp_us);
+      ASSERT_TRUE(disk->AppendBatch({rec}).ok());
+      ASSERT_TRUE(memory->AppendBatch({rec}).ok());
+    }
+    const uint64_t sealed = disk->SnapshotSealed()->end_seq();
+    ASSERT_GT(sealed, kRecords / 2);
+    ExpectSameQueries(*disk, *memory, max_ts, &rng);
+
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<TemplateId> current = ScannedIds(*memory);
+      const bool fail = round == 2;
+      const uint64_t begin = fail ? 0 : rng.NextBelow(kRecords);
+      const uint64_t end =
+          fail ? kRecords : begin + rng.NextBelow(kRecords + 1 - begin);
+      std::vector<TemplateId> ids(current.begin() + begin,
+                                  current.begin() + end);
+      for (TemplateId& id : ids) {
+        if (rng.NextBelow(3) == 0) id = 1 + rng.NextBelow(7);
+      }
+      std::vector<TemplateId> applied = ids;
+      if (fail) {
+        // The first pwrite is record 0's (sealed): it fails, and that
+        // record keeps its old id on disk.
+        ids[0] = current[0] + 1;
+        applied = ids;
+        applied[0] = current[0];
+        ops.armed = true;
+      }
+      const Status assigned = disk->AssignTemplates(begin, ids);
+      EXPECT_EQ(assigned.ok(), !fail) << assigned.ToString();
+      ASSERT_TRUE(memory->AssignTemplates(begin, applied).ok());
+      EXPECT_EQ(ScannedIds(*disk), ScannedIds(*memory));
+      ExpectSameQueries(*disk, *memory, max_ts, &rng);
+    }
+
+    // Reassigning the ids every record already carries maps nothing.
+    const auto before = cache.totals();
+    ASSERT_TRUE(disk->AssignTemplates(0, ScannedIds(*memory)).ok());
+    EXPECT_EQ(cache.totals().misses, before.misses);
+    EXPECT_EQ(cache.totals().hits, before.hits);
+
+    ASSERT_TRUE(disk->Checkpoint("").ok());
+    disk.reset();
+    disk_cfg.file_ops = nullptr;
+    disk = OpenBackend(disk_cfg);
+    ASSERT_EQ(disk->size(), kRecords);
+    EXPECT_EQ(ScannedIds(*disk), ScannedIds(*memory));
+    ExpectSameQueries(*disk, *memory, max_ts, &rng);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Crash recovery: torn tails truncate, corruption surfaces a checksum
 // Status — and never crashes.
